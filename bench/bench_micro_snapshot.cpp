@@ -54,6 +54,7 @@ BENCHMARK(BM_SnapshotRestoreHeap)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotTypedArray(benchmark::State& state) {

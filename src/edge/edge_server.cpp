@@ -13,8 +13,7 @@ EdgeServer::EdgeServer(sim::Simulation& sim, net::Endpoint& endpoint,
                        EdgeServerConfig config)
     : sim_(sim),
       config_(std::move(config)),
-      store_(std::make_shared<ModelStore>()),
-      base_image_(vmsynth::make_base_image()) {
+      store_(std::make_shared<ModelStore>()) {
   scheduler_ = make_scheduler();
   attach(endpoint);
 }
@@ -516,8 +515,9 @@ std::optional<EdgeServer::MigratableJob> EdgeServer::steal_job(
 
 void EdgeServer::handle_overlay(net::Endpoint& from,
                                 const net::Message& message) {
+  if (!base_image_) base_image_ = vmsynth::make_base_image();
   vmsynth::VmImage image =
-      vmsynth::synthesize(base_image_, std::span(message.payload));
+      vmsynth::synthesize(*base_image_, std::span(message.payload));
 
   // Pull any model files shipped inside the overlay into the store — this
   // doubles as pre-sending (Section III.B.3).

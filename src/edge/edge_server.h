@@ -259,7 +259,9 @@ class EdgeServer {
   std::map<std::uint64_t, MigratableJob> migratable_;
   std::function<bool(EscalationRequest)> escalate_;
   std::function<void()> on_admit_;
-  vmsynth::VmImage base_image_;
+  /// The ~21 MB VM base image overlays apply to, built by the first
+  /// overlay: most servers never receive one.
+  std::optional<vmsynth::VmImage> base_image_;
   std::optional<vmsynth::VmImage> synthesized_;
   bool down_ = false;
   sim::SimTime stall_until_;

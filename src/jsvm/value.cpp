@@ -5,6 +5,43 @@
 #include <cmath>
 
 namespace offload::jsvm {
+namespace {
+
+/// The queue of the outermost object or array destructor running on this
+/// thread; destructors it triggers queue their children there instead of
+/// recursing. A raw pointer, so it outlives every static Value.
+thread_local std::vector<Value>* t_pending_release = nullptr;
+
+template <class Children, class ValueOf>
+void release_children(Children& children, ValueOf value_of) {
+  std::vector<Value> own;
+  std::vector<Value>& pending = t_pending_release ? *t_pending_release : own;
+  for (auto& child : children) {
+    Value& v = value_of(child);
+    if (std::holds_alternative<ObjectPtr>(v) ||
+        std::holds_alternative<ArrayPtr>(v)) {
+      pending.push_back(std::move(v));
+    }
+  }
+  if (&pending != &own) return;
+  t_pending_release = &own;
+  while (!own.empty()) {
+    // Destroying the last reference here queues that value's children.
+    Value v = std::move(own.back());
+    own.pop_back();
+  }
+  t_pending_release = nullptr;
+}
+
+}  // namespace
+
+Object::~Object() {
+  release_children(properties, [](auto& p) -> Value& { return p.second; });
+}
+
+ArrayObj::~ArrayObj() {
+  release_children(elements, [](Value& v) -> Value& { return v; });
+}
 
 Value* Object::find(std::string_view key) {
   for (auto& [k, v] : properties) {

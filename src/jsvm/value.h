@@ -61,6 +61,10 @@ class JsError : public std::runtime_error {
 struct Object {
   std::vector<std::pair<std::string, Value>> properties;
 
+  /// Frees child objects and arrays in a loop, not one nested destructor
+  /// call per link, so dropping a long chain cannot overflow the stack.
+  ~Object();
+
   Value* find(std::string_view key);
   const Value* find(std::string_view key) const;
   /// Missing keys read as undefined, like JS.
@@ -71,6 +75,9 @@ struct Object {
 
 struct ArrayObj {
   std::vector<Value> elements;
+
+  /// As ~Object.
+  ~ArrayObj();
 };
 
 /// Float32Array: the value type for images, feature tensors, and model

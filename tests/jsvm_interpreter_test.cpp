@@ -200,6 +200,16 @@ TEST(InterpreterObject, NestedAndKeys) {
   EXPECT_EQ(eval_string("var o = {}; o.missing;"), "undefined");
 }
 
+TEST(InterpreterObject, LongChainTearsDown) {
+  // 2*10^5 links, alternating object and array: freeing it one nested
+  // destructor per link would overflow the stack.
+  auto interp = std::make_unique<Interpreter>();
+  interp->eval_program(
+      "var head = null; "
+      "for (var i = 0; i < 100000; i++) { head = {next: [head]}; }");
+  interp.reset();
+}
+
 TEST(InterpreterString, Methods) {
   EXPECT_EQ(eval_number("'hello'.length;"), 5);
   EXPECT_EQ(eval_string("'hello'.charAt(1);"), "e");
@@ -416,6 +426,90 @@ TEST(InterpreterMisc, StatsCount) {
   EXPECT_GE(interp.stats().calls, 2u);
   EXPECT_GE(interp.stats().statements, 3u);
 }
+
+// Environments both below and above the slot count at which name lookup
+// moves from a linear scan to the name index.
+class EnvironmentTest : public ::testing::TestWithParam<int> {
+ protected:
+  int n() const { return GetParam(); }
+
+  /// Declares `<prefix>0` .. `<prefix>{n-1}` bound to 0 .. n-1.
+  void fill(Environment& env, const std::string& prefix) const {
+    for (int i = 0; i < n(); ++i) {
+      env.declare(prefix + std::to_string(i), Value(static_cast<double>(i)));
+    }
+  }
+
+  std::string last(const std::string& prefix) const {
+    return prefix + std::to_string(n() - 1);
+  }
+};
+
+TEST_P(EnvironmentTest, SlotsStayInDeclarationOrder) {
+  Environment env;
+  fill(env, "v");
+  ASSERT_EQ(env.slots().size(), static_cast<std::size_t>(n()));
+  for (int i = 0; i < n(); ++i) {
+    EXPECT_EQ(env.slots()[i].first, "v" + std::to_string(i));
+    EXPECT_EQ(env.slots()[i].second, Value(static_cast<double>(i)));
+  }
+}
+
+TEST_P(EnvironmentTest, RedeclareUpdatesInPlace) {
+  Environment env;
+  fill(env, "v");
+  env.declare("v0", Value(std::string("first")));
+  env.declare(last("v"), Value(std::string("last")));
+  ASSERT_EQ(env.slots().size(), static_cast<std::size_t>(n()));
+  EXPECT_EQ(env.slots().front().first, "v0");
+  EXPECT_EQ(env.slots().front().second, Value(std::string("first")));
+  EXPECT_EQ(env.slots().back().first, last("v"));
+  EXPECT_EQ(*env.find_local(last("v")), Value(std::string("last")));
+  EXPECT_EQ(env.find_local("v"), nullptr);
+}
+
+TEST_P(EnvironmentTest, ChildDeclarationShadowsParent) {
+  auto parent = std::make_shared<Environment>();
+  fill(*parent, "v");
+  Environment child(parent);
+  fill(child, "c");
+  child.declare("v0", Value(std::string("child")));
+  EXPECT_EQ(*child.find("v0"), Value(std::string("child")));
+  EXPECT_EQ(*parent->find("v0"), Value(0.0));
+  EXPECT_EQ(*child.find(last("v")), Value(static_cast<double>(n() - 1)));
+  EXPECT_EQ(child.find_local(last("v")), nullptr);
+  EXPECT_EQ(parent->find(last("c")), nullptr);
+}
+
+TEST_P(EnvironmentTest, AssignReachesBindingThroughParentChain) {
+  auto grandparent = std::make_shared<Environment>();
+  fill(*grandparent, "g");
+  auto parent = std::make_shared<Environment>(grandparent);
+  fill(*parent, "p");
+  Environment child(parent);
+  fill(child, "c");
+  EXPECT_TRUE(child.assign(last("g"), Value(std::string("set"))));
+  EXPECT_EQ(*grandparent->find_local(last("g")), Value(std::string("set")));
+  EXPECT_EQ(child.find_local(last("g")), nullptr);
+  EXPECT_EQ(parent->find_local(last("g")), nullptr);
+  EXPECT_FALSE(child.assign("unbound", Value(1.0)));
+  EXPECT_EQ(child.find("unbound"), nullptr);
+}
+
+TEST_P(EnvironmentTest, AssignToUnboundNameIsImplicitGlobal) {
+  std::string src = "function f() { ";
+  for (int i = 0; i < n(); ++i) {
+    src += "var v" + std::to_string(i) + " = " + std::to_string(i) + "; ";
+  }
+  src += "fresh = " + last("v") + "; } f();";
+  Interpreter interp;
+  interp.eval_program(src);
+  ASSERT_NE(interp.globals()->find("fresh"), nullptr);
+  EXPECT_EQ(to_number(*interp.globals()->find("fresh")), n() - 1);
+  EXPECT_EQ(interp.globals()->find("v0"), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EnvironmentTest, ::testing::Values(3, 40));
 
 }  // namespace
 }  // namespace offload::jsvm

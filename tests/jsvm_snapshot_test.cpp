@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
 
 namespace offload::jsvm {
@@ -332,6 +333,31 @@ TEST(Snapshot, FeatureDataDominatesLargeSnapshots) {
             snap.stats.total_bytes * 9 / 10);
   EXPECT_LT(snap.stats.non_feature_bytes(), 2000u);
 }
+
+class HeapRoundTrip : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeapRoundTrip, RestoredRealmFingerprintsEqual) {
+  // 2n + 1 heap objects (n objects, their tag arrays, and root), each a
+  // local of the snapshot's one restore scope; peers share references.
+  const int n = GetParam();
+  const std::string src =
+      "var root = [];\n"
+      "for (var i = 0; i < " + std::to_string(n) + "; i++) {\n"
+      "  root.push({id: i, name: 'node' + i, tags: [i, i * 2],\n"
+      "             peer: i > 0 ? root[Math.floor(i / 2)] : null});\n"
+      "}\n";
+  Interpreter a;
+  a.eval_program(src);
+  SnapshotResult snap;
+  auto b = round_trip(src, {}, &snap);
+  EXPECT_EQ(snap.stats.objects + snap.stats.arrays,
+            2 * static_cast<std::size_t>(n) + 1);
+  EXPECT_EQ(fingerprint_realm(a).version, fingerprint_realm(*b).version);
+  EXPECT_EQ(b->eval_program("root[" + std::to_string(n - 1) + "].peer.id;"),
+            Value(static_cast<double>((n - 1) / 2)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, HeapRoundTrip, ::testing::Values(100, 10000));
 
 }  // namespace
 }  // namespace offload::jsvm
