@@ -1,19 +1,17 @@
 // Scheduler micro-benchmark: schedule / steady-state churn / cancel /
-// drain throughput and resident-memory cost for three discrete-event
+// drain throughput and resident-memory cost for two discrete-event
 // scheduler implementations at 10^3 → 10^6 pending events:
 //
 //   seed_heap — the original engine verbatim: std::priority_queue over
 //               heap-allocated std::function closures, an unordered_set
 //               for cancellation, and a per-fire closure copy out of the
-//               queue (vendored here so the speedup this PR claims stays
-//               pinned in the perf trajectory).
-//   heap      — the current binary-heap backend: POD keys in the queue,
-//               closures slab-arena'd, lazy tombstones, no per-fire copy.
-//   wheel     — the hierarchical timing wheel (the default backend).
+//               queue (vendored here so the speedup of the current engine
+//               stays pinned in the perf trajectory).
+//   heap      — sim::Simulation: a 4-ary heap of POD keys, closures
+//               slab-arena'd, lazy tombstones, no per-fire copy.
 //
 // Emits BENCH_micro_sim.json. Throughputs are wall-clock (not part of any
-// byte-determinism gate); the acceptance bar is wheel >= 5x seed_heap on
-// steady-state churn at 10^6 pending.
+// byte-determinism gate).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -27,12 +25,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include <memory>
-#include <thread>
-
 #include "bench/bench_common.h"
 #include "bench/json_writer.h"
-#include "src/sim/partition.h"
 #include "src/sim/simulation.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -143,7 +137,7 @@ PhaseResult measure(std::size_t n, Schedule&& schedule, Cancel&& cancel,
   util::Pcg32 rng(n, 0xbe9c4);
   std::uint64_t sink = 0;
   auto delay = [&rng]() {
-    // Uniform over ~2 simulated seconds: spans all wheel levels.
+    // Uniform over ~2 simulated seconds.
     return sim::SimTime::nanos(1 + rng.next_below(2000000000));
   };
   PhaseResult out;
@@ -195,8 +189,8 @@ PhaseResult measure_seed(std::size_t n) {
       [&] { return sim.fire_next(); });
 }
 
-PhaseResult measure_current(std::size_t n, sim::SchedulerKind kind) {
-  sim::Simulation sim(kind);
+PhaseResult measure_current(std::size_t n) {
+  sim::Simulation sim;
   std::vector<sim::EventHandle> handles;
   handles.reserve(2 * n + 16);
   return measure(
@@ -207,83 +201,6 @@ PhaseResult measure_current(std::size_t n, sim::SchedulerKind kind) {
       },
       [&](std::uint64_t id) { return sim.cancel(handles[id]); },
       [&] { return sim.step(); });
-}
-
-// ---------------------------------------------------------------------------
-// Partition axis: the same steady-state churn shape driven through
-// sim::PartitionedSimulation at K ∈ {1, 2, 4, 8}. Each partition owns
-// n / K self-rescheduling tokens; a 1 ms conservative lookahead forces
-// real safe windows and merge barriers (≈ n / 2000 events per window at
-// the 2-simulated-second delay span), and 1/64 of fires hop the token to
-// the neighbouring partition through the mailbox path.
-
-struct ChurnPart {
-  sim::PartitionedSimulation* psim = nullptr;
-  int index = 0;
-  int k = 1;
-  util::Pcg32 rng;
-  std::uint64_t remaining = 0;  ///< reschedules left in this partition
-  std::uint64_t stamp = 0;
-  std::uint64_t sink = 0;
-};
-
-void churn_token(ChurnPart* part);
-
-struct ChurnCapture {
-  ChurnPart* part;
-  void operator()() const { churn_token(part); }
-};
-
-void churn_token(ChurnPart* part) {
-  part->sink += part->rng.next_u32();
-  if (part->remaining == 0) return;
-  --part->remaining;
-  sim::Simulation& eng = part->psim->partition(part->index);
-  sim::SimTime delay = sim::SimTime::nanos(1 + part->rng.next_below(2000000000));
-  if (part->rng.next_below(64) == 0) {
-    // Hop to the neighbour: exercises the post/merge path under load.
-    int to = (part->index + 1) % part->k;
-    ChurnPart* peer = part + (to - part->index);
-    part->psim->post(
-        part->index, to, eng.now() + part->psim->lookahead() + delay,
-        (static_cast<std::uint64_t>(part->index) << 48) | part->stamp++,
-        ChurnCapture{peer});
-  } else {
-    eng.schedule(delay, ChurnCapture{part});
-  }
-}
-
-struct PartitionChurnResult {
-  double churn_mps = 0;
-  std::uint64_t rounds = 0;
-};
-
-PartitionChurnResult measure_partitioned(std::size_t n, int k) {
-  sim::PartitionedSimulation psim(sim::PartitionedSimulation::Options{
-      k, sim::SchedulerKind::kWheel, sim::SimTime::millis(1)});
-  std::vector<ChurnPart> parts(static_cast<std::size_t>(k));
-  for (int p = 0; p < k; ++p) {
-    parts[p].psim = &psim;
-    parts[p].index = p;
-    parts[p].k = k;
-    parts[p].rng = util::Pcg32(n + static_cast<std::uint64_t>(p), 0x9a17);
-    parts[p].remaining = n / static_cast<std::size_t>(k);
-  }
-  for (int p = 0; p < k; ++p) {
-    sim::Simulation& eng = psim.partition(p);
-    for (std::size_t i = 0; i < n / static_cast<std::size_t>(k); ++i) {
-      eng.schedule(
-          sim::SimTime::nanos(1 + parts[p].rng.next_below(2000000000)),
-          ChurnCapture{&parts[p]});
-    }
-  }
-  double t0 = now_ms();
-  std::size_t fired = psim.run();
-  double t1 = now_ms();
-  PartitionChurnResult out;
-  out.churn_mps = static_cast<double>(fired) / (t1 - t0) / 1e3;
-  out.rounds = psim.rounds();
-  return out;
 }
 
 std::string fmt2(double v) { return util::format_fixed(v, 2); }
@@ -321,10 +238,10 @@ int reps_from_env() {
 
 int main() {
   bench::print_banner(
-      "Scheduler micro-bench — seed_heap vs heap vs wheel",
-      "timing wheel sustains >=5x the seed scheduler's steady-state event "
-      "churn at 10^6 pending events, with flat per-event memory (slab "
-      "arena + inline closures vs per-closure heap cells)");
+      "Scheduler micro-bench — seed_heap vs heap",
+      "the current engine (4-ary heap of POD keys over a slab arena with "
+      "inline closures) beats the seed scheduler's steady-state event "
+      "churn at 10^6 pending events, with less memory per pending event");
 
   std::vector<bench::JsonObject> json;
   util::TextTable table;
@@ -333,25 +250,18 @@ int main() {
 
   const std::size_t sizes[] = {1000, 10000, 100000, 1000000};
   const int reps = reps_from_env();
-  double seed_churn_1m = 0, wheel_churn_1m = 0;
+  double seed_churn_1m = 0, heap_churn_1m = 0;
   for (std::size_t n : sizes) {
-    for (const char* name : {"seed_heap", "heap", "wheel"}) {
-      PhaseResult r;
-      if (std::string(name) == "seed_heap") {
-        r = best_of(reps, [&] { return measure_seed(n); });
-      } else if (std::string(name) == "heap") {
-        r = best_of(reps,
-                    [&] { return measure_current(n, sim::SchedulerKind::kHeap); });
-      } else {
-        r = best_of(reps, [&] {
-          return measure_current(n, sim::SchedulerKind::kWheel);
-        });
-      }
-      if (n == 1000000 && std::string(name) == "seed_heap") {
-        seed_churn_1m = r.churn_mps;
-      }
-      if (n == 1000000 && std::string(name) == "wheel") {
-        wheel_churn_1m = r.churn_mps;
+    for (const char* name : {"seed_heap", "heap"}) {
+      const bool seed = std::string(name) == "seed_heap";
+      PhaseResult r = seed ? best_of(reps, [&] { return measure_seed(n); })
+                           : best_of(reps, [&] { return measure_current(n); });
+      if (n == 1000000) {
+        if (seed) {
+          seed_churn_1m = r.churn_mps;
+        } else {
+          heap_churn_1m = r.churn_mps;
+        }
       }
       table.row({name, std::to_string(n), fmt2(r.schedule_mps),
                  fmt2(r.churn_mps), fmt2(r.cancel_mps), fmt2(r.drain_mps),
@@ -369,51 +279,16 @@ int main() {
   }
   std::printf("%s", table.str().c_str());
 
-  // Partition axis: the same churn shape through the partitioned engine.
-  util::TextTable ptable;
-  ptable.header({"pending", "partitions", "churn M/s", "merge rounds"});
-  double part_churn_k1_1m = 0, part_churn_k4_1m = 0;
-  for (std::size_t n : {std::size_t{100000}, std::size_t{1000000}}) {
-    for (int k : {1, 2, 4, 8}) {
-      PartitionChurnResult best;
-      for (int i = 0; i < reps; ++i) {
-        PartitionChurnResult r = measure_partitioned(n, k);
-        if (r.churn_mps > best.churn_mps) best = r;
-      }
-      if (n == 1000000 && k == 1) part_churn_k1_1m = best.churn_mps;
-      if (n == 1000000 && k == 4) part_churn_k4_1m = best.churn_mps;
-      ptable.row({std::to_string(n), std::to_string(k),
-                  fmt2(best.churn_mps), std::to_string(best.rounds)});
-      json.push_back(bench::JsonObject()
-                         .set("experiment", "micro_sim_partition")
-                         .set("scheduler", "wheel")
-                         .set("pending", n)
-                         .set("partitions", k)
-                         .set("churn_mps", best.churn_mps)
-                         .set("rounds", static_cast<std::int64_t>(best.rounds)));
-    }
-  }
-  std::printf("\n%s", ptable.str().c_str());
-
   struct rusage ru;
   getrusage(RUSAGE_SELF, &ru);
-  double speedup = seed_churn_1m > 0 ? wheel_churn_1m / seed_churn_1m : 0;
-  unsigned cores = std::thread::hardware_concurrency();
-  double part_speedup =
-      part_churn_k1_1m > 0 ? part_churn_k4_1m / part_churn_k1_1m : 0;
+  double speedup = seed_churn_1m > 0 ? heap_churn_1m / seed_churn_1m : 0;
   std::printf(
-      "\nwheel vs seed_heap churn speedup at 10^6 pending: %.1fx "
-      "(acceptance bar: >=5x)\n"
-      "partitioned churn K=4 vs K=1 at 10^6 pending: %.2fx "
-      "(design target: >=2x on >=4 cores; this host has %u)\n"
+      "\nheap vs seed_heap churn speedup at 10^6 pending: %.1fx\n"
       "peak process RSS: %.1f MiB\n",
-      speedup, part_speedup, cores,
-      static_cast<double>(ru.ru_maxrss) / 1024.0);
+      speedup, static_cast<double>(ru.ru_maxrss) / 1024.0);
   json.push_back(bench::JsonObject()
                      .set("experiment", "micro_sim_summary")
-                     .set("wheel_vs_seed_churn_speedup_1m", speedup)
-                     .set("partition_churn_speedup_k4_1m", part_speedup)
-                     .set("host_cores", static_cast<std::int64_t>(cores))
+                     .set("heap_vs_seed_churn_speedup_1m", speedup)
                      .set("peak_rss_mib",
                           static_cast<double>(ru.ru_maxrss) / 1024.0));
 

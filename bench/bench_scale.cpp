@@ -14,23 +14,22 @@
 //
 // Each cell is sharded: the client population (sim::workload range
 // shards) and the fleet are split into S causally-closed slices, each
-// owning its own balancer, servers, and stats, run on a
-// sim::PartitionedSimulation with independent partitions
-// (lookahead = SimTime::max()). S depends only on the fleet size — never
-// on OFFLOAD_SIM_PARTITIONS — and shard results merge in shard order, so
-// the workload-result payload is byte-identical at any partition count;
-// only the throughput summary row may change across K.
+// owning its own sim::Simulation, balancer, servers, and stats. No event
+// crosses a shard, so the shards run concurrently on util::parallel_for.
+// S depends only on the fleet size — never on the thread count — and
+// shard results merge in shard order, so the workload-result payload is
+// byte-identical at any OFFLOAD_THREADS; only the throughput summary row
+// may change.
 //
 // Reported per cell: latency percentiles over all finished inferences,
 // the shed rate, and the upload bytes content-addressed dedup saved — the
-// three curves a capacity planner needs. Everything runs on the timing-
-// wheel simulation core; the 10^6-client sweep is a routine bench run.
+// three curves a capacity planner needs. The 10^6-client sweep is a
+// routine bench run.
 //
 // Deterministic: two invocations emit byte-identical BENCH_scale.json at
-// any OFFLOAD_THREADS / OFFLOAD_SIM_PARTITIONS when
-// OFFLOAD_BENCH_DETERMINISTIC=1 zeroes the wall-clock summary fields (CI
-// diffs a double run at the smoke sizes; cap the sweep with
-// OFFLOAD_SCALE_CLIENTS_MAX=<n>).
+// any OFFLOAD_THREADS when OFFLOAD_BENCH_DETERMINISTIC=1 zeroes the
+// wall-clock summary fields (CI diffs a double run at the smoke sizes;
+// cap the sweep with OFFLOAD_SCALE_CLIENTS_MAX=<n>).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,12 +40,12 @@
 #include "bench/bench_common.h"
 #include "bench/json_writer.h"
 #include "src/fleet/balancer.h"
-#include "src/sim/partition.h"
 #include "src/sim/simulation.h"
 #include "src/sim/workload.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -81,10 +80,10 @@ struct CellResult {
 };
 
 /// Shards per cell: one per 4 servers, capped at 8 — a pure function of
-/// the fleet size (never of OFFLOAD_SIM_PARTITIONS), so the shard
-/// decomposition and therefore the merged results are identical at any
-/// partition count. Every shard keeps >= 4 servers so the balancing
-/// policy still has real choices inside a shard.
+/// the fleet size (never of the thread count), so the shard
+/// decomposition and therefore the merged results are identical on any
+/// host. Every shard keeps >= 4 servers so the balancing policy still
+/// has real choices inside a shard.
 std::size_t shards_for(std::size_t fleet_size) {
   std::size_t s = fleet_size / 4;
   if (s < 1) s = 1;
@@ -98,8 +97,8 @@ struct ServerState {
 };
 
 /// One causally-closed slice of a cell: a population shard, its fleet
-/// slice, and all mutable serving state. Touched only by events firing on
-/// the shard's home partition.
+/// slice, all mutable serving state, and the event loop that drives them.
+/// Touched only by the thread running this shard's loop.
 struct Shard {
   Shard(const fleet::BalancerConfig& bc, std::size_t servers_count,
         std::size_t classes_count)
@@ -109,6 +108,7 @@ struct Shard {
                             std::vector<bool>(classes_count, false)}),
         outstanding(servers_count, 0) {}
 
+  sim::Simulation sim;
   fleet::Balancer balancer;
   std::vector<ServerState> servers;
   std::vector<int> outstanding;
@@ -124,9 +124,7 @@ double wall_now_ms() {
       .count();
 }
 
-CellResult run_cell(const CellConfig& cell, int partitions) {
-  sim::PartitionedSimulation psim(sim::PartitionedSimulation::Options{
-      partitions, std::nullopt, sim::SimTime::max()});
+CellResult run_cell(const CellConfig& cell) {
   const std::size_t shard_count = shards_for(cell.fleet_size);
   const auto classes = workload::default_device_classes();
 
@@ -146,9 +144,7 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
 
   for (std::size_t s = 0; s < shard_count; ++s) {
     Shard* sh = shards[s].get();
-    const int part = static_cast<int>(
-        s * static_cast<std::size_t>(partitions) / shard_count);
-    sim::Simulation& eng = psim.partition(part);
+    sim::Simulation& eng = sh->sim;
 
     workload::Config wl;
     wl.clients = cell.clients;
@@ -236,10 +232,15 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
   }
 
   double t0 = wall_now_ms();
-  std::size_t fired = psim.run();
+  util::parallel_for(0, static_cast<std::int64_t>(shard_count), 1,
+                     [&shards](std::int64_t lo, std::int64_t hi) {
+                       for (std::int64_t s = lo; s < hi; ++s) {
+                         shards[s]->res.events_fired = shards[s]->sim.run();
+                       }
+                     });
   double t1 = wall_now_ms();
 
-  // Deterministic merge in shard order — identical at any K.
+  // Deterministic merge in shard order — identical at any thread count.
   CellResult out;
   util::Samples latency;
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -253,9 +254,9 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
     out.dedup_saved_mb += r.dedup_saved_mb;
     out.sessions += shards[s]->gen->sessions_started();
     out.cold_sessions += shards[s]->gen->cold_sessions();
+    out.events_fired += r.events_fired;
     latency.merge(shards[s]->latency);
   }
-  out.events_fired = fired;
   out.wall_ms = t1 - t0;
   if (latency.count() > 0) {
     out.p50_s = latency.percentile(50.0);
@@ -286,10 +287,8 @@ int main() {
       "populations churn cold, but their blobs are already on the edge)");
 
   const std::uint64_t max_clients = max_clients_from_env();
-  const int partitions = sim::PartitionedSimulation::partitions_from_env();
   const bool deterministic =
       std::getenv("OFFLOAD_BENCH_DETERMINISTIC") != nullptr;
-  std::printf("partitions (OFFLOAD_SIM_PARTITIONS): %d\n\n", partitions);
 
   std::vector<bench::JsonObject> json;
   util::TextTable table;
@@ -309,7 +308,7 @@ int main() {
         cell.clients = clients;
         cell.policy = policy;
         cell.fleet_size = fleet_size;
-        CellResult r = run_cell(cell, partitions);
+        CellResult r = run_cell(cell);
         total_events += r.events_fired;
         total_wall_ms += r.wall_ms;
         double shed_rate =
@@ -361,21 +360,20 @@ int main() {
       total_wall_ms > 0 ? static_cast<double>(total_events) /
                               (total_wall_ms / 1e3)
                         : 0;
-  std::printf(
-      "\nsweep wall clock: %.0f ms, %.2fM events/s at %d partition(s)\n",
-      total_wall_ms, events_per_s / 1e6, partitions);
+  std::printf("\nsweep wall clock: %.0f ms, %.2fM events/s\n",
+              total_wall_ms, events_per_s / 1e6);
   std::printf(
       "Note: shed inferences complete via client-local fallback, so heavy "
       "shed shows up as a fat p99 (device execution times), not lost "
       "requests. Fleet sizing is read off the smallest fleet whose p99 and "
       "shed rate survive the flash crowd.\n");
 
-  // The only row allowed to differ across partition counts (CI's cross-K
-  // byte gate filters on the experiment name). Wall-clock fields are
-  // zeroed under OFFLOAD_BENCH_DETERMINISTIC so double runs byte-match.
+  // The only row allowed to differ across thread counts (CI's
+  // cross-thread byte gate filters on the experiment name). Wall-clock
+  // fields are zeroed under OFFLOAD_BENCH_DETERMINISTIC so double runs
+  // byte-match.
   json.push_back(bench::JsonObject()
                      .set("experiment", "capacity_planning_throughput")
-                     .set("partitions", partitions)
                      .set("events_fired_total",
                           static_cast<std::int64_t>(total_events))
                      .set("wall_ms", deterministic ? 0.0 : total_wall_ms)

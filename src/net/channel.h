@@ -94,17 +94,6 @@ struct ChannelConfig {
   int max_retransmits = 16;
 };
 
-/// The channel's delivery-latency floor: the minimum one-way propagation
-/// delay across both directions. Serialization, queueing, jitter, and
-/// retransmits only ever add to it, so this is the conservative
-/// lookahead bound a sim::PartitionedSimulation may use when the actors
-/// it partitions apart talk exclusively over this channel.
-inline sim::SimTime latency_floor(const ChannelConfig& config) {
-  return config.a_to_b.latency < config.b_to_a.latency
-             ? config.a_to_b.latency
-             : config.b_to_a.latency;
-}
-
 /// Owns both endpoints and both links. Construct via make().
 class Channel {
  public:
@@ -119,14 +108,6 @@ class Channel {
 
   Link& link_a_to_b() { return ab_; }
   Link& link_b_to_a() { return ba_; }
-
-  /// Minimum one-way propagation delay across both live links (tracks
-  /// config changes; see the free latency_floor(ChannelConfig&)).
-  sim::SimTime latency_floor() const {
-    return ab_.config().latency < ba_.config().latency
-               ? ab_.config().latency
-               : ba_.config().latency;
-  }
 
   /// Install a fault hook on one direction (true = a→b). Passing an empty
   /// function removes it.

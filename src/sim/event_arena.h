@@ -2,12 +2,11 @@
 // FIFO sequence number, and the closure itself (inline via
 // util::UniqueFunction) — so scheduling an event performs no heap
 // allocation in the steady state (slabs are recycled through a free list)
-// and cancelling one destroys the closure eagerly. The scheduler backends
-// never link nodes into their own structures: both the timing wheel and
-// the binary heap keep compact (when, seq, index) records and treat a
-// record whose sequence number no longer matches the arena slot's as a
-// cancelled tombstone (sequence numbers are globally unique, so slot
-// reuse can never resurrect one).
+// and cancelling one destroys the closure eagerly. The scheduler never
+// links nodes into its own structure: its heap keeps compact (when, seq,
+// index) keys and treats a key whose sequence number no longer matches
+// the arena slot's as a cancelled tombstone (sequence numbers are
+// globally unique, so slot reuse can never resurrect one).
 //
 // Lifetime rules (see DESIGN.md §8):
 //  * A node is live from allocate() until release(); release() destroys
@@ -15,7 +14,7 @@
 //    EventHandle minted for the old occupant goes stale atomically.
 //  * Slabs are never freed while the arena lives — node pointers stay
 //    valid across allocate/release churn, which is what lets the
-//    backends resolve records to raw pointers.
+//    scheduler resolve heap keys to raw pointers.
 //  * Generations start at 1 and skip 0 on wrap; handle value 0 is the
 //    universal "invalid" encoding.
 #pragma once
@@ -72,8 +71,8 @@ class EventArena {
     --live_;
   }
 
-  /// Direct slot access (no liveness check) for the backends' record →
-  /// node resolution; compare the record's seq against node->seq. Slab
+  /// Direct slot access (no liveness check) for the scheduler's key →
+  /// node resolution; compare the key's seq against node->seq. Slab
   /// addressing, not a pointer table: the slab directory is a few KB and
   /// stays cached, so this is one dependent load instead of two.
   EventNode* at(std::uint32_t index) {

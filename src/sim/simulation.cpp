@@ -1,25 +1,9 @@
 #include "src/sim/simulation.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 namespace offload::sim {
-
-namespace {
-
-SchedulerKind scheduler_from_env() {
-  const char* env = std::getenv("OFFLOAD_SIM_SCHED");
-  if (env == nullptr || *env == '\0') return SchedulerKind::kWheel;
-  std::string_view v(env);
-  if (v == "wheel") return SchedulerKind::kWheel;
-  if (v == "heap") return SchedulerKind::kHeap;
-  throw std::invalid_argument(
-      "OFFLOAD_SIM_SCHED must be 'heap' or 'wheel'");
-}
-
-}  // namespace
 
 std::string SimTime::str() const {
   char buf[64];
@@ -34,9 +18,53 @@ std::string SimTime::str() const {
   return buf;
 }
 
-Simulation::Simulation() : Simulation(scheduler_from_env()) {}
+namespace {
 
-Simulation::Simulation(SchedulerKind kind) : kind_(kind) {}
+// Four children per node: half the depth of a binary heap, and the four
+// sibling keys sit side by side (96 bytes), so each sift-down level reads
+// one or two adjacent cache lines.
+constexpr std::size_t kArity = 4;
+
+template <typename Key>
+bool fires_before(const Key& a, const Key& b) {
+  if (a.when != b.when) return a.when < b.when;
+  return a.seq < b.seq;
+}
+
+}  // namespace
+
+void Simulation::heap_push(HeapKey key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!fires_before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+void Simulation::heap_pop() {
+  const HeapKey last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (fires_before(heap_[c], heap_[best])) best = c;
+    }
+    if (!fires_before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
 
 EventHandle Simulation::schedule_at(SimTime when, EventFn fn) {
   if (when < now_) {
@@ -45,12 +73,7 @@ EventHandle Simulation::schedule_at(SimTime when, EventFn fn) {
   std::uint64_t seq = next_seq_++;
   EventNode* node = arena_.allocate(when, seq, std::move(fn));
   ++pending_;
-  if (kind_ == SchedulerKind::kWheel) {
-    wheel_.insert(TimingWheel::Record{
-        static_cast<std::uint64_t>(when.ns()), seq, node->index});
-  } else {
-    heap_.push(HeapKey{when, seq, node->index});
-  }
+  heap_push(HeapKey{when, seq, node->index});
   return EventHandle(node->index, node->gen);
 }
 
@@ -59,34 +82,27 @@ bool Simulation::cancel(EventHandle handle) {
   EventNode* node = arena_.resolve(handle.index_, handle.gen_);
   if (node == nullptr) return false;
   --pending_;
-  // Both backends keep (when, seq, index) records, not the node: the
-  // record stays behind as a tombstone and is skipped lazily (the live
-  // seq no longer matches); the closure and the node are reclaimed now.
+  // The heap keeps (when, seq, index) keys, not the node: the key stays
+  // behind as a tombstone and is skipped lazily (the live seq no longer
+  // matches); the closure and the node are reclaimed now.
   arena_.release(node);
   return true;
 }
 
 EventNode* Simulation::peek_next() {
-  if (kind_ == SchedulerKind::kWheel) return wheel_.peek();
   while (!heap_.empty()) {
-    const HeapKey& key = heap_.top();
+    const HeapKey& key = heap_.front();
     EventNode* node = arena_.at(key.index);
     if (node->seq == key.seq) return node;  // live (seqs are unique)
-    heap_.pop();                            // cancelled: slot was recycled
+    heap_pop();                             // cancelled: slot was recycled
   }
   return nullptr;
 }
 
 bool Simulation::fire_next() {
-  EventNode* node;
-  if (kind_ == SchedulerKind::kWheel) {
-    node = wheel_.pop();  // one scan, not peek-then-pop
-    if (node == nullptr) return false;
-  } else {
-    node = peek_next();
-    if (node == nullptr) return false;
-    heap_.pop();
-  }
+  EventNode* node = peek_next();
+  if (node == nullptr) return false;
+  heap_pop();
   now_ = node->when;
   --pending_;
   // Tombstone the slot before running user code, so a cancel of this very
@@ -119,10 +135,5 @@ std::size_t Simulation::run_until(SimTime deadline) {
 }
 
 bool Simulation::step() { return fire_next(); }
-
-SimTime Simulation::next_event_time() {
-  EventNode* node = peek_next();
-  return node == nullptr ? SimTime::max() : node->when;
-}
 
 }  // namespace offload::sim

@@ -2,39 +2,26 @@
 // events at equal timestamps fire in scheduling order (FIFO tie-break by a
 // monotonically increasing sequence number).
 //
-// Two interchangeable scheduler backends share one slab arena of intrusive
-// event nodes (src/sim/event_arena.h):
-//
-//   "wheel" (default) — hierarchical timing wheel + calendar overflow
-//     (src/sim/timing_wheel.h). O(1) schedule/cancel, amortized O(1)
-//     fire; built for millions of pending events (bench_micro_sim pins
-//     the speedup, bench_scale runs 10^6 simulated clients on it).
-//   "heap"            — the classic binary heap over (when, seq) keys.
-//     Kept as the differential-testing reference: tests/sim_test.cpp
-//     asserts both backends produce identical firing orders over
-//     randomized schedule/cancel workloads.
-//
-// Select with OFFLOAD_SIM_SCHED=heap|wheel or the explicit constructor.
-// Either way cancellation destroys the event's closure eagerly (captured
-// state is released at cancel time, not when the entry happens to drain)
-// and firing moves the closure out of the arena slot — no per-event heap
-// allocation for captures up to util::UniqueFunction::kInlineBytes.
+// The queue is a 4-ary min-heap of compact (when, seq, index) keys over a
+// slab arena of event nodes (src/sim/event_arena.h). Cancellation destroys
+// the event's closure eagerly (captured state is released at cancel time,
+// not when its key happens to reach the top) and leaves the key behind as
+// a tombstone that is skipped lazily. Firing runs the closure in its arena
+// slot — no per-event heap allocation for captures up to
+// util::UniqueFunction::kInlineBytes. DESIGN.md §8 gives the contract and
+// why this is the only backend.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/sim/event_arena.h"
 #include "src/sim/time.h"
-#include "src/sim/timing_wheel.h"
 #include "src/util/unique_function.h"
 
 namespace offload::sim {
 
 using EventFn = util::UniqueFunction;
-
-enum class SchedulerKind { kHeap, kWheel };
 
 /// Handle to a scheduled event; allows cancellation. Generation-tagged:
 /// once the event fires or is cancelled its arena slot retires this
@@ -56,15 +43,11 @@ class EventHandle {
 /// continuations; `run()` drains the queue in timestamp order.
 class Simulation {
  public:
-  /// Backend from OFFLOAD_SIM_SCHED ("heap" | "wheel"; default wheel).
-  /// Throws std::invalid_argument on an unrecognized value.
-  Simulation();
-  explicit Simulation(SchedulerKind kind);
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   SimTime now() const { return now_; }
-  SchedulerKind scheduler() const { return kind_; }
 
   /// Schedule `fn` to run `delay` after the current time.
   EventHandle schedule(SimTime delay, EventFn fn) {
@@ -89,12 +72,6 @@ class Simulation {
   /// Fire the single next event, if any. Returns false when idle.
   bool step();
 
-  /// Timestamp of the earliest pending event, or SimTime::max() when the
-  /// queue is empty. Never runs user code (it may advance wheel cursors
-  /// and prune cancelled tombstones). The partitioned engine
-  /// (src/sim/partition.h) uses this to compute conservative windows.
-  SimTime next_event_time();
-
   std::size_t pending() const { return pending_; }
 
   /// Arena introspection for benches/tests: slabs ever allocated and the
@@ -108,25 +85,19 @@ class Simulation {
     std::uint64_t seq;
     std::uint32_t index;
   };
-  struct Later {
-    bool operator()(const HeapKey& a, const HeapKey& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
 
+  void heap_push(HeapKey key);
+  void heap_pop();
   bool fire_next();
-  /// Next live event in firing order, or nullptr. Heap backend: lazily
-  /// pops stale (cancelled) keys. Never runs user code.
+  /// Next live event in firing order, or nullptr. Pops cancelled keys
+  /// off the top on the way; never runs user code.
   EventNode* peek_next();
 
   SimTime now_;
   std::uint64_t next_seq_ = 1;
   std::size_t pending_ = 0;
-  SchedulerKind kind_;
   EventArena arena_;
-  TimingWheel wheel_{arena_};
-  std::priority_queue<HeapKey, std::vector<HeapKey>, Later> heap_;
+  std::vector<HeapKey> heap_;  ///< 4-ary min-heap on (when, seq)
 };
 
 }  // namespace offload::sim

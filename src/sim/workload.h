@@ -14,7 +14,7 @@
 //
 // Determinism: every draw comes from Pcg32 streams owned by the generator
 // and is consumed in event-firing order, so a (seed, config) pair yields a
-// byte-identical request stream on every run and either scheduler backend.
+// byte-identical request stream on every run.
 #pragma once
 
 #include <cstdint>
@@ -92,17 +92,15 @@ struct Config {
   ArrivalConfig arrivals;
   SessionConfig session;
   std::uint64_t seed = 1;
-  /// Stable population sharding for partitioned simulations: this
-  /// generator emits only the clients of range shard `shard_index` out
-  /// of `shard_count`, with the aggregate arrival rate scaled by the
-  /// shard's population share and RNG streams salted per shard. Shard
-  /// membership depends only on (client, clients, shard_count) — never
-  /// on how many partitions the shards are later mapped onto — so the
-  /// same client id lands in the same slice at any partition count, and
-  /// the union of all shards' request streams is byte-identical no
-  /// matter how they are distributed (tests/sim_partition_test.cpp).
-  /// The default (1 shard) is stream-identical to the unsharded
-  /// generator.
+  /// Stable population sharding: this generator emits only the clients
+  /// of range shard `shard_index` out of `shard_count`, with the
+  /// aggregate arrival rate scaled by the shard's population share and
+  /// RNG streams salted per shard. Shard membership depends only on
+  /// (client, clients, shard_count), so each shard can run on its own
+  /// Simulation on any thread and the union of all shards' request
+  /// streams is byte-identical however the shards are scheduled
+  /// (WorkloadSharding in tests/sim_test.cpp). The default (1 shard) is
+  /// stream-identical to the unsharded generator.
   std::uint32_t shard_count = 1;
   std::uint32_t shard_index = 0;
 };
@@ -111,8 +109,7 @@ struct Config {
 std::uint64_t shard_begin(std::uint64_t n, std::uint32_t s,
                           std::uint32_t count);
 
-/// Stable shard of a client id: independent of partition count and of
-/// everything except (client, n, count).
+/// Stable shard of a client id: a function of (client, n, count) only.
 std::uint32_t shard_of(std::uint64_t client, std::uint64_t n,
                        std::uint32_t count);
 

@@ -159,7 +159,9 @@ void decompress_sequences(util::BinaryReader& r, std::uint8_t* out,
       throw util::DecodeError("mlzma: literal run past end");
     }
     auto lits = r.raw(lit_len);
-    std::memcpy(out + filled, lits.data(), lit_len);
+    // An empty run may come with null pointers (empty input, empty span),
+    // and memcpy with a null pointer is undefined even for length 0.
+    if (lit_len > 0) std::memcpy(out + filled, lits.data(), lit_len);
     filled += lit_len;
     if (filled >= raw_len) break;  // final literals-only sequence
     std::size_t offset = r.u16();

@@ -1,9 +1,14 @@
 // Direct coverage for the discrete-event engine: FIFO determinism, cancel
 // semantics (including eager closure destruction), run_until edge cases,
-// the slab arena, UniqueFunction storage, timing-wheel cascading/overflow,
-// and the heap-vs-wheel differential that pins both backends to identical
-// firing orders over randomized schedule/cancel workloads.
-#include <cstdlib>
+// far-future and 2^32 ns boundary ordering, the slab arena, UniqueFunction
+// storage, a differential against a std::map reference scheduler over
+// randomized schedule/cancel workloads, and the workload generator's
+// shard stability.
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +20,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/workload.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "src/util/unique_function.h"
 
 namespace offload::sim {
@@ -23,19 +29,8 @@ namespace {
 using offload::util::Pcg32;
 using offload::util::UniqueFunction;
 
-class SimulationBackends : public ::testing::TestWithParam<SchedulerKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Schedulers, SimulationBackends,
-                         ::testing::Values(SchedulerKind::kHeap,
-                                           SchedulerKind::kWheel),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::kHeap
-                                      ? "heap"
-                                      : "wheel";
-                         });
-
-TEST_P(SimulationBackends, FiresInTimestampOrder) {
-  Simulation sim(GetParam());
+TEST(Simulation, FiresInTimestampOrder) {
+  Simulation sim;
   std::vector<int> order;
   sim.schedule(SimTime::millis(30), [&] { order.push_back(3); });
   sim.schedule(SimTime::millis(10), [&] { order.push_back(1); });
@@ -45,8 +40,8 @@ TEST_P(SimulationBackends, FiresInTimestampOrder) {
   EXPECT_EQ(sim.now(), SimTime::millis(30));
 }
 
-TEST_P(SimulationBackends, FifoTieBreakAtEqualTimestamps) {
-  Simulation sim(GetParam());
+TEST(Simulation, FifoTieBreakAtEqualTimestamps) {
+  Simulation sim;
   std::vector<int> order;
   for (int i = 0; i < 100; ++i) {
     sim.schedule(SimTime::millis(7), [&order, i] { order.push_back(i); });
@@ -56,8 +51,8 @@ TEST_P(SimulationBackends, FifoTieBreakAtEqualTimestamps) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(SimulationBackends, ZeroDelayDuringCallbackFiresAfterBatch) {
-  Simulation sim(GetParam());
+TEST(Simulation, ZeroDelayDuringCallbackFiresAfterBatch) {
+  Simulation sim;
   std::vector<int> order;
   sim.schedule(SimTime::millis(1), [&] {
     order.push_back(1);
@@ -68,8 +63,8 @@ TEST_P(SimulationBackends, ZeroDelayDuringCallbackFiresAfterBatch) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(SimulationBackends, CancelPreventsFiringAndReportsCorrectly) {
-  Simulation sim(GetParam());
+TEST(Simulation, CancelPreventsFiringAndReportsCorrectly) {
+  Simulation sim;
   int fired = 0;
   EventHandle h = sim.schedule(SimTime::millis(5), [&] { ++fired; });
   EXPECT_EQ(sim.pending(), 1u);
@@ -80,8 +75,8 @@ TEST_P(SimulationBackends, CancelPreventsFiringAndReportsCorrectly) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST_P(SimulationBackends, CancelAfterFireReturnsFalse) {
-  Simulation sim(GetParam());
+TEST(Simulation, CancelAfterFireReturnsFalse) {
+  Simulation sim;
   int fired = 0;
   EventHandle h = sim.schedule(SimTime::millis(5), [&] { ++fired; });
   EXPECT_EQ(sim.run(), 1u);
@@ -89,8 +84,8 @@ TEST_P(SimulationBackends, CancelAfterFireReturnsFalse) {
   EXPECT_FALSE(sim.cancel(h));
 }
 
-TEST_P(SimulationBackends, CancelFromInsideOwnCallbackIsFalse) {
-  Simulation sim(GetParam());
+TEST(Simulation, CancelFromInsideOwnCallbackIsFalse) {
+  Simulation sim;
   EventHandle h;
   bool cancel_result = true;
   h = sim.schedule(SimTime::millis(1),
@@ -99,16 +94,16 @@ TEST_P(SimulationBackends, CancelFromInsideOwnCallbackIsFalse) {
   EXPECT_FALSE(cancel_result);
 }
 
-TEST_P(SimulationBackends, InvalidHandleCancelIsFalse) {
-  Simulation sim(GetParam());
+TEST(Simulation, InvalidHandleCancelIsFalse) {
+  Simulation sim;
   EXPECT_FALSE(sim.cancel(EventHandle{}));
 }
 
-TEST_P(SimulationBackends, CancelReleasesCapturedStatePromptly) {
+TEST(Simulation, CancelReleasesCapturedStatePromptly) {
   // The whole point of eager closure destruction: captured shared state
   // (channels, snapshots) dies at cancel time, not when the entry is
   // lazily popped much later.
-  Simulation sim(GetParam());
+  Simulation sim;
   auto token = std::make_shared<int>(7);
   EventHandle h = sim.schedule(SimTime::millis(5), [token] { (void)*token; });
   sim.schedule(SimTime::seconds(100.0), [] {});  // queue stays non-empty
@@ -118,11 +113,11 @@ TEST_P(SimulationBackends, CancelReleasesCapturedStatePromptly) {
   sim.run();
 }
 
-TEST_P(SimulationBackends, CancelAfterRunUntilLookaheadReleasesPromptly) {
-  // run_until may have already staged the next event internally (the
-  // wheel drains slots into a due batch); cancelling it afterwards must
-  // still release captures immediately and prevent firing.
-  Simulation sim(GetParam());
+TEST(Simulation, CancelAfterRunUntilLookaheadReleasesPromptly) {
+  // run_until has already looked at the next event (and stopped short of
+  // it); cancelling it afterwards must still release captures immediately
+  // and prevent firing.
+  Simulation sim;
   auto token = std::make_shared<int>(7);
   int fired = 0;
   EventHandle h =
@@ -135,8 +130,8 @@ TEST_P(SimulationBackends, CancelAfterRunUntilLookaheadReleasesPromptly) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST_P(SimulationBackends, RunUntilFiresEventsAtExactlyTheDeadline) {
-  Simulation sim(GetParam());
+TEST(Simulation, RunUntilFiresEventsAtExactlyTheDeadline) {
+  Simulation sim;
   int fired = 0;
   sim.schedule(SimTime::millis(5), [&] { ++fired; });
   sim.schedule(SimTime::millis(10), [&] { ++fired; });
@@ -147,8 +142,8 @@ TEST_P(SimulationBackends, RunUntilFiresEventsAtExactlyTheDeadline) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
-TEST_P(SimulationBackends, RunUntilAdvancesNowToDeadlineWhenIdle) {
-  Simulation sim(GetParam());
+TEST(Simulation, RunUntilAdvancesNowToDeadlineWhenIdle) {
+  Simulation sim;
   EXPECT_EQ(sim.run_until(SimTime::seconds(3.0)), 0u);
   EXPECT_EQ(sim.now(), SimTime::seconds(3.0));
   // Scheduling relative to the advanced clock works.
@@ -159,10 +154,10 @@ TEST_P(SimulationBackends, RunUntilAdvancesNowToDeadlineWhenIdle) {
   EXPECT_EQ(sim.now(), SimTime::seconds(3.0) + SimTime::millis(1));
 }
 
-TEST_P(SimulationBackends, ScheduleEarlierThanStagedEventAfterRunUntil) {
-  // After a run_until lookahead the wheel cursor can sit on a far event;
-  // a later schedule at an *earlier* absolute time must still fire first.
-  Simulation sim(GetParam());
+TEST(Simulation, ScheduleEarlierThanStagedEventAfterRunUntil) {
+  // After a run_until lookahead that stopped before a far event, a later
+  // schedule at an *earlier* absolute time must still fire first.
+  Simulation sim;
   std::vector<int> order;
   sim.schedule_at(SimTime::seconds(10.0), [&] { order.push_back(10); });
   sim.run_until(SimTime::seconds(1.0));
@@ -172,16 +167,16 @@ TEST_P(SimulationBackends, ScheduleEarlierThanStagedEventAfterRunUntil) {
   EXPECT_EQ(order, (std::vector<int>{2, 5, 10}));
 }
 
-TEST_P(SimulationBackends, PastScheduleThrows) {
-  Simulation sim(GetParam());
+TEST(Simulation, PastScheduleThrows) {
+  Simulation sim;
   sim.schedule(SimTime::millis(5), [] {});
   sim.run();
   EXPECT_EQ(sim.now(), SimTime::millis(5));
   EXPECT_THROW(sim.schedule_at(SimTime::millis(1), [] {}), std::logic_error);
 }
 
-TEST_P(SimulationBackends, StepFiresExactlyOneEvent) {
-  Simulation sim(GetParam());
+TEST(Simulation, StepFiresExactlyOneEvent) {
+  Simulation sim;
   int fired = 0;
   sim.schedule(SimTime::millis(1), [&] { ++fired; });
   sim.schedule(SimTime::millis(2), [&] { ++fired; });
@@ -192,11 +187,10 @@ TEST_P(SimulationBackends, StepFiresExactlyOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST_P(SimulationBackends, FarFutureAndBlockBoundaryOrdering) {
-  // Exercise the wheel's calendar overflow (different 2^32 ns blocks) and
-  // exact block-boundary timestamps; the heap backend provides the
-  // trivially-correct reference semantics for the same test body.
-  Simulation sim(GetParam());
+TEST(Simulation, FarFutureAndBlockBoundaryOrdering) {
+  // Timestamps in different 2^32 ns blocks, on exact block boundaries,
+  // and minutes out must still fire in (when, seq) order.
+  Simulation sim;
   const std::int64_t kBlock = std::int64_t{1} << 32;  // ~4.29 s in ns
   std::vector<int> order;
   auto at = [&](std::int64_t ns, int id) {
@@ -214,14 +208,11 @@ TEST_P(SimulationBackends, FarFutureAndBlockBoundaryOrdering) {
   EXPECT_EQ(sim.now(), SimTime::nanos(90 * kBlock + 123));
 }
 
-TEST_P(SimulationBackends, DirectDrainAtBlockTopDoesNotStrandOverflow) {
-  // Regression: draining the top level-2 slot of a block used to park the
-  // cursor into the NEXT 2^32 ns block while the calendar still held that
-  // block's bucket. A follow-up scheduled from inside the drained
-  // callback then entered the wheel levels and fired ahead of the
-  // stranded bucket — out of timestamp order, with now() moving
-  // backwards when the bucket finally migrated.
-  Simulation sim(GetParam());
+TEST(Simulation, DirectDrainAtBlockTopDoesNotStrandOverflow) {
+  // A follow-up scheduled from inside the last event before a 2^32 ns
+  // boundary, for a time past an event already pending beyond that
+  // boundary, must fire after it — and now() must never move backwards.
+  Simulation sim;
   const std::int64_t kBlock = std::int64_t{1} << 32;
   std::vector<int> order;
   std::vector<std::int64_t> fired_at;
@@ -241,12 +232,10 @@ TEST_P(SimulationBackends, DirectDrainAtBlockTopDoesNotStrandOverflow) {
   EXPECT_EQ(sim.now(), SimTime::nanos(kBlock + 1000));
 }
 
-TEST_P(SimulationBackends, Level1DirectDrainAtBlockTopDoesNotStrand) {
-  // Same carry bug via the level-1 direct-drain path: the first event
-  // parks the cursor at the start of the block's top 2^16 ns window, the
-  // second then sits in level-1 slot 255 whose drain would carry into
-  // the next block.
-  Simulation sim(GetParam());
+TEST(Simulation, Level1DirectDrainAtBlockTopDoesNotStrand) {
+  // The same boundary crossing, preceded by an event in the block's top
+  // 2^16 ns window.
+  Simulation sim;
   const std::int64_t kBlock = std::int64_t{1} << 32;
   std::vector<int> order;
   std::int64_t last_ns = 0;
@@ -266,11 +255,10 @@ TEST_P(SimulationBackends, Level1DirectDrainAtBlockTopDoesNotStrand) {
   EXPECT_EQ(sim.now(), SimTime::nanos(kBlock + 1000));
 }
 
-TEST_P(SimulationBackends, EqualFarTimestampScheduledAcrossAdvances) {
+TEST(Simulation, EqualFarTimestampScheduledAcrossAdvances) {
   // A and B share a far timestamp; B is scheduled later (after the clock
-  // moved), so it must fire second even though it entered the wheel at a
-  // lower level than A did.
-  Simulation sim(GetParam());
+  // moved), so it must fire second.
+  Simulation sim;
   std::vector<char> order;
   SimTime target = SimTime::seconds(30.0);
   sim.schedule_at(target, [&] { order.push_back('A'); });
@@ -282,7 +270,7 @@ TEST_P(SimulationBackends, EqualFarTimestampScheduledAcrossAdvances) {
 }
 
 TEST(SimulationArena, SlabIsRecycledUnderChurn) {
-  Simulation sim(SchedulerKind::kWheel);
+  Simulation sim;
   // Steady-state schedule→fire churn with one outstanding event must
   // never grow the arena past its first slab.
   for (int i = 0; i < 10000; ++i) {
@@ -324,17 +312,6 @@ TEST(SimulationArena, CancelAfterGenerationWrapIsStale) {
   arena.release(reused);
   // Freed slot (seq == 0): even a matching generation must not resolve.
   EXPECT_EQ(arena.resolve(index, node->gen), nullptr);
-}
-
-TEST(SimulationEnv, SchedulerKindFromEnvironment) {
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "heap", 1), 0);
-  EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kHeap);
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "wheel", 1), 0);
-  EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kWheel);
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "bogus", 1), 0);
-  EXPECT_THROW(Simulation(), std::invalid_argument);
-  ASSERT_EQ(unsetenv("OFFLOAD_SIM_SCHED"), 0);
-  EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kWheel);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,16 +366,76 @@ TEST(UniqueFunctionTest, AssignmentDestroysPreviousCallable) {
 }
 
 // ---------------------------------------------------------------------------
-// Heap-vs-wheel differential: identical firing order over randomized
-// schedule / cancel / run_until workloads, including chained events that
-// schedule follow-ups from inside callbacks.
+// Differential against a reference model: identical firing order over
+// randomized schedule / cancel / run_until workloads, including chained
+// events that schedule follow-ups from inside callbacks.
 
+/// The ordering contract in its plainest form: a std::map keyed by
+/// (when ns, seq), with Simulation's schedule / cancel / run_until / step
+/// surface and none of its machinery (no arena, no heap, no tombstones).
+class ModelSim {
+ public:
+  using Handle = std::uint64_t;  ///< the event's seq
+
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return queue_.size(); }
+
+  Handle schedule(SimTime delay, std::function<void()> fn) {
+    const Handle seq = next_seq_++;
+    queue_.emplace(Key{(now_ + delay).ns(), seq}, std::move(fn));
+    return seq;
+  }
+
+  bool cancel(Handle seq) {
+    auto it = std::find_if(queue_.begin(), queue_.end(), [seq](const auto& e) {
+      return e.first.second == seq;
+    });
+    if (it == queue_.end()) return false;
+    queue_.erase(it);
+    return true;
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    auto it = queue_.begin();
+    now_ = SimTime::nanos(it->first.first);
+    std::function<void()> fn = std::move(it->second);
+    queue_.erase(it);
+    fn();
+    return true;
+  }
+
+  std::size_t run_until(SimTime deadline) {
+    std::size_t fired = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= deadline.ns()) {
+      step();
+      ++fired;
+    }
+    if (now_ < deadline) now_ = deadline;
+    return fired;
+  }
+
+  std::size_t run() {
+    std::size_t fired = 0;
+    while (step()) ++fired;
+    return fired;
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  SimTime now_;
+  std::uint64_t next_seq_ = 1;
+  std::map<Key, std::function<void()>> queue_;
+};
+
+template <typename Engine>
 struct DifferentialSim {
-  Simulation sim;
-  std::vector<int> fired;
-  std::vector<EventHandle> handles;
+  using Handle =
+      decltype(std::declval<Engine&>().schedule(SimTime{}, [] {}));
 
-  explicit DifferentialSim(SchedulerKind kind) : sim(kind) {}
+  Engine sim;
+  std::vector<int> fired;
+  std::vector<Handle> handles;
 
   void schedule_recording(std::int64_t delay_ns, int id, int chain_depth) {
     handles.push_back(sim.schedule(SimTime::nanos(delay_ns), [this, id,
@@ -414,12 +451,12 @@ struct DifferentialSim {
 };
 
 void RunDifferentialWorkload(std::uint64_t seed, int steps) {
-  DifferentialSim heap(SchedulerKind::kHeap);
-  DifferentialSim wheel(SchedulerKind::kWheel);
+  DifferentialSim<ModelSim> model;
+  DifferentialSim<Simulation> heap;
   Pcg32 rng(seed, 0xd1ff);
   int next_id = 0;
-  // Delay scales from nanoseconds to tens of simulated seconds, so the
-  // wheel sees level-0 hits, cascades, and calendar-overflow migrations.
+  // Delay scales from nanoseconds to tens of simulated seconds, so keys
+  // land both among and far beyond the pending set.
   const std::int64_t scales[] = {0, 100, 50000, 7000000, 900000000,
                                  30000000000};
   for (int step = 0; step < steps; ++step) {
@@ -429,31 +466,31 @@ void RunDifferentialWorkload(std::uint64_t seed, int steps) {
       std::int64_t delay = base + rng.next_below(1000);
       int chain = rng.next_below(10) == 0 ? 2 : 0;
       int id = next_id++;
+      model.schedule_recording(delay, id, chain);
       heap.schedule_recording(delay, id, chain);
-      wheel.schedule_recording(delay, id, chain);
-    } else if (op < 75 && !heap.handles.empty()) {
+    } else if (op < 75 && !model.handles.empty()) {
       std::uint32_t pick =
-          rng.next_below(static_cast<std::uint32_t>(heap.handles.size()));
-      bool a = heap.sim.cancel(heap.handles[pick]);
-      bool b = wheel.sim.cancel(wheel.handles[pick]);
+          rng.next_below(static_cast<std::uint32_t>(model.handles.size()));
+      bool a = model.sim.cancel(model.handles[pick]);
+      bool b = heap.sim.cancel(heap.handles[pick]);
       ASSERT_EQ(a, b) << "cancel result diverged at step " << step;
     } else if (op < 90) {
       SimTime until =
-          heap.sim.now() + SimTime::nanos(rng.next_below(2000000000));
-      std::size_t a = heap.sim.run_until(until);
-      std::size_t b = wheel.sim.run_until(until);
+          model.sim.now() + SimTime::nanos(rng.next_below(2000000000));
+      std::size_t a = model.sim.run_until(until);
+      std::size_t b = heap.sim.run_until(until);
       ASSERT_EQ(a, b) << "run_until fired-count diverged at step " << step;
     } else {
-      ASSERT_EQ(heap.sim.step(), wheel.sim.step());
+      ASSERT_EQ(model.sim.step(), heap.sim.step());
     }
-    ASSERT_EQ(heap.sim.pending(), wheel.sim.pending());
-    ASSERT_EQ(heap.sim.now().ns(), wheel.sim.now().ns());
+    ASSERT_EQ(model.sim.pending(), heap.sim.pending());
+    ASSERT_EQ(model.sim.now().ns(), heap.sim.now().ns());
   }
+  model.sim.run();
   heap.sim.run();
-  wheel.sim.run();
-  ASSERT_EQ(heap.fired.size(), wheel.fired.size());
-  ASSERT_EQ(heap.fired, wheel.fired);
-  EXPECT_EQ(heap.sim.now().ns(), wheel.sim.now().ns());
+  ASSERT_EQ(model.fired.size(), heap.fired.size());
+  ASSERT_EQ(model.fired, heap.fired);
+  EXPECT_EQ(model.sim.now().ns(), heap.sim.now().ns());
 }
 
 TEST(SchedulerDifferential, IdenticalFiringOrderAcrossBackends) {
@@ -464,15 +501,13 @@ TEST(SchedulerDifferential, IdenticalFiringOrderAcrossBackends) {
 }
 
 TEST(SchedulerDifferential, BlockBoundaryClusteredOrdering) {
-  // Timestamps clustered tightly around 2^32 ns block boundaries, so the
-  // top slots of every wheel level — the direct-drain paths whose cursor
-  // parking can carry across a block — are hit constantly while the next
-  // block's overflow bucket is pending, and chained follow-ups land in
-  // that bucket's block from inside callbacks.
+  // Timestamps clustered tightly around 2^32 ns block boundaries, with
+  // chained follow-ups scheduled from inside callbacks that land across
+  // the next boundary while the next cluster is still pending.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    DifferentialSim heap(SchedulerKind::kHeap);
-    DifferentialSim wheel(SchedulerKind::kWheel);
+    DifferentialSim<ModelSim> model;
+    DifferentialSim<Simulation> heap;
     Pcg32 rng(seed, 0xb10c);
     const std::int64_t kBlock = std::int64_t{1} << 32;
     int next_id = 0;
@@ -480,48 +515,48 @@ TEST(SchedulerDifferential, BlockBoundaryClusteredOrdering) {
       for (int i = 0; i < 300; ++i) {
         std::int64_t target = round * kBlock - 70000 +
                               static_cast<std::int64_t>(rng.next_below(80000));
-        std::int64_t now = heap.sim.now().ns();
+        std::int64_t now = model.sim.now().ns();
         if (target < now) target = now;
         int chain = rng.next_below(8) == 0 ? 1 : 0;
         int id = next_id++;
+        model.schedule_recording(target - now, id, chain);
         heap.schedule_recording(target - now, id, chain);
-        wheel.schedule_recording(target - now, id, chain);
       }
       SimTime until = SimTime::nanos(round * kBlock + 500);
-      std::size_t a = heap.sim.run_until(until);
-      std::size_t b = wheel.sim.run_until(until);
+      std::size_t a = model.sim.run_until(until);
+      std::size_t b = heap.sim.run_until(until);
       ASSERT_EQ(a, b) << "run_until fired-count diverged in round " << round;
-      ASSERT_EQ(heap.sim.now().ns(), wheel.sim.now().ns());
+      ASSERT_EQ(model.sim.now().ns(), heap.sim.now().ns());
     }
+    model.sim.run();
     heap.sim.run();
-    wheel.sim.run();
-    ASSERT_EQ(heap.fired, wheel.fired);
-    EXPECT_EQ(heap.sim.now().ns(), wheel.sim.now().ns());
+    ASSERT_EQ(model.fired, heap.fired);
+    EXPECT_EQ(model.sim.now().ns(), heap.sim.now().ns());
   }
 }
 
 TEST(SchedulerDifferential, HeavyEqualTimestampContention) {
   // Many events collapsing onto few distinct timestamps: the strongest
-  // FIFO stress for the wheel's slot-drain sorting.
-  DifferentialSim heap(SchedulerKind::kHeap);
-  DifferentialSim wheel(SchedulerKind::kWheel);
+  // FIFO stress for the (when, seq) tie-break.
+  DifferentialSim<ModelSim> model;
+  DifferentialSim<Simulation> heap;
   Pcg32 rng(99, 0xc0);
   for (int i = 0; i < 3000; ++i) {
     std::int64_t delay = 1000000 * static_cast<std::int64_t>(rng.next_below(5));
+    model.schedule_recording(delay, i, 0);
     heap.schedule_recording(delay, i, 0);
-    wheel.schedule_recording(delay, i, 0);
   }
+  model.sim.run();
   heap.sim.run();
-  wheel.sim.run();
-  ASSERT_EQ(heap.fired, wheel.fired);
+  ASSERT_EQ(model.fired, heap.fired);
 }
 
 // ---------------------------------------------------------------------------
 // Workload generator: determinism and knob behaviour.
 
-TEST(WorkloadGenerator, DeterministicStreamAcrossRunsAndBackends) {
-  auto collect = [](SchedulerKind kind) {
-    Simulation sim(kind);
+TEST(WorkloadGenerator, DeterministicStreamAcrossRuns) {
+  auto collect = [] {
+    Simulation sim;
     workload::Config cfg;
     cfg.clients = 200;
     cfg.seed = 7;
@@ -536,16 +571,14 @@ TEST(WorkloadGenerator, DeterministicStreamAcrossRunsAndBackends) {
     sim.run();
     return seen;
   };
-  auto a = collect(SchedulerKind::kWheel);
-  auto b = collect(SchedulerKind::kWheel);
-  auto c = collect(SchedulerKind::kHeap);
+  auto a = collect();
+  auto b = collect();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "same seed must reproduce the byte-identical stream";
-  EXPECT_EQ(a, c) << "the stream must not depend on the scheduler backend";
 }
 
 TEST(WorkloadGenerator, ColdWarmMixFollowsCacheTtl) {
-  Simulation sim(SchedulerKind::kWheel);
+  Simulation sim;
   workload::Config cfg;
   cfg.clients = 10;
   cfg.seed = 3;
@@ -566,7 +599,7 @@ TEST(WorkloadGenerator, WarmStartFractionPreSeedsCaches) {
   cfg.arrivals.session_rate_per_s = 100;
   cfg.session.cache_ttl_s = 1e9;
   auto cold_count = [&cfg](double warm_fraction) {
-    Simulation sim(SchedulerKind::kWheel);
+    Simulation sim;
     cfg.session.warm_start_fraction = warm_fraction;
     workload::Generator gen(sim, cfg, [](const workload::Request&) {});
     gen.start(SimTime::seconds(10.0));
@@ -581,7 +614,7 @@ TEST(WorkloadGenerator, WarmStartFractionPreSeedsCaches) {
 
 TEST(WorkloadGenerator, FlashCrowdRaisesArrivalRateInWindow) {
   auto sessions_in = [](bool flash, double lo, double hi) {
-    Simulation sim(SchedulerKind::kWheel);
+    Simulation sim;
     workload::Config cfg;
     cfg.clients = 1000;
     cfg.seed = 5;
@@ -602,7 +635,7 @@ TEST(WorkloadGenerator, FlashCrowdRaisesArrivalRateInWindow) {
 }
 
 TEST(WorkloadGenerator, DeviceClassesCoverPopulationByWeight) {
-  Simulation sim(SchedulerKind::kWheel);
+  Simulation sim;
   workload::Config cfg;
   cfg.clients = 5000;
   cfg.seed = 17;
@@ -615,6 +648,121 @@ TEST(WorkloadGenerator, DeviceClassesCoverPopulationByWeight) {
   EXPECT_NEAR(counts[0] / 5000.0, 0.35, 0.05);
   EXPECT_NEAR(counts[1] / 5000.0, 0.45, 0.05);
   EXPECT_NEAR(counts[2] / 5000.0, 0.20, 0.05);
+}
+
+
+// ---------------------------------------------------------------------------
+// Workload sharding (src/sim/workload.h): shard membership is a pure
+// function of (client, population, shard_count), and the per-shard request
+// streams — and therefore their deterministic merge — do not depend on
+// which thread runs which shard.
+
+TEST(WorkloadSharding, ShardRangesPartitionThePopulation) {
+  for (std::uint64_t n : {1ull, 7ull, 1000ull, 10'003ull}) {
+    for (std::uint32_t count : {1u, 2u, 3u, 4u, 8u}) {
+      EXPECT_EQ(workload::shard_begin(n, 0, count), 0u);
+      EXPECT_EQ(workload::shard_begin(n, count, count), n);
+      for (std::uint32_t s = 0; s < count; ++s) {
+        EXPECT_LE(workload::shard_begin(n, s, count),
+                  workload::shard_begin(n, s + 1, count));
+      }
+      for (std::uint64_t c = 0; c < n; ++c) {
+        std::uint32_t s = workload::shard_of(c, n, count);
+        ASSERT_LT(s, count);
+        ASSERT_LE(workload::shard_begin(n, s, count), c);
+        ASSERT_LT(c, workload::shard_begin(n, s + 1, count));
+      }
+    }
+  }
+}
+
+TEST(WorkloadSharding, GeneratorOwnsExactlyItsShardRange) {
+  const std::uint64_t n = 4000;
+  const std::uint32_t kShards = 4;
+  Simulation sim;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    workload::Config cfg;
+    cfg.clients = n;
+    cfg.seed = 9;
+    cfg.shard_count = kShards;
+    cfg.shard_index = s;
+    workload::Generator gen(sim, cfg, [](const workload::Request&) {});
+    EXPECT_EQ(gen.shard_client_begin(), workload::shard_begin(n, s, kShards));
+    EXPECT_EQ(gen.shard_client_end(),
+              workload::shard_begin(n, s + 1, kShards));
+  }
+}
+
+/// Runs 4 workload shards, each on its own Simulation — one after another,
+/// or concurrently on a 4-thread pool — and returns their request streams
+/// merged by (at, shard, index within shard).
+std::string run_sharded_workload(bool parallel) {
+  constexpr std::uint32_t kShards = 4;
+  struct Record {
+    std::int64_t at;
+    std::uint32_t shard;
+    std::uint64_t idx;
+    std::string line;
+  };
+  std::array<Simulation, kShards> sims;
+  std::array<std::vector<Record>, kShards> records;
+  std::vector<std::unique_ptr<workload::Generator>> gens;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    workload::Config cfg;
+    cfg.clients = 4000;
+    cfg.seed = 99;
+    cfg.shard_count = kShards;
+    cfg.shard_index = s;
+    cfg.arrivals.session_rate_per_s = 200;
+    cfg.arrivals.diurnal.enabled = true;
+    cfg.arrivals.diurnal.period_s = 60;
+    cfg.arrivals.flash_crowds = {{20.0, 5.0, 3.0}};
+    cfg.session.warm_start_fraction = 0.3;
+    auto* recs = &records[s];
+    gens.push_back(std::make_unique<workload::Generator>(
+        sims[s], cfg, [recs, s](const workload::Request& r) {
+          char buf[96];
+          std::snprintf(buf, sizeof buf,
+                        "s=%u t=%lld c=%llu sess=%llu i=%u cold=%d dc=%u\n",
+                        s, static_cast<long long>(r.at.ns()),
+                        static_cast<unsigned long long>(r.client),
+                        static_cast<unsigned long long>(r.session),
+                        r.index_in_session, r.cold_model ? 1 : 0,
+                        r.device_class);
+          recs->push_back(Record{r.at.ns(), s,
+                                 static_cast<std::uint64_t>(recs->size()),
+                                 buf});
+        }));
+    gens.back()->start(SimTime::seconds(40.0));
+  }
+  auto run_shards = [&sims](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t s = lo; s < hi; ++s) sims[s].run();
+  };
+  if (parallel) {
+    util::ThreadPool pool(4);
+    pool.parallel_for(0, kShards, 1, util::RangeFn(run_shards));
+  } else {
+    run_shards(0, kShards);
+  }
+  std::vector<Record> all;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_FALSE(records[s].empty()) << "shard " << s;
+    for (Record& r : records[s]) all.push_back(std::move(r));
+  }
+  std::sort(all.begin(), all.end(), [](const Record& a, const Record& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.shard != b.shard) return a.shard < b.shard;
+    return a.idx < b.idx;
+  });
+  std::string merged;
+  for (const Record& r : all) merged += r.line;
+  return merged;
+}
+
+TEST(WorkloadSharding, MergedShardStreamIsPartitionCountInvariant) {
+  const std::string sequential = run_sharded_workload(false);
+  ASSERT_FALSE(sequential.empty());
+  EXPECT_EQ(run_sharded_workload(true), sequential);
 }
 
 }  // namespace

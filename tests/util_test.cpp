@@ -9,13 +9,9 @@
 #include "src/util/crc32.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
-#include "src/util/spsc_mailbox.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
-
-#include <memory>
-#include <thread>
 
 namespace offload::util {
 namespace {
@@ -282,70 +278,6 @@ TEST(Aligned, TensorStorageIsCacheLineAligned) {
   EXPECT_TRUE(is_aligned(stacked.reshaped({18}).data().data(), 64));
   const Tensor copy = stacked;  // deep copy re-allocates — still aligned
   EXPECT_TRUE(is_aligned(copy.data().data(), 64));
-}
-
-// ---------------------------------------------------------------------------
-// SpscMailbox (the cross-partition post queue in sim::PartitionedSimulation)
-
-TEST(SpscMailbox, PreservesPushOrderAcrossChunkBoundaries) {
-  SpscMailbox<int> mb;
-  const int n = 1000;  // spans several 128-slot chunks
-  for (int i = 0; i < n; ++i) mb.push(i);
-  EXPECT_EQ(mb.in_flight(), static_cast<std::size_t>(n));
-  std::vector<int> got;
-  mb.drain([&got](int&& v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_EQ(mb.in_flight(), 0u);
-  // Drained chunks are recycled: interleaved push/drain keeps working.
-  mb.drain([](int&&) { FAIL() << "mailbox should be empty"; });
-  for (int i = 0; i < 300; ++i) mb.push(-i);
-  got.clear();
-  mb.drain([&got](int&& v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 300u);
-  EXPECT_EQ(got.front(), 0);
-  EXPECT_EQ(got.back(), -299);
-}
-
-TEST(SpscMailbox, CarriesMoveOnlyElements) {
-  SpscMailbox<std::unique_ptr<int>> mb;
-  for (int i = 0; i < 5; ++i) mb.push(std::make_unique<int>(i));
-  int next = 0;
-  mb.drain([&next](std::unique_ptr<int>&& p) { EXPECT_EQ(*p, next++); });
-  EXPECT_EQ(next, 5);
-}
-
-TEST(SpscMailbox, DestructorReleasesUnconsumedElements) {
-  auto probe = std::make_shared<int>(42);
-  std::weak_ptr<int> watch = probe;
-  {
-    SpscMailbox<std::shared_ptr<int>> mb;
-    for (int i = 0; i < 200; ++i) mb.push(probe);  // spans chunks
-    probe.reset();
-    EXPECT_FALSE(watch.expired());
-  }
-  EXPECT_TRUE(watch.expired()) << "destructor must destroy queued elements";
-}
-
-TEST(SpscMailbox, SingleProducerSingleConsumerKeepsFifo) {
-  // The concurrent contract the partitioned simulator relies on: one
-  // partition pushes while another drains; the drain sees a FIFO prefix.
-  // (Run under TSan by the sanitizer CI lane.)
-  SpscMailbox<std::uint64_t> mb;
-  constexpr std::uint64_t kCount = 200000;
-  std::thread producer([&mb] {
-    for (std::uint64_t i = 0; i < kCount; ++i) mb.push(i);
-  });
-  std::uint64_t expect = 0;
-  while (expect < kCount) {
-    mb.drain([&expect](std::uint64_t&& v) {
-      ASSERT_EQ(v, expect);
-      ++expect;
-    });
-  }
-  producer.join();
-  EXPECT_EQ(expect, kCount);
-  EXPECT_EQ(mb.in_flight(), 0u);
 }
 
 }  // namespace
