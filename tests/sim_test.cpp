@@ -29,7 +29,7 @@ namespace {
 using offload::util::Pcg32;
 using offload::util::UniqueFunction;
 
-TEST(Simulation, FiresInTimestampOrder) {
+TEST(Simulation, HeapFiresInTimestampOrder) {
   Simulation sim;
   std::vector<int> order;
   sim.schedule(SimTime::millis(30), [&] { order.push_back(3); });
@@ -38,6 +38,18 @@ TEST(Simulation, FiresInTimestampOrder) {
   EXPECT_EQ(sim.run(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), SimTime::millis(30));
+
+  // Enough events for several 4-ary heap levels, scheduled out of order.
+  order.clear();
+  const SimTime base = sim.now();
+  for (int i = 0; i < 64; ++i) {
+    const int t = (i * 37) % 64;
+    sim.schedule(SimTime::millis(t), [&order, t] { order.push_back(t); });
+  }
+  EXPECT_EQ(sim.run(), 64u);
+  ASSERT_EQ(order.size(), 64u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(sim.now(), base + SimTime::millis(63));
 }
 
 TEST(Simulation, FifoTieBreakAtEqualTimestamps) {
