@@ -173,9 +173,9 @@ void BrowserHost::install_bindings() {
         nn::Tensor input = tensor_from_typed_array(
             args.empty() ? Value(jsvm::Undefined{}) : args[0],
             net.analyze().shapes.at(0), "inference");
-        auto result = net.forward(input);
+        nn::Tensor scores = net.forward(input);
         charge_compute(profile_.network_time_s(net));
-        return typed_array_from_tensor(result.output);
+        return typed_array_from_tensor(scores);
       });
 
   interp.register_native(

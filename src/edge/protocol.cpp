@@ -3,6 +3,22 @@
 #include "src/util/crc32.h"
 
 namespace offload::edge {
+namespace {
+
+/// Entry count of a list payload, read from the wire. Every entry takes at
+/// least one byte, so a count above the bytes left is malformed: reject it
+/// before it sizes an allocation.
+std::size_t read_count(util::BinaryReader& r, const char* what) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining()) {
+    throw util::DecodeError(std::string(what) + ": entry count " +
+                            std::to_string(count) + " exceeds the " +
+                            std::to_string(r.remaining()) + " bytes left");
+  }
+  return static_cast<std::size_t>(count);
+}
+
+}  // namespace
 
 PayloadCorruptError::PayloadCorruptError(const net::Message& message)
     : std::runtime_error(std::string("corrupt payload in ") +
@@ -31,9 +47,9 @@ ModelFilesPayload ModelFilesPayload::decode(
     std::span<const std::uint8_t> data) {
   util::BinaryReader r(data);
   ModelFilesPayload out;
-  std::uint64_t count = r.varint();
-  out.files.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  const std::size_t count = read_count(r, "ModelFilesPayload");
+  out.files.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     nn::ModelFile f;
     f.name = r.str();
     f.content = r.blob();
@@ -57,9 +73,9 @@ ModelOfferPayload ModelOfferPayload::decode(
     std::span<const std::uint8_t> data) {
   util::BinaryReader r(data);
   ModelOfferPayload out;
-  std::uint64_t count = r.varint();
-  out.files.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  const std::size_t count = read_count(r, "ModelOfferPayload");
+  out.files.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     Entry e;
     e.name = r.str();
     e.digest = r.u64();
@@ -79,9 +95,9 @@ util::Bytes FileListPayload::encode() const {
 FileListPayload FileListPayload::decode(std::span<const std::uint8_t> data) {
   util::BinaryReader r(data);
   FileListPayload out;
-  std::uint64_t count = r.varint();
-  out.names.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) out.names.push_back(r.str());
+  const std::size_t count = read_count(r, "FileListPayload");
+  out.names.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) out.names.push_back(r.str());
   return out;
 }
 

@@ -12,7 +12,6 @@ class ReluLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kReLU; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
   Tensor forward_batch(std::span<const Tensor* const> inputs,
                        std::int64_t batch) const override;
 };
@@ -23,7 +22,8 @@ class SoftmaxLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kSoftmax; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
+  Tensor forward_batch(std::span<const Tensor* const> inputs,
+                       std::int64_t batch) const override;
 };
 
 /// Dropout at inference time is the identity (Caffe scales at train time);
@@ -35,7 +35,8 @@ class DropoutLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kDropout; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
+  Tensor forward_batch(std::span<const Tensor* const> inputs,
+                       std::int64_t batch) const override;
   std::string config_str() const override;
   double rate() const { return rate_; }
 
@@ -43,7 +44,7 @@ class DropoutLayer final : public Layer {
   double rate_;
 };
 
-/// The graph input placeholder; validates the image shape fed to forward()
+/// The graph input placeholder; validates the image shape fed to the network
 /// and applies an input scale (Caffe's transform scale — e.g. 1/255 to map
 /// canvas pixel bytes into [0,1]).
 class InputLayer final : public Layer {
@@ -53,7 +54,8 @@ class InputLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kInput; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
+  Tensor forward_batch(std::span<const Tensor* const> inputs,
+                       std::int64_t batch) const override;
   std::string config_str() const override;
   const Shape& shape() const { return shape_; }
   double scale() const { return scale_; }

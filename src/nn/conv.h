@@ -34,7 +34,6 @@ class ConvLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kConv; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
   /// Fused batch: one im2col over all samples, then one parallel GEMM over
   /// every (sample, group, tile) task — far better thread utilization than
   /// sample-at-a-time on small feature maps, same bits.
@@ -49,7 +48,8 @@ class ConvLayer final : public Layer {
 
   const ConvConfig& config() const { return config_; }
   /// Mutable access invalidates every packed weight cache (fp32 panels and
-  /// the int8 quantization); they are rebuilt lazily on the next forward().
+  /// the int8 quantization); they are rebuilt lazily on the next
+  /// forward_batch().
   Tensor& weights() {
     invalidate_packs();
     return weights_;

@@ -23,7 +23,6 @@ class FullyConnectedLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kFullyConnected; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward(std::span<const Tensor* const> inputs) const override;
   Tensor forward_batch(std::span<const Tensor* const> inputs,
                        std::int64_t batch) const override;
 
@@ -37,7 +36,7 @@ class FullyConnectedLayer final : public Layer {
   std::int64_t out_features() const { return out_; }
 
   /// Mutable access invalidates the transposed / quantized weight caches
-  /// (rebuilt lazily on the next forward()).
+  /// (rebuilt lazily on the next forward_batch()).
   Tensor& weights() {
     invalidate_packs();
     return weights_;

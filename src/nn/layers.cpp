@@ -32,17 +32,7 @@ Shape strip_batch(const Tensor& t, std::int64_t batch, const char* what) {
                                 std::to_string(batch) + ", got " +
                                 t.shape().str());
   }
-  return Shape(std::vector<std::int64_t>(t.shape().dims().begin() + 1,
-                                         t.shape().dims().end()));
-}
-
-/// {B, dims...}.
-Shape with_batch(const Shape& per_sample, std::int64_t batch) {
-  std::vector<std::int64_t> dims;
-  dims.reserve(per_sample.rank() + 1);
-  dims.push_back(batch);
-  for (auto d : per_sample.dims()) dims.push_back(d);
-  return Shape(std::move(dims));
+  return t.shape().unbatched();
 }
 
 /// Caffe conv output size: floor((in + 2p - k) / s) + 1.
@@ -107,29 +97,18 @@ void Layer::require_arity(std::span<const Shape> inputs, std::size_t n,
   }
 }
 
-Tensor Layer::forward_batch(std::span<const Tensor* const> inputs,
-                            std::int64_t batch) const {
-  if (batch <= 0) {
-    throw std::invalid_argument("forward_batch: batch must be >= 1");
+Tensor Layer::forward(std::span<const Tensor* const> inputs) const {
+  std::vector<Tensor> views;
+  views.reserve(inputs.size());
+  for (const Tensor* t : inputs) {
+    views.push_back(t->reshaped(t->shape().batched(1)));
   }
-  std::vector<Tensor> slices(inputs.size());
-  std::vector<const Tensor*> ptrs(inputs.size());
-  Tensor out;
-  std::int64_t per_out = 0;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      slices[k] = inputs[k]->sample(b);
-      ptrs[k] = &slices[k];
-    }
-    Tensor s = forward(ptrs);
-    if (b == 0) {
-      per_out = s.elements();
-      out = Tensor(with_batch(s.shape(), batch));
-    }
-    auto src = s.data();
-    std::copy(src.begin(), src.end(), out.data().begin() + b * per_out);
-  }
-  return out;
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(views.size());
+  for (const Tensor& v : views) ptrs.push_back(&v);
+  Tensor out = forward_batch(ptrs, 1);
+  Shape per = out.shape().unbatched();
+  return std::move(out).reshaped(std::move(per));
 }
 
 // ---------------------------------------------------------------- InputLayer
@@ -143,13 +122,15 @@ Shape InputLayer::output_shape(std::span<const Shape> inputs) const {
 
 std::uint64_t InputLayer::flops(std::span<const Shape>) const { return 0; }
 
-Tensor InputLayer::forward(std::span<const Tensor* const> inputs) const {
+Tensor InputLayer::forward_batch(std::span<const Tensor* const> inputs,
+                                 std::int64_t batch) const {
   if (inputs.size() != 1) {
     throw std::invalid_argument("input layer: feed exactly one tensor");
   }
-  if (inputs[0]->shape() != shape_) {
+  const Shape per = strip_batch(*inputs[0], batch, "input layer");
+  if (per != shape_) {
     throw std::invalid_argument("input layer: expected " + shape_.str() +
-                                ", got " + inputs[0]->shape().str());
+                                ", got " + per.str());
   }
   Tensor out = *inputs[0];
   if (scale_ != 1.0) {
@@ -171,7 +152,7 @@ std::string InputLayer::config_str() const {
 
 // ----------------------------------------------------------------- ConvLayer
 //
-// forward() = parallel im2col + packed, register-tiled GEMM. The GEMM
+// forward_batch() = parallel im2col + packed, register-tiled GEMM. The GEMM
 // partitions the output matrix into kRowBlock x kColBlock macro-tiles that
 // run as independent parallel_for tasks (disjoint output ranges); each
 // macro-tile is computed by the active backend's micro-kernel over
@@ -232,11 +213,10 @@ void im2col_rows(const T* src, std::int64_t H, std::int64_t W, std::int64_t K,
   }
 }
 
-/// fp32 conv core shared by forward (batch == 1) and forward_batch: one
-/// im2col over all samples, then one parallel GEMM over every (sample,
-/// group, macro-tile) task. Each task runs the identical micro-kernel the
-/// single-sample path would, so the batched output is bit-identical to B
-/// per-sample forwards — but the thread pool sees B x the tiles, which
+/// fp32 conv core: one im2col over all samples, then one parallel GEMM over
+/// every (sample, group, macro-tile) task. Each sample's tasks run the same
+/// micro-kernels at any batch size, so the batched output is bit-identical
+/// to B batch-of-1 forwards — but the thread pool sees B x the tiles, which
 /// keeps every core busy even on the small late-network feature maps.
 void conv_forward_fp32(const KernelOps& ops, const float* panels,
                        const float* src, float* out_data, const float* bias,
@@ -489,36 +469,6 @@ void ConvLayer::invalidate_packs() {
   pack_i8_.valid.store(false, std::memory_order_release);
 }
 
-Tensor ConvLayer::forward(std::span<const Tensor* const> inputs) const {
-  if (inputs.size() != 1) throw std::invalid_argument("conv: one input");
-  const Tensor& in = *inputs[0];
-  check_input(in.shape());
-  const std::int64_t C = in.shape()[0];
-  const std::int64_t H = in.shape()[1];
-  const std::int64_t W = in.shape()[2];
-  const std::int64_t K = config_.kernel;
-  const std::int64_t S = config_.stride;
-  const std::int64_t P = config_.pad;
-  const std::int64_t OH = conv_out_dim(H, K, S, P);
-  const std::int64_t OW = conv_out_dim(W, K, S, P);
-  const std::int64_t M = config_.out_channels;
-  const std::int64_t G = config_.groups;
-
-  const KernelOps& ops = active_kernel_ops();
-  Tensor out(Shape{M, OH, OW});
-  if (ops.quantized) {
-    const PackCacheI8& qp = ensure_packed_i8();
-    conv_forward_i8(ops, qp.panels.data(), qp.qw.scale, in.data().data(),
-                    out.data().data(), bias_.data().data(), 1, C, H, W, K, S,
-                    P, OH, OW, M, G);
-  } else {
-    const float* panels = ensure_packed(ops.gemm_mr);
-    conv_forward_fp32(ops, panels, in.data().data(), out.data().data(),
-                      bias_.data().data(), 1, C, H, W, K, S, P, OH, OW, M, G);
-  }
-  return out;
-}
-
 Tensor ConvLayer::forward_batch(std::span<const Tensor* const> inputs,
                                 std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("conv: one input");
@@ -627,33 +577,6 @@ std::uint64_t PoolLayer::flops(std::span<const Shape> inputs) const {
          static_cast<std::uint64_t>(config_.kernel * config_.kernel);
 }
 
-Tensor PoolLayer::forward(std::span<const Tensor* const> inputs) const {
-  if (inputs.size() != 1) throw std::invalid_argument("pool: one input");
-  const Tensor& in = *inputs[0];
-  Shape shapes[1] = {in.shape()};
-  Shape out_shape = output_shape(shapes);
-  const std::int64_t C = in.shape()[0];
-  const std::int64_t H = in.shape()[1];
-  const std::int64_t W = in.shape()[2];
-  const std::int64_t OH = out_shape[1];
-  const std::int64_t OW = out_shape[2];
-  Tensor out(out_shape);
-  // Channels are independent → parallel over c; each task writes only its
-  // own output plane, and per-element window math is order-identical at
-  // any thread count.
-  const KernelOps& ops = active_kernel_ops();
-  const float* src = in.data().data();
-  float* dst = out.data().data();
-  auto pool_channels = [&](std::int64_t c_lo, std::int64_t c_hi) {
-    for (std::int64_t c = c_lo; c < c_hi; ++c) {
-      ops.pool_plane(src + c * H * W, dst + c * OH * OW, H, W, OH, OW,
-                     config_.kernel, config_.stride, config_.pad, average_);
-    }
-  };
-  util::parallel_for(0, C, 1, pool_channels);
-  return out;
-}
-
 Tensor PoolLayer::forward_batch(std::span<const Tensor* const> inputs,
                                 std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("pool: one input");
@@ -666,7 +589,7 @@ Tensor PoolLayer::forward_batch(std::span<const Tensor* const> inputs,
   const std::int64_t W = per[2];
   const std::int64_t OH = out_per[1];
   const std::int64_t OW = out_per[2];
-  Tensor out(with_batch(out_per, batch));
+  Tensor out(out_per.batched(batch));
   // All B*C planes are independent — one flat parallel_for across them.
   const KernelOps& ops = active_kernel_ops();
   const float* src = in.data().data();
@@ -825,29 +748,6 @@ void FullyConnectedLayer::invalidate_packs() {
   qcache_.valid.store(false, std::memory_order_release);
 }
 
-Tensor FullyConnectedLayer::forward(
-    std::span<const Tensor* const> inputs) const {
-  if (inputs.size() != 1) throw std::invalid_argument("fc: one input");
-  const Tensor& in = *inputs[0];
-  if (in.elements() != in_) {
-    throw std::invalid_argument("fc " + name() + ": feature count mismatch");
-  }
-  const KernelOps& ops = active_kernel_ops();
-  Tensor out(Shape{out_});
-  const float* x = in.data().data();
-  if (ops.quantized) {
-    const QCache& qc = ensure_quantized();
-    fc_forward_i8(ops, qc.qw.data(), qc.params.scale, in_, out_,
-                  bias_.data().data(), x, out.data().data(), 1);
-  } else {
-    const float* wt =
-        ops.fc_transposed ? ensure_transposed(ops.fc_block) : nullptr;
-    fc_forward_fp32(ops, weights_.data().data(), wt, in_, out_,
-                    bias_.data().data(), x, out.data().data(), 1);
-  }
-  return out;
-}
-
 Tensor FullyConnectedLayer::forward_batch(
     std::span<const Tensor* const> inputs, std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("fc: one input");
@@ -918,18 +818,6 @@ std::uint64_t ReluLayer::flops(std::span<const Shape> inputs) const {
   return static_cast<std::uint64_t>(inputs[0].elements());
 }
 
-Tensor ReluLayer::forward(std::span<const Tensor* const> inputs) const {
-  if (inputs.size() != 1) throw std::invalid_argument("relu: one input");
-  Tensor out = *inputs[0];
-  const KernelOps& ops = active_kernel_ops();
-  float* data = out.data().data();
-  auto clamp = [&](std::int64_t lo, std::int64_t hi) {
-    ops.relu_range(data, lo, hi);
-  };
-  util::parallel_for(0, out.elements(), 1 << 15, clamp);
-  return out;
-}
-
 Tensor ReluLayer::forward_batch(std::span<const Tensor* const> inputs,
                                 std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("relu: one input");
@@ -956,19 +844,25 @@ std::uint64_t SoftmaxLayer::flops(std::span<const Shape> inputs) const {
   return 5ull * static_cast<std::uint64_t>(inputs[0].elements());
 }
 
-Tensor SoftmaxLayer::forward(std::span<const Tensor* const> inputs) const {
+Tensor SoftmaxLayer::forward_batch(std::span<const Tensor* const> inputs,
+                                   std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("softmax: one input");
+  const auto n = static_cast<std::size_t>(
+      strip_batch(*inputs[0], batch, "softmax").elements());
   Tensor out = *inputs[0];
-  auto data = out.data();
-  float m = -std::numeric_limits<float>::infinity();
-  for (float v : data) m = std::max(m, v);
-  double sum = 0.0;
-  for (auto& v : data) {
-    v = std::exp(v - m);
-    sum += v;
+  // One normalization per sample, never across the batch.
+  for (std::int64_t b = 0; b < batch; ++b) {
+    auto data = out.data().subspan(static_cast<std::size_t>(b) * n, n);
+    float m = -std::numeric_limits<float>::infinity();
+    for (float v : data) m = std::max(m, v);
+    double sum = 0.0;
+    for (auto& v : data) {
+      v = std::exp(v - m);
+      sum += v;
+    }
+    const float inv = static_cast<float>(1.0 / sum);
+    for (auto& v : data) v *= inv;
   }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (auto& v : data) v *= inv;
   return out;
 }
 
@@ -984,8 +878,10 @@ std::uint64_t DropoutLayer::flops(std::span<const Shape> inputs) const {
   return 0;  // identity at inference time
 }
 
-Tensor DropoutLayer::forward(std::span<const Tensor* const> inputs) const {
+Tensor DropoutLayer::forward_batch(std::span<const Tensor* const> inputs,
+                                   std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("dropout: one input");
+  strip_batch(*inputs[0], batch, "dropout");
   return *inputs[0];
 }
 
@@ -1008,27 +904,6 @@ std::uint64_t LrnLayer::flops(std::span<const Shape> inputs) const {
          (2ull * static_cast<std::uint64_t>(config_.local_size) + 3ull);
 }
 
-Tensor LrnLayer::forward(std::span<const Tensor* const> inputs) const {
-  if (inputs.size() != 1) throw std::invalid_argument("lrn: one input");
-  const Tensor& in = *inputs[0];
-  const std::int64_t C = in.shape()[0];
-  const std::int64_t H = in.shape()[1];
-  const std::int64_t W = in.shape()[2];
-  Tensor out(in.shape());
-  const KernelOps& ops = active_kernel_ops();
-  const float* src = in.data().data();
-  float* dst = out.data().data();
-  // Spatial positions are independent → parallel over rows.
-  auto lrn_rows = [&](std::int64_t h_lo, std::int64_t h_hi) {
-    for (std::int64_t h = h_lo; h < h_hi; ++h) {
-      ops.lrn_row(src, dst, C, H, W, h, config_.local_size, config_.alpha,
-                  config_.beta, config_.k);
-    }
-  };
-  util::parallel_for(0, H, 1, lrn_rows);
-  return out;
-}
-
 Tensor LrnLayer::forward_batch(std::span<const Tensor* const> inputs,
                                std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("lrn: one input");
@@ -1043,8 +918,8 @@ Tensor LrnLayer::forward_batch(std::span<const Tensor* const> inputs,
   const KernelOps& ops = active_kernel_ops();
   const float* src = in.data().data();
   float* dst = out.data().data();
-  // Flat task space over every (sample, row) pair; each task runs the same
-  // per-row kernel as the single-sample path.
+  // Flat task space over every (sample, row) pair; each task runs the
+  // per-row kernel on its own sample's planes.
   auto lrn_rows = [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
       const std::int64_t b = t / H;
@@ -1090,20 +965,6 @@ std::uint64_t ConcatLayer::flops(std::span<const Shape> inputs) const {
   return n;  // one copy per element
 }
 
-Tensor ConcatLayer::forward(std::span<const Tensor* const> inputs) const {
-  std::vector<Shape> shapes;
-  shapes.reserve(inputs.size());
-  for (const Tensor* t : inputs) shapes.push_back(t->shape());
-  Tensor out(output_shape(shapes));
-  float* dst = out.data().data();
-  for (const Tensor* t : inputs) {
-    auto src = t->data();
-    std::copy(src.begin(), src.end(), dst);
-    dst += src.size();
-  }
-  return out;
-}
-
 Tensor ConcatLayer::forward_batch(std::span<const Tensor* const> inputs,
                                   std::int64_t batch) const {
   std::vector<Shape> shapes;
@@ -1112,10 +973,10 @@ Tensor ConcatLayer::forward_batch(std::span<const Tensor* const> inputs,
     shapes.push_back(strip_batch(*t, batch, "concat"));
   }
   const Shape per_out = output_shape(shapes);
-  Tensor out(with_batch(per_out, batch));
+  Tensor out(per_out.batched(batch));
   const std::int64_t out_stride = per_out.elements();
   float* base = out.data().data();
-  // Pure copies — order within a sample matches the single-sample path.
+  // Pure copies: each sample's inputs land back to back in input order.
   auto copy_samples = [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t b = lo; b < hi; ++b) {
       float* dst = base + b * out_stride;

@@ -98,65 +98,43 @@ const Network::Analysis& Network::analyze() const {
   return analysis_;
 }
 
+namespace {
+
+/// {1, dims...}: the batch-of-1 view a single sample runs through.
+Tensor as_batch_of_one(const Tensor& sample) {
+  return sample.reshaped(sample.shape().batched(1));
+}
+
+/// Drops the leading dim of a batch-of-1 result (moves, no copy).
+Tensor drop_batch_dim(Tensor batched) {
+  Shape per = batched.shape().unbatched();
+  return std::move(batched).reshaped(std::move(per));
+}
+
+std::int64_t leading_batch(const Tensor& t, const char* what) {
+  if (t.shape().rank() < 1 || t.shape()[0] < 1) {
+    throw std::invalid_argument(std::string(what) +
+                                ": input needs a leading batch dim");
+  }
+  return t.shape()[0];
+}
+
+/// Counted only by the batched entry points, after the shared runner, so
+/// single-sample metrics snapshots (and their goldens) keep their lines.
+void count_batched_samples(std::int64_t batch) {
+  if (obs::MetricsRegistry* metrics = obs::tls_metrics()) {
+    metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
+  }
+}
+
+}  // namespace
+
 Tensor Network::run_range(std::size_t begin, std::size_t end,
                           std::vector<Tensor>& values,
-                          ForwardResult* result) const {
+                          std::int64_t batch) const {
   // Ambient metrics sink (installed by ScopedMetrics around the measured
   // run_events calls). Read once on the calling thread — never inside the
   // kernels' parallel regions.
-  obs::MetricsRegistry* metrics = obs::tls_metrics();
-  for (std::size_t i = begin; i < end; ++i) {
-    const Node& node = nodes_[i];
-    std::vector<const Tensor*> ins;
-    ins.reserve(node.inputs.size());
-    for (auto idx : node.inputs) {
-      if (values[idx].elements() == 0) {
-        throw std::logic_error("Network: node " + node.layer->name() +
-                               " reads unavailable value");
-      }
-      ins.push_back(&values[idx]);
-    }
-    values[i] = node.layer->forward(ins);
-    if (result) {
-      result->flops[i] = analyze().flops[i];
-      result->output_bytes[i] = values[i].bytes();
-    }
-    if (metrics) {
-      metrics->add("nn.layers_run");
-      metrics->add("nn.flops", analyze().flops[i]);
-      metrics->add("nn.output_bytes", values[i].bytes());
-    }
-  }
-  if (metrics) {
-    metrics->add("nn.forward_ranges");
-    // Which backend ran the kernels. Counted only off the default so the
-    // scalar metrics snapshots (and their goldens) keep their exact lines.
-    const KernelBackend k = active_kernel_backend();
-    if (k != KernelBackend::kScalar) {
-      metrics->add(std::string("nn.kernels.") + kernel_backend_name(k));
-    }
-  }
-  return values[end - 1];
-}
-
-Network::ForwardResult Network::forward(const Tensor& input) const {
-  if (nodes_.empty()) throw std::logic_error("Network::forward: empty graph");
-  ForwardResult result;
-  result.flops.assign(nodes_.size(), 0);
-  result.output_bytes.assign(nodes_.size(), 0);
-  std::vector<Tensor> values(nodes_.size());
-  const Tensor* in[] = {&input};
-  values[0] = nodes_[0].layer->forward(in);
-  result.flops[0] = 0;
-  result.output_bytes[0] = values[0].bytes();
-  result.output = run_range(1, nodes_.size(), values, &result);
-  if (nodes_.size() == 1) result.output = values[0];
-  return result;
-}
-
-Tensor Network::run_range_batch(std::size_t begin, std::size_t end,
-                                std::vector<Tensor>& values,
-                                std::int64_t batch) const {
   obs::MetricsRegistry* metrics = obs::tls_metrics();
   for (std::size_t i = begin; i < end; ++i) {
     const Node& node = nodes_[i];
@@ -179,7 +157,8 @@ Tensor Network::run_range_batch(std::size_t begin, std::size_t end,
   }
   if (metrics) {
     metrics->add("nn.forward_ranges");
-    metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
+    // Which backend ran the kernels. Counted only off the default so the
+    // scalar metrics snapshots (and their goldens) keep their exact lines.
     const KernelBackend k = active_kernel_backend();
     if (k != KernelBackend::kScalar) {
       metrics->add(std::string("nn.kernels.") + kernel_backend_name(k));
@@ -188,67 +167,62 @@ Tensor Network::run_range_batch(std::size_t begin, std::size_t end,
   return values[end - 1];
 }
 
-Tensor Network::forward_batch(const Tensor& input) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("Network::forward_batch: empty graph");
-  }
-  if (input.shape().rank() < 1 || input.shape()[0] < 1) {
-    throw std::invalid_argument(
-        "Network::forward_batch: input needs a leading batch dim");
-  }
-  const std::int64_t batch = input.shape()[0];
+Tensor Network::run_front(const Tensor& input, std::size_t end,
+                          std::int64_t batch) const {
   std::vector<Tensor> values(nodes_.size());
   const Tensor* in[] = {&input};
   values[0] = nodes_[0].layer->forward_batch(in, batch);
-  if (nodes_.size() == 1) return values[0];
-  return run_range_batch(1, nodes_.size(), values, batch);
+  if (end == 1) return values[0];
+  return run_range(1, end, values, batch);
 }
 
-Tensor Network::forward_rear_batch(const Tensor& features,
-                                   std::size_t cut) const {
+Tensor Network::run_rear(Tensor features, std::size_t cut) const {
   if (cut + 1 >= nodes_.size()) {
-    throw std::out_of_range("forward_rear_batch: nothing after cut");
+    throw std::out_of_range("forward_rear: nothing after cut");
   }
-  if (features.shape().rank() < 1 || features.shape()[0] < 1) {
-    throw std::invalid_argument(
-        "forward_rear_batch: features need a leading batch dim");
-  }
-  const std::int64_t batch = features.shape()[0];
-  std::vector<std::int64_t> per(features.shape().dims().begin() + 1,
-                                features.shape().dims().end());
-  if (Shape(per) != analyze().shapes[cut]) {
-    throw std::invalid_argument("forward_rear_batch: per-sample shape " +
-                                Shape(per).str() + " != expected " +
+  const std::int64_t batch = leading_batch(features, "forward_rear");
+  const Shape per = features.shape().unbatched();
+  if (per != analyze().shapes[cut]) {
+    throw std::invalid_argument("forward_rear: feature shape " + per.str() +
+                                " != expected " +
                                 analyze().shapes[cut].str());
   }
   std::vector<Tensor> values(nodes_.size());
-  values[cut] = features;
-  return run_range_batch(cut + 1, nodes_.size(), values, batch);
+  values[cut] = std::move(features);
+  return run_range(cut + 1, nodes_.size(), values, batch);
+}
+
+Tensor Network::forward(const Tensor& input) const {
+  if (nodes_.empty()) throw std::logic_error("Network::forward: empty graph");
+  return drop_batch_dim(run_front(as_batch_of_one(input), nodes_.size(), 1));
 }
 
 Tensor Network::forward_front(const Tensor& input, std::size_t cut) const {
   if (cut >= nodes_.size()) {
     throw std::out_of_range("forward_front: cut out of range");
   }
-  std::vector<Tensor> values(nodes_.size());
-  const Tensor* in[] = {&input};
-  values[0] = nodes_[0].layer->forward(in);
-  if (cut == 0) return values[0];
-  return run_range(1, cut + 1, values, nullptr);
+  return drop_batch_dim(run_front(as_batch_of_one(input), cut + 1, 1));
 }
 
 Tensor Network::forward_rear(const Tensor& feature, std::size_t cut) const {
-  if (cut + 1 >= nodes_.size()) {
-    throw std::out_of_range("forward_rear: nothing after cut");
+  return drop_batch_dim(run_rear(as_batch_of_one(feature), cut));
+}
+
+Tensor Network::forward_batch(const Tensor& input) const {
+  if (nodes_.empty()) {
+    throw std::logic_error("Network::forward_batch: empty graph");
   }
-  if (feature.shape() != analyze().shapes[cut]) {
-    throw std::invalid_argument("forward_rear: feature shape " +
-                                feature.shape().str() + " != expected " +
-                                analyze().shapes[cut].str());
-  }
-  std::vector<Tensor> values(nodes_.size());
-  values[cut] = feature;
-  return run_range(cut + 1, nodes_.size(), values, nullptr);
+  const std::int64_t batch = leading_batch(input, "Network::forward_batch");
+  Tensor out = run_front(input, nodes_.size(), batch);
+  count_batched_samples(batch);
+  return out;
+}
+
+Tensor Network::forward_rear_batch(const Tensor& features,
+                                   std::size_t cut) const {
+  Tensor out = run_rear(features, cut);
+  count_batched_samples(features.shape()[0]);
+  return out;
 }
 
 std::vector<std::size_t> Network::cut_points() const {

@@ -57,13 +57,10 @@ class Network {
   };
   const Analysis& analyze() const;
 
-  struct ForwardResult {
-    Tensor output;                      ///< Output of the last node.
-    std::vector<std::uint64_t> flops;   ///< Per node.
-    std::vector<std::uint64_t> output_bytes;
-  };
   /// Full forward pass. The input feeds node 0 (which must be kInput).
-  ForwardResult forward(const Tensor& input) const;
+  /// Single-sample entry points run as a batch-of-1 view over the batched
+  /// code path below.
+  Tensor forward(const Tensor& input) const;
 
   /// Run nodes [0, cut] and return node `cut`'s output (the feature data).
   Tensor forward_front(const Tensor& input, std::size_t cut) const;
@@ -89,16 +86,17 @@ class Network {
     std::vector<std::size_t> inputs;
   };
 
-  /// Execute nodes [begin, end); `values` must hold outputs of all nodes
-  /// < begin that the range reads. Returns output of node end-1.
+  /// Feed a batched input to node 0 and run nodes [1, end).
+  Tensor run_front(const Tensor& input, std::size_t end,
+                   std::int64_t batch) const;
+  /// Run nodes (cut, end) from batched features; checks the cut and the
+  /// per-sample feature shape.
+  Tensor run_rear(Tensor features, std::size_t cut) const;
+  /// Execute nodes [begin, end) over values that all carry a leading batch
+  /// dim of `batch`; `values` must hold outputs of all nodes < begin that
+  /// the range reads. Returns output of node end-1.
   Tensor run_range(std::size_t begin, std::size_t end,
-                   std::vector<Tensor>& values,
-                   ForwardResult* result) const;
-
-  /// Batched analogue of run_range: every value carries a leading batch dim.
-  Tensor run_range_batch(std::size_t begin, std::size_t end,
-                         std::vector<Tensor>& values,
-                         std::int64_t batch) const;
+                   std::vector<Tensor>& values, std::int64_t batch) const;
 
   std::string name_;
   std::vector<Node> nodes_;

@@ -24,6 +24,21 @@ std::string Shape::str() const {
   return out.empty() ? "scalar" : out;
 }
 
+Shape Shape::batched(std::int64_t batch) const {
+  std::vector<std::int64_t> dims;
+  dims.reserve(dims_.size() + 1);
+  dims.push_back(batch);
+  dims.insert(dims.end(), dims_.begin(), dims_.end());
+  return Shape(std::move(dims));
+}
+
+Shape Shape::unbatched() const {
+  if (dims_.empty()) {
+    throw std::invalid_argument("Shape::unbatched: no leading dim");
+  }
+  return Shape(std::vector<std::int64_t>(dims_.begin() + 1, dims_.end()));
+}
+
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_.elements()), 0.0f) {}
@@ -57,11 +72,15 @@ Tensor Tensor::random_uniform(Shape shape, util::Pcg32& rng, float lo,
   return t;
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   if (new_shape.elements() != elements()) {
     throw std::invalid_argument("Tensor::reshaped: element count mismatch");
   }
-  return Tensor(std::move(new_shape), data_);
+  return Tensor(std::move(new_shape), std::move(data_));
 }
 
 Tensor Tensor::stack(std::span<const Tensor> samples) {
@@ -69,11 +88,7 @@ Tensor Tensor::stack(std::span<const Tensor> samples) {
     throw std::invalid_argument("Tensor::stack: no samples");
   }
   const Shape& per = samples[0].shape();
-  std::vector<std::int64_t> dims;
-  dims.reserve(per.rank() + 1);
-  dims.push_back(static_cast<std::int64_t>(samples.size()));
-  for (auto d : per.dims()) dims.push_back(d);
-  Tensor out(Shape{std::move(dims)});
+  Tensor out(per.batched(static_cast<std::int64_t>(samples.size())));
   const std::int64_t stride = per.elements();
   for (std::size_t b = 0; b < samples.size(); ++b) {
     if (samples[b].shape() != per) {
@@ -93,8 +108,7 @@ Tensor Tensor::sample(std::int64_t b) const {
     throw std::out_of_range("Tensor::sample: index " + std::to_string(b) +
                             " out of batch " + shape_.str());
   }
-  Shape per(std::vector<std::int64_t>(shape_.dims().begin() + 1,
-                                      shape_.dims().end()));
+  Shape per = shape_.unbatched();
   const std::int64_t stride = per.elements();
   Tensor out(per);
   std::copy(data_.begin() + b * stride, data_.begin() + (b + 1) * stride,

@@ -34,6 +34,11 @@ class Shape {
   std::int64_t operator[](std::size_t i) const { return dims_.at(i); }
   const std::vector<std::int64_t>& dims() const { return dims_; }
 
+  /// {batch, dims...}: this per-sample shape with a leading batch dim.
+  Shape batched(std::int64_t batch) const;
+  /// The shape without its leading (batch) dim; throws on rank 0.
+  Shape unbatched() const;
+
   /// Total element count (1 for rank-0).
   std::int64_t elements() const;
   std::string str() const;  ///< e.g. "64x56x56"
@@ -84,8 +89,10 @@ class Tensor {
     return data_[static_cast<std::size_t>((c * shape_[1] + h) * shape_[2] + w)];
   }
 
-  /// Same storage, new shape (element counts must match).
-  Tensor reshaped(Shape new_shape) const;
+  /// Same elements, new shape (element counts must match). The rvalue
+  /// overload moves the storage instead of copying it.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   /// Stack samples (all the same shape) into a batched tensor whose shape
   /// is {N, dims...}.

@@ -47,8 +47,8 @@ TEST(ModelStoreTest, InstantiateFromFiles) {
   // Matches the original network bit-exactly.
   auto original = nn::build_tiny_cnn(17);
   nn::Tensor in = test_image();
-  EXPECT_EQ(nn::Tensor::max_abs_diff(net->forward(in).output,
-                                     original->forward(in).output),
+  EXPECT_EQ(nn::Tensor::max_abs_diff(net->forward(in),
+                                     original->forward(in)),
             0.0f);
 }
 
@@ -87,7 +87,7 @@ TEST(BrowserHostTest, InferenceMatchesDirectExecution) {
       "  if (scores[i] > scores[best]) { best = i; }"
       "}");
   auto net = nn::build_tiny_cnn(17);
-  auto expected = net->forward(test_image()).output;
+  auto expected = net->forward(test_image());
   double best = jsvm::to_number(*host.interp().globals()->find("best"));
   EXPECT_EQ(static_cast<std::int64_t>(best), expected.argmax());
   EXPECT_GT(host.pending_compute_seconds(), 0.0);
@@ -139,7 +139,7 @@ TEST(BrowserHostTest, PartialInferenceComposition) {
       "var feature = model.inference_front(loadImage('input'));"
       "var scores = model.inference_rear(feature);");
   auto net = nn::build_tiny_cnn(17);
-  auto expected = net->forward(test_image()).output;
+  auto expected = net->forward(test_image());
   auto scores = std::get<jsvm::TypedArrayPtr>(
       *host.interp().globals()->find("scores"));
   ASSERT_EQ(static_cast<std::int64_t>(scores->data.size()),
@@ -195,7 +195,7 @@ TEST(BrowserHostTest, ModelExcludedFromSnapshotAndRestoredByName) {
   jsvm::restore_snapshot(server.interp(), snap.program);
   server.interp().eval_program("var scores = model.inference_rear(feature);");
   auto net = nn::build_tiny_cnn(17);
-  auto expected = net->forward(test_image()).output;
+  auto expected = net->forward(test_image());
   auto scores = std::get<jsvm::TypedArrayPtr>(
       *server.interp().globals()->find("scores"));
   EXPECT_EQ(scores->data[0], expected[0]);
@@ -210,6 +210,30 @@ TEST(ProtocolTest, ModelFilesPayloadRoundTrip) {
   ASSERT_EQ(d.files.size(), 2u);
   EXPECT_EQ(d.files[1].name, "m.weights");
   EXPECT_EQ(d.files[1].content, (util::Bytes{3, 4, 5}));
+}
+
+/// A list payload that is nothing but a huge entry count. A client can
+/// stamp a valid CRC on it, so the decoder itself must reject the count
+/// with a typed error before reserving anything.
+util::Bytes huge_count_payload() {
+  util::BinaryWriter w;
+  w.varint(std::uint64_t{1} << 62);
+  return std::move(w).take();
+}
+
+TEST(ProtocolTest, ModelFilesPayloadRejectsCountBeyondPayload) {
+  const util::Bytes wire = huge_count_payload();
+  EXPECT_THROW(ModelFilesPayload::decode(std::span(wire)), util::DecodeError);
+}
+
+TEST(ProtocolTest, ModelOfferPayloadRejectsCountBeyondPayload) {
+  const util::Bytes wire = huge_count_payload();
+  EXPECT_THROW(ModelOfferPayload::decode(std::span(wire)), util::DecodeError);
+}
+
+TEST(ProtocolTest, FileListPayloadRejectsCountBeyondPayload) {
+  const util::Bytes wire = huge_count_payload();
+  EXPECT_THROW(FileListPayload::decode(std::span(wire)), util::DecodeError);
 }
 
 TEST(ProtocolTest, SnapshotPayloadRoundTrip) {

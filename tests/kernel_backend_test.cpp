@@ -508,20 +508,20 @@ TEST(NetworkBackendTest, TinyCnnFp32BackendsBitExact) {
   Tensor ref, simd1, scalar4, simd4;
   {
     offload::nn::ScopedKernelBackend scoped(KernelBackend::kScalar);
-    ref = net->forward(in).output;
+    ref = net->forward(in);
   }
   {
     offload::nn::ScopedKernelBackend scoped(KernelBackend::kSimd);
-    simd1 = net->forward(in).output;
+    simd1 = net->forward(in);
   }
   offload::util::set_default_pool_threads(4);
   {
     offload::nn::ScopedKernelBackend scoped(KernelBackend::kScalar);
-    scalar4 = net->forward(in).output;
+    scalar4 = net->forward(in);
   }
   {
     offload::nn::ScopedKernelBackend scoped(KernelBackend::kSimd);
-    simd4 = net->forward(in).output;
+    simd4 = net->forward(in);
   }
   EXPECT_TRUE(bit_equal(ref, simd1));
   EXPECT_TRUE(bit_equal(ref, scalar4));
@@ -545,7 +545,7 @@ TEST(NetworkBackendTest, TinyCnnBatchedMatchesPerSampleEveryBackend) {
     const Tensor batched = net->forward_batch(stacked);
     for (int b = 0; b < 2; ++b) {
       EXPECT_TRUE(
-          bit_equal(batched.sample(b), net->forward(samples[b]).output))
+          bit_equal(batched.sample(b), net->forward(samples[b])))
           << "sample " << b;
     }
   }
@@ -573,11 +573,11 @@ TEST(Int8AccuracyTest, BenchmarkModelsMatchFp32Top1) {
     Tensor fp32, int8;
     {
       offload::nn::ScopedKernelBackend scoped(KernelBackend::kScalar);
-      fp32 = net->forward(in).output;
+      fp32 = net->forward(in);
     }
     {
       offload::nn::ScopedKernelBackend scoped(KernelBackend::kInt8);
-      int8 = net->forward(in).output;
+      int8 = net->forward(in);
     }
     const float delta = Tensor::max_abs_diff(fp32, int8);
     EXPECT_LE(delta, kE2eDeltaBound);

@@ -1,7 +1,10 @@
 // Tests for batched NN execution: Tensor::stack/sample round trips, and
 // the core contract behind the serving scheduler's fused dispatch — a
 // batched forward is bit-identical to forwarding every sample alone and
-// stacking the results, at any batch size and any thread count.
+// stacking the results, at any batch size and any thread count. A single
+// sample runs the same code as a batch of 1, so these tests pin batch-offset
+// indexing at B > 1; nn_reference_test checks the kernels themselves
+// against naive loops.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -85,7 +88,7 @@ void check_forward_batch(const nn::Network& net, const Shape& input_shape,
   std::vector<Tensor> singles;
   singles.reserve(samples.size());
   for (const Tensor& s : samples) {
-    singles.push_back(net.forward(s).output);
+    singles.push_back(net.forward(s));
   }
   Tensor batched_out = net.forward_batch(Tensor::stack(samples));
   expect_bit_identical(batched_out, Tensor::stack(singles),
@@ -177,9 +180,9 @@ TEST(LayerBatch, GroupedConvMatchesPerSample) {
                        "grouped conv");
 }
 
-TEST(LayerBatch, DefaultPathSlicesPerSample) {
-  // Softmax has no forward_batch override; the Layer default must apply it
-  // per sample (one normalization per row), not across the whole batch.
+TEST(LayerBatch, SoftmaxNormalizesEachSample) {
+  // Softmax must normalize per sample (one normalization per row), not
+  // across the whole batch.
   nn::SoftmaxLayer softmax("prob");
   auto samples = random_samples(Shape{10}, 3, 41);
   std::vector<Tensor> singles;
@@ -190,7 +193,7 @@ TEST(LayerBatch, DefaultPathSlicesPerSample) {
   Tensor stacked = Tensor::stack(samples);
   const Tensor* bin[] = {&stacked};
   Tensor out = softmax.forward_batch(bin, 3);
-  expect_bit_identical(out, Tensor::stack(singles), "softmax default batch");
+  expect_bit_identical(out, Tensor::stack(singles), "softmax batch");
   // Each sample must sum to 1 on its own.
   for (int b = 0; b < 3; ++b) {
     const Tensor row = out.sample(b);

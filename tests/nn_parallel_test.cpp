@@ -179,9 +179,9 @@ TEST(ParallelBitExact, WholeNetworkForward) {
   util::Pcg32 rng(79);
   Tensor in = Tensor::random_uniform(Shape{3, 227, 227}, rng, 0.0f, 1.0f);
   util::set_default_pool_threads(1);
-  Tensor seq = net->forward(in).output;
+  Tensor seq = net->forward(in);
   util::set_default_pool_threads(4);
-  Tensor par = net->forward(in).output;
+  Tensor par = net->forward(in);
   ASSERT_EQ(std::memcmp(seq.data().data(), par.data().data(),
                         seq.data().size() * sizeof(float)),
             0);
@@ -272,8 +272,8 @@ TEST(GroupedConv, DescriptionRoundTrip) {
   nn::load_weights(*parsed, blob);
   util::Pcg32 rng(81);
   Tensor in = Tensor::random_uniform(Shape{8, 12, 12}, rng);
-  Tensor a = net.forward(in).output;
-  Tensor b = parsed->forward(in).output;
+  Tensor a = net.forward(in);
+  Tensor b = parsed->forward(in);
   ASSERT_EQ(std::memcmp(a.data().data(), b.data().data(),
                         a.data().size() * sizeof(float)),
             0);

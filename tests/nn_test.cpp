@@ -300,13 +300,13 @@ TEST(Network, ForwardMatchesManualComposition) {
   auto net = build_tiny_cnn(21);
   util::Pcg32 rng(4);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
-  auto full = net->forward(in);
+  Tensor full = net->forward(in);
   // front/rear composition at every cut point reproduces the full output.
   for (std::size_t cut : net->cut_points()) {
     if (cut + 1 >= net->size()) continue;
     Tensor feature = net->forward_front(in, cut);
     Tensor out = net->forward_rear(feature, cut);
-    EXPECT_EQ(Tensor::max_abs_diff(out, full.output), 0.0f) << "cut=" << cut;
+    EXPECT_EQ(Tensor::max_abs_diff(out, full), 0.0f) << "cut=" << cut;
   }
 }
 
@@ -338,12 +338,13 @@ TEST(Network, AnalyzeShapesAndFlops) {
   EXPECT_EQ(a.shapes[0], (Shape{3, 32, 32}));
   EXPECT_EQ(a.shapes.back(), (Shape{10}));
   EXPECT_GT(a.total_flops, 1'000'000u);
-  // analyze is consistent with a real forward.
+  // analyze is consistent with a real forward through every node.
   util::Pcg32 rng(4);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
-  auto fwd = net->forward(in);
   for (std::size_t i = 0; i < net->size(); ++i) {
-    EXPECT_EQ(fwd.output_bytes[i], a.output_bytes[i]) << i;
+    const Tensor out = net->forward_front(in, i);
+    EXPECT_EQ(out.shape(), a.shapes[i]) << i;
+    EXPECT_EQ(out.bytes(), a.output_bytes[i]) << i;
   }
 }
 
@@ -399,9 +400,9 @@ TEST(Models, WeightInitIsDeterministicPerSeed) {
   auto c = build_tiny_cnn(6);
   util::Pcg32 rng(1);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
-  EXPECT_EQ(Tensor::max_abs_diff(a->forward(in).output, b->forward(in).output),
+  EXPECT_EQ(Tensor::max_abs_diff(a->forward(in), b->forward(in)),
             0.0f);
-  EXPECT_NE(Tensor::max_abs_diff(a->forward(in).output, c->forward(in).output),
+  EXPECT_NE(Tensor::max_abs_diff(a->forward(in), c->forward(in)),
             0.0f);
 }
 
@@ -409,7 +410,7 @@ TEST(Models, ForwardOutputsAreFiniteProbabilities) {
   auto net = build_tiny_cnn(17);
   util::Pcg32 rng(2);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
-  Tensor out = net->forward(in).output;
+  Tensor out = net->forward(in);
   float sum = 0;
   for (float v : out.data()) {
     EXPECT_TRUE(std::isfinite(v));
@@ -440,8 +441,8 @@ TEST(ModelIo, WeightsRoundTripBitExact) {
   load_weights(*rebuilt, std::span(files[1].content));
   util::Pcg32 rng(9);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
-  EXPECT_EQ(Tensor::max_abs_diff(net->forward(in).output,
-                                 rebuilt->forward(in).output),
+  EXPECT_EQ(Tensor::max_abs_diff(net->forward(in),
+                                 rebuilt->forward(in)),
             0.0f);
 }
 
