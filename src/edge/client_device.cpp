@@ -5,7 +5,6 @@
 
 #include "src/jsvm/snapshot.h"
 #include "src/jsvm/snapshot_diff.h"
-#include "src/nn/kernels.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -346,10 +345,8 @@ void ClientDevice::perform_recut(const ctrl::Decision& decision) {
   timeline_.client_exec_s += exec_s;
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_recut", "client", sim_.now(), exec_end, exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
+                     "exec_recut", "client", sim_.now(), exec_end, exec_s);
   }
   auto pending = interp.take_pending_offload();
   if (!pending) {
@@ -519,11 +516,9 @@ void ClientDevice::run_locally() {
   timeline_.client_exec_s += exec_s;
   timeline_.finished = sim_.now() + sim::SimTime::seconds(exec_s);
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_local", "client", sim_.now(),
-                         *timeline_.finished, exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
+                     "exec_local", "client", sim_.now(),
+                     *timeline_.finished, exec_s);
   }
   finish_trace();
 }
@@ -574,10 +569,8 @@ void ClientDevice::run_app_events() {
   timeline_.client_exec_s += exec_s;
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_front", "client", sim_.now(), exec_end, exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
+                     "exec_front", "client", sim_.now(), exec_end, exec_s);
   }
 
   auto pending = interp.take_pending_offload();
@@ -977,11 +970,9 @@ void ClientDevice::finish_hedge() {
   timeline_.client_exec_s += hedge_exec_s_;
   timeline_.finished = sim_.now();
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_hedge", "client", hedge_started_at_,
-                         sim_.now(), hedge_exec_s_);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
+                     "exec_hedge", "client", hedge_started_at_,
+                     sim_.now(), hedge_exec_s_);
   }
   if (!awaiting_result_) {
     // Remote was abandoned earlier; this hedge run is the fallback result.

@@ -2,7 +2,6 @@
 
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
-#include "src/nn/kernels.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -442,12 +441,9 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
           obs->trace.emit(ctx.trace, t.busy_span,
                           obs::SpanKind::kServerRestore, "restore", res,
                           t.dispatched, restore_end, rec.restore_s);
-          const obs::SpanId exec_span = obs->trace.emit(
-              ctx.trace, t.busy_span, obs::SpanKind::kServerExec, "execute",
-              res, restore_end, exec_end, rec.execute_s);
-          // Label which kernel backend ran the layers (silent under the
-          // default scalar backend so golden traces keep their bytes).
-          nn::tag_kernel_backend_span(obs->trace, exec_span);
+          obs->trace.emit(ctx.trace, t.busy_span, obs::SpanKind::kServerExec,
+                          "execute", res, restore_end, exec_end,
+                          rec.execute_s);
           obs->trace.emit(ctx.trace, t.busy_span,
                           obs::SpanKind::kServerCapture, "capture", res,
                           exec_end, t.completed, rec.capture_s);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/nn/layer.h"
-#include "src/nn/quant.h"
 #include "src/util/aligned.h"
 
 namespace offload::nn {
@@ -47,9 +46,8 @@ class ConvLayer final : public Layer {
   std::string config_str() const override;
 
   const ConvConfig& config() const { return config_; }
-  /// Mutable access invalidates every packed weight cache (fp32 panels and
-  /// the int8 quantization); they are rebuilt lazily on the next
-  /// forward_batch().
+  /// Mutable access invalidates every packed weight cache; they are rebuilt
+  /// lazily on the next forward_batch().
   Tensor& weights() {
     invalidate_packs();
     return weights_;
@@ -65,19 +63,12 @@ class ConvLayer final : public Layer {
     std::vector<float, util::AlignedAllocator<float, 64>> panels;
     std::atomic<bool> valid{false};
   };
-  /// int8 pack: symmetric per-layer weight quantization + mr=4 panels.
-  struct PackCacheI8 {
-    std::vector<std::int8_t, util::AlignedAllocator<std::int8_t, 64>> panels;
-    QuantParams qw;
-    std::atomic<bool> valid{false};
-  };
 
   void check_input(const Shape& in) const;
   /// Pack weights_ into mr-row panels (mr in {4, 8}) if stale; returns the
   /// panel base.
   const float* ensure_packed(std::int64_t mr) const;
-  const PackCacheI8& ensure_packed_i8() const;
-  /// Warm the cache the active backend will use (called after param load so
+  /// Warm the cache the active table will use (called after param load so
   /// the first forward never repacks).
   void warm_pack() const;
   void invalidate_packs();
@@ -87,7 +78,6 @@ class ConvLayer final : public Layer {
   Tensor bias_;     ///< {out_ch}
 
   mutable PackCache packs_[2];  ///< slot 0: mr == 4, slot 1: mr == 8
-  mutable PackCacheI8 pack_i8_;
   mutable std::mutex pack_mutex_;
 };
 

@@ -1,17 +1,11 @@
-// Fully connected (inner-product) layer. Flattens its input. The row
-// kernel comes from the active kernel backend (src/nn/kernels.h); vector
-// backends read a cached block-transposed copy of the weights, the int8
-// backend a cached symmetric quantization.
+// Fully connected (inner-product) layer. Flattens its input. Every kernel
+// table runs the scalar row kernel straight off the row-major weights, so
+// the layer keeps no weight cache (DESIGN §11).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "src/nn/layer.h"
-#include "src/nn/quant.h"
-#include "src/util/aligned.h"
 
 namespace offload::nn {
 
@@ -35,42 +29,14 @@ class FullyConnectedLayer final : public Layer {
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
 
-  /// Mutable access invalidates the transposed / quantized weight caches
-  /// (rebuilt lazily on the next forward_batch()).
-  Tensor& weights() {
-    invalidate_packs();
-    return weights_;
-  }
+  Tensor& weights() { return weights_; }
   Tensor& bias() { return bias_; }
 
  private:
-  /// Block-transposed weight panels for one fc_block size (see
-  /// pack_fc_transposed). Same locking discipline as ConvLayer's caches.
-  struct TCache {
-    std::vector<float, util::AlignedAllocator<float, 64>> panels;
-    std::int64_t block = 0;
-    std::atomic<bool> valid{false};
-  };
-  /// Row-major int8 quantized weights + the per-layer scale.
-  struct QCache {
-    std::vector<std::int8_t, util::AlignedAllocator<std::int8_t, 64>> qw;
-    QuantParams params;
-    std::atomic<bool> valid{false};
-  };
-
-  const float* ensure_transposed(std::int64_t block) const;
-  const QCache& ensure_quantized() const;
-  void warm_pack() const;
-  void invalidate_packs();
-
   std::int64_t in_;
   std::int64_t out_;
   Tensor weights_;  ///< {out, in}
   Tensor bias_;     ///< {out}
-
-  mutable TCache tcache_;
-  mutable QCache qcache_;
-  mutable std::mutex pack_mutex_;
 };
 
 }  // namespace offload::nn

@@ -9,24 +9,6 @@ constexpr std::size_t idx(LayerKind kind) {
 
 }  // namespace
 
-DeviceProfile DeviceProfile::for_kernel_backend(KernelBackend k) const {
-  if (k == KernelBackend::kScalar) return *this;
-  DeviceProfile p = *this;
-  const double dense =
-      k == KernelBackend::kInt8 ? int8_dense_gain : simd_dense_gain;
-  p.gflops[idx(LayerKind::kConv)] *= dense;
-  p.gflops[idx(LayerKind::kFullyConnected)] *= dense;
-  // int8 runs the simd fp32 kernels on its non-GEMM layers, so both
-  // backends share the light-layer gain.
-  p.gflops[idx(LayerKind::kMaxPool)] *= simd_light_gain;
-  p.gflops[idx(LayerKind::kAvgPool)] *= simd_light_gain;
-  p.gflops[idx(LayerKind::kReLU)] *= simd_light_gain;
-  p.gflops[idx(LayerKind::kLRN)] *= simd_light_gain;
-  p.gflops[idx(LayerKind::kSoftmax)] *= simd_light_gain;
-  p.name += std::string("+") + kernel_backend_name(k);
-  return p;
-}
-
 double DeviceProfile::layer_time_s(LayerKind kind, std::uint64_t flops) const {
   double throughput = gflops[idx(kind)];
   if (throughput <= 0.0) return per_layer_overhead_s;  // free layers (input)
@@ -98,13 +80,6 @@ DeviceProfile DeviceProfile::embedded_client() {
   // Small caches: weights are re-streamed for every sample, so fusing a
   // batch barely helps beyond amortizing dispatch overhead.
   p.batch_marginal_speedup = 1.25;
-  // NEON-class vectors: modest fp32 gain (128-bit lanes, in-order core),
-  // bigger int8 win (sdot-style 4x density), but the weakest rounding
-  // hardware in the fleet — quantized answers drift the most here.
-  p.simd_dense_gain = 3.3;
-  p.simd_light_gain = 2.0;
-  p.int8_dense_gain = 5.5;
-  p.int8_fidelity = 0.993;
   return p;
 }
 
@@ -125,12 +100,6 @@ DeviceProfile DeviceProfile::edge_server_gpu() {
   // Uploading weight textures dominates single-sample WebGL inference;
   // fused batches reuse them, so marginal samples are far cheaper.
   p.batch_marginal_speedup = 5.0;
-  // The WebGL path bypasses the CPU kernel backends entirely: deriving a
-  // simd/int8 profile of a GPU device is a no-op by construction.
-  p.simd_dense_gain = 1.0;
-  p.simd_light_gain = 1.0;
-  p.int8_dense_gain = 1.0;
-  p.int8_fidelity = 1.0;
   return p;
 }
 
@@ -147,13 +116,6 @@ DeviceProfile DeviceProfile::edge_server() {
   // Large caches keep the hot weight working set resident across the
   // samples of a fused batch.
   p.batch_marginal_speedup = 1.7;
-  // AVX2/AVX-512-class vectors: wide fp32 FMA units and vpmaddubsw-style
-  // int8 throughput; rounding-hardware quality keeps quantized answers
-  // close to fp32.
-  p.simd_dense_gain = 6.8;
-  p.simd_light_gain = 3.0;
-  p.int8_dense_gain = 11.0;
-  p.int8_fidelity = 0.998;
   return p;
 }
 
@@ -167,11 +129,6 @@ DeviceProfile DeviceProfile::cloud_server() {
   p.snapshot_serialize_Bps = 600e6;
   p.snapshot_parse_Bps = 1200e6;
   p.batch_marginal_speedup = 2.0;
-  // Newer vector units than the edge box (full-width AVX-512 + VNNI).
-  p.simd_dense_gain = 7.5;
-  p.simd_light_gain = 3.2;
-  p.int8_dense_gain = 12.5;
-  p.int8_fidelity = 0.999;
   return p;
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/nn/kernels.h"
 #include "src/nn/layer.h"
 #include "src/nn/network.h"
 
@@ -32,30 +31,6 @@ struct DeviceProfile {
   /// marginal samples run closer to compute-bound. 1.0 = batching buys
   /// nothing beyond amortized per-layer overhead.
   double batch_marginal_speedup = 1.0;
-
-  // --- kernel-backend cost modeling (opt-in via for_kernel_backend) ---
-  //
-  // How much faster this device's GEMM-heavy layers (conv, fc) run under
-  // the hand-vectorized simd resp. int8 backend, and how much its
-  // memory-bound layers (pool, relu, lrn) gain from vector loads. The
-  // defaults are identity, so nothing changes unless a caller explicitly
-  // derives a backend-adjusted profile — golden traces and the paper
-  // figures always see the base (scalar) numbers.
-  double simd_dense_gain = 1.0;   ///< conv/fc gflops multiplier under simd
-  double simd_light_gain = 1.0;   ///< pool/relu/lrn/softmax gain under simd
-  double int8_dense_gain = 1.0;   ///< conv/fc gflops multiplier under int8
-  /// Top-1-preserving output fidelity of the int8 backend on this device
-  /// (1.0 = bit-perfect). Feeds accuracy-aware cut selection: a controller
-  /// can refuse to move layers onto a device whose quantized path would
-  /// degrade the answer.
-  double int8_fidelity = 1.0;
-
-  /// Profile this device would present if its NN stack ran the given
-  /// kernel backend: kScalar returns *this unchanged; kSimd scales conv/fc
-  /// by simd_dense_gain and the light layers by simd_light_gain; kInt8
-  /// additionally swaps the dense gain for int8_dense_gain. The name gains
-  /// a "+simd"/"+int8" suffix so profiled tables stay distinguishable.
-  DeviceProfile for_kernel_backend(KernelBackend k) const;
 
   /// Time to execute one layer with the given FLOP count.
   double layer_time_s(LayerKind kind, std::uint64_t flops) const;

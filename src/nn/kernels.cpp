@@ -1,11 +1,9 @@
-// Kernel backend registry: env-driven selection, CPU detection, and the
-// per-backend ops tables. Kernel bodies live in kernels_scalar.cpp /
-// kernels_simd.cpp; this TU has no float math of its own.
+// Kernel table registry: CPU detection and the two ops tables. Kernel
+// bodies live in kernels_scalar.cpp / kernels_simd.cpp; this TU has no
+// float math of its own.
 #include "src/nn/kernels.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <mutex>
 
 #include "src/nn/kernels_impl.h"
 
@@ -16,72 +14,23 @@ KernelOps make_scalar_ops() {
   KernelOps ops;
   ops.kind = KernelBackend::kScalar;
   ops.name = "scalar";
-  ops.quantized = false;
   ops.gemm_mr = 4;
   ops.gemm_nr = 8;
   ops.gemm_tile = &detail::scalar_gemm_tile;
-  ops.gemm_tile_i8 = &detail::scalar_gemm_tile_i8;
-  ops.fc_block = 8;
-  ops.fc_rows = &detail::scalar_fc_rows;
-  ops.fc_rows_i8 = &detail::scalar_fc_rows_i8;
-  ops.relu_range = &detail::scalar_relu_range;
   ops.pool_plane = &detail::scalar_pool_plane;
   ops.lrn_row = &detail::scalar_lrn_row;
   return ops;
 }
 
-struct Tables {
-  KernelOps scalar;
-  KernelOps simd;
-  KernelOps int8;
-  Tables() {
-    scalar = make_scalar_ops();
-    simd = detail::make_simd_ops();
-    // int8 = the simd table with the quantized conv/fc paths switched on:
-    // non-GEMM layers run the fastest fp32 kernels the machine has.
-    int8 = simd;
-    int8.kind = KernelBackend::kInt8;
-    int8.name = "int8";
-    int8.quantized = true;
-  }
-};
-
-const Tables& tables() {
-  static const Tables t;
-  return t;
-}
-
-KernelBackend backend_from_env() {
-  if (const char* env = std::getenv("OFFLOAD_KERNELS")) {
-    if (auto parsed = parse_kernel_backend(env)) return *parsed;
-  }
-  return KernelBackend::kScalar;  // unknown values fall back to scalar
-}
-
 std::atomic<KernelBackend>& active_slot() {
-  static std::atomic<KernelBackend> slot{backend_from_env()};
+  static std::atomic<KernelBackend> slot{KernelBackend::kSimd};
   return slot;
 }
 
 }  // namespace
 
 const char* kernel_backend_name(KernelBackend k) {
-  switch (k) {
-    case KernelBackend::kScalar:
-      return "scalar";
-    case KernelBackend::kSimd:
-      return "simd";
-    case KernelBackend::kInt8:
-      return "int8";
-  }
-  return "?";
-}
-
-std::optional<KernelBackend> parse_kernel_backend(std::string_view s) {
-  if (s == "scalar" || s == "fp32") return KernelBackend::kScalar;
-  if (s == "simd" || s == "vector") return KernelBackend::kSimd;
-  if (s == "int8" || s == "quant") return KernelBackend::kInt8;
-  return std::nullopt;
+  return k == KernelBackend::kSimd ? "simd" : "scalar";
 }
 
 bool cpu_supports_simd() {
@@ -109,22 +58,9 @@ KernelBackend set_kernel_backend(KernelBackend k) {
 }
 
 const KernelOps& kernel_ops(KernelBackend k) {
-  const Tables& t = tables();
-  switch (k) {
-    case KernelBackend::kSimd:
-      return t.simd;
-    case KernelBackend::kInt8:
-      return t.int8;
-    case KernelBackend::kScalar:
-      break;
-  }
-  return t.scalar;
-}
-
-void tag_kernel_backend_span(obs::Tracer& tracer, obs::SpanId span) {
-  const KernelBackend k = active_kernel_backend();
-  if (k == KernelBackend::kScalar) return;  // golden traces stay untouched
-  tracer.attr(span, "kernels.backend", kernel_backend_name(k));
+  static const KernelOps scalar = make_scalar_ops();
+  static const KernelOps simd = detail::make_simd_ops();
+  return k == KernelBackend::kSimd ? simd : scalar;
 }
 
 }  // namespace offload::nn

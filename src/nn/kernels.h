@@ -1,20 +1,20 @@
-// Runtime-dispatched kernel backend registry for the NN layer inner loops.
+// Runtime-dispatched kernel table for the NN layer inner loops.
 //
-// Three backends share one ops table shape:
+// Production runs one table, picked once by CPUID: AVX-512, then AVX2+FMA,
+// then the scalar kernels on hosts without AVX2. Two tables share one shape:
 //   scalar — the reference kernels (the original packed tiled-GEMM conv and
 //            friends) with every fp32 accumulation contract written
-//            explicitly in the source;
-//   simd   — hand-vectorized AVX2/AVX-512 micro-kernels (runtime CPU
-//            detection, per-function target attributes, scalar fallback on
-//            machines without the ISA) that keep the *same* per-element
-//            rounding contracts, so fp32 outputs are bit-identical to
-//            scalar at any OFFLOAD_THREADS;
-//   int8   — symmetric per-layer quantized conv/fc (exact int32
-//            accumulation, fp32 tensors between layers); non-GEMM layers
-//            run the simd fp32 kernels. Gated by accuracy deltas, not bit
-//            equality.
+//            explicitly in the source. Tests pin it as the bitwise
+//            reference;
+//   simd   — the default: hand-vectorized AVX2/AVX-512 conv, pool and lrn
+//            micro-kernels (runtime CPU detection, per-function target
+//            attributes, scalar fallback on machines without the ISA) that
+//            keep the *same* per-element rounding contracts, so outputs are
+//            bit-identical to scalar at any OFFLOAD_THREADS.
+// fc and relu have no table entry: both tables would run the scalar kernel
+// (DESIGN §11 says why), so the layers call it directly.
 //
-// The fp32 contracts (DESIGN §11) every backend must honor per output
+// The fp32 contracts (DESIGN §11) every table must honor per output
 // element:
 //   conv GEMM: acc = bias first, then acc = fma(w, x, acc) with k ascending
 //              in im2col row order r = (c*K + kh)*K + kw;
@@ -25,45 +25,30 @@
 //   lrn:       double-precision square sum in channel order (products of
 //              float-valued doubles are exact, so contraction-immune);
 //   relu:      elementwise max(x, 0).
-//
-// Backend selection: OFFLOAD_KERNELS={scalar,simd,int8} (default scalar).
-// Requests for simd/int8 on a machine without AVX2+FMA quietly run the
-// scalar fp32 kernels underneath — same table shape, same results as
-// scalar/int8-over-scalar.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
-
-#include "src/obs/trace.h"
 
 namespace offload::nn {
 
-enum class KernelBackend : std::uint8_t { kScalar = 0, kSimd = 1, kInt8 = 2 };
-inline constexpr std::size_t kKernelBackendCount = 3;
+enum class KernelBackend : std::uint8_t { kScalar = 0, kSimd = 1 };
 
 const char* kernel_backend_name(KernelBackend k);
-std::optional<KernelBackend> parse_kernel_backend(std::string_view s);
 
 /// Runtime ISA detection (x86: AVX2+FMA resp. AVX-512F; elsewhere false).
 bool cpu_supports_simd();
 bool cpu_supports_avx512();
 
-/// The process-wide backend: OFFLOAD_KERNELS at first use, overridable via
-/// set_kernel_backend (tests / harnesses). Unknown env values fall back to
-/// scalar.
+/// The process-wide table: simd unless a test pins the scalar reference
+/// through set_kernel_backend / ScopedKernelBackend.
 KernelBackend active_kernel_backend();
 /// Returns the previous backend.
 KernelBackend set_kernel_backend(KernelBackend k);
 
-/// One backend's kernel table. All function pointers are non-null; the
-/// int8 entries of fp32 backends point at the scalar int8 kernels (they are
-/// only reached when a layer is explicitly asked for quantized execution).
+/// One backend's kernel table. All function pointers are non-null.
 struct KernelOps {
   KernelBackend kind = KernelBackend::kScalar;
   const char* name = "scalar";
-  bool quantized = false;  ///< conv/fc run the int8 path
 
   /// Conv GEMM micro-kernel geometry: weights are packed into gemm_mr-row
   /// panels; the tile function walks columns in steps of gemm_nr.
@@ -76,32 +61,7 @@ struct KernelOps {
                     std::int64_t n, const float* bias, float* c,
                     std::int64_t m_total, std::int64_t i0, std::int64_t i1,
                     std::int64_t j0, std::int64_t j1) = nullptr;
-  /// Quantized macro-tile: int8 panels/columns, exact int32 accumulation,
-  /// out = fma(dequant, (float)acc, bias). Panels are packed with mr = 4
-  /// for every backend.
-  void (*gemm_tile_i8)(const std::int8_t* apack, std::int64_t kd,
-                       const std::int8_t* b, std::int64_t n, const float* bias,
-                       float dequant, float* c, std::int64_t m_total,
-                       std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                       std::int64_t j1) = nullptr;
 
-  /// FC row-block size. The layer parallelizes over blocks of exactly this
-  /// many output rows (last block ragged), so chunking cannot split a
-  /// vector panel. `wt`, when non-null, holds fc_block-row transposed
-  /// panels (panel t: in x fc_block, lane l = row t*fc_block + l); the
-  /// scalar backend passes wt == nullptr and reads row-major w directly.
-  std::int64_t fc_block = 8;
-  /// Whether fc_rows wants the transposed wt panels (vector backends). The
-  /// layer skips building/caching them when false.
-  bool fc_transposed = false;
-  void (*fc_rows)(const float* w, const float* wt, std::int64_t in,
-                  const float* x, const float* bias, float* y,
-                  std::int64_t row0, std::int64_t row1) = nullptr;
-  void (*fc_rows_i8)(const std::int8_t* qw, std::int64_t in,
-                     const std::int8_t* qx, const float* bias, float dequant,
-                     float* y, std::int64_t row0, std::int64_t row1) = nullptr;
-
-  void (*relu_range)(float* data, std::int64_t lo, std::int64_t hi) = nullptr;
   /// One pooled channel plane (max or average, Caffe window clipping).
   void (*pool_plane)(const float* in, float* out, std::int64_t H,
                      std::int64_t W, std::int64_t OH, std::int64_t OW,
@@ -114,7 +74,7 @@ struct KernelOps {
 };
 
 /// The table for a specific backend (simd degrades to scalar kernels on
-/// machines without AVX2+FMA — kind/name still say what was asked for).
+/// machines without AVX2+FMA — kind/name still say simd).
 const KernelOps& kernel_ops(KernelBackend k);
 inline const KernelOps& active_kernel_ops() {
   return kernel_ops(active_kernel_backend());
@@ -132,23 +92,11 @@ class ScopedKernelBackend {
   KernelBackend prev_;
 };
 
-/// Tag an NN leaf span with the active kernel backend. Emits nothing under
-/// the default scalar backend so golden traces stay byte-identical.
-void tag_kernel_backend_span(obs::Tracer& tracer, obs::SpanId span);
-
-// ---- shared packing helpers (implemented by the scalar backend TU) ----
-
 /// Pack grouped conv weights {G*Mg rows x Kd} into mr-row panels:
 /// dst[(g*tiles + t)*Kd*mr + k*mr + m] = w[(g*Mg + t*mr + m)*Kd + k],
 /// padding rows zero. dst must hold G * ceil(Mg/mr) * Kd * mr entries.
+/// Implemented by the scalar backend TU.
 void pack_gemm_panels(const float* w, std::int64_t G, std::int64_t Mg,
                       std::int64_t Kd, std::int64_t mr, float* dst);
-void pack_gemm_panels_i8(const std::int8_t* w, std::int64_t G, std::int64_t Mg,
-                         std::int64_t Kd, std::int64_t mr, std::int8_t* dst);
-/// Transpose fc weights {out x in} into block-row panels:
-/// dst[t*block*in + j*block + l] = w[(t*block + l)*in + j], padded with
-/// zero rows. dst must hold ceil(out/block)*block*in entries.
-void pack_fc_transposed(const float* w, std::int64_t out, std::int64_t in,
-                        std::int64_t block, float* dst);
 
 }  // namespace offload::nn

@@ -93,65 +93,16 @@ void gemm_tile_edge(const float* apack, std::int64_t mr_panel, std::int64_t kd,
   }
 }
 
-void scalar_gemm_tile_i8(const std::int8_t* apack, std::int64_t kd,
-                         const std::int8_t* b, std::int64_t n,
-                         const float* bias, float dequant, float* c,
-                         std::int64_t m_total, std::int64_t i0, std::int64_t i1,
-                         std::int64_t j0, std::int64_t j1) {
-  // Exact int32 accumulation: order-free, so any tiling/vectorization of
-  // this kernel is bit-identical by construction. The only fp steps are the
-  // final int32->float convert and one fma against the bias.
-  for (std::int64_t i = i0; i < i1; i += kMR) {
-    const std::int8_t* panel = apack + (i / kMR) * (kd * kMR);
-    const std::int64_t mr = std::min(kMR, m_total - i);
-    for (std::int64_t j = j0; j < j1; j += kNR) {
-      const std::int64_t nr = std::min(kNR, j1 - j);
-      std::int32_t acc[kMR][kNR] = {};
-      for (std::int64_t k = 0; k < kd; ++k) {
-        const std::int8_t* bk = b + k * n + j;
-        const std::int8_t* ak = panel + k * kMR;
-        for (std::int64_t m = 0; m < mr; ++m) {
-          const std::int32_t a = ak[m];
-          for (std::int64_t v = 0; v < nr; ++v) {
-            acc[m][v] += a * static_cast<std::int32_t>(bk[v]);
-          }
-        }
-      }
-      for (std::int64_t m = 0; m < mr; ++m) {
-        float* crow = c + (i + m) * n + j;
-        for (std::int64_t v = 0; v < nr; ++v) {
-          crow[v] =
-              std::fma(dequant, static_cast<float>(acc[m][v]), bias[i + m]);
-        }
-      }
-    }
-  }
-}
-
 // -------------------------------------------------------------------- fc
 
-void scalar_fc_rows(const float* w, const float* /*wt*/, std::int64_t in,
-                    const float* x, const float* bias, float* y,
-                    std::int64_t row0, std::int64_t row1) {
+void scalar_fc_rows(const float* w, std::int64_t in, const float* x,
+                    const float* bias, float* y, std::int64_t row0,
+                    std::int64_t row1) {
   for (std::int64_t i = row0; i < row1; ++i) {
     const float* row = w + i * in;
     float acc = bias[i];
     for (std::int64_t j = 0; j < in; ++j) acc += row[j] * x[j];
     y[i] = acc;
-  }
-}
-
-void scalar_fc_rows_i8(const std::int8_t* qw, std::int64_t in,
-                       const std::int8_t* qx, const float* bias, float dequant,
-                       float* y, std::int64_t row0, std::int64_t row1) {
-  for (std::int64_t i = row0; i < row1; ++i) {
-    const std::int8_t* row = qw + i * in;
-    std::int32_t acc = 0;
-    for (std::int64_t j = 0; j < in; ++j) {
-      acc += static_cast<std::int32_t>(row[j]) *
-             static_cast<std::int32_t>(qx[j]);
-    }
-    y[i] = std::fma(dequant, static_cast<float>(acc), bias[i]);
   }
 }
 
@@ -237,36 +188,6 @@ void pack_gemm_panels(const float* w, std::int64_t G, std::int64_t Mg,
         const float* src = w + (g * Mg + row) * Kd;
         for (std::int64_t k = 0; k < Kd; ++k) panel[k * mr + m] = src[k];
       }
-    }
-  }
-}
-
-void pack_gemm_panels_i8(const std::int8_t* w, std::int64_t G, std::int64_t Mg,
-                         std::int64_t Kd, std::int64_t mr, std::int8_t* dst) {
-  const std::int64_t tiles = (Mg + mr - 1) / mr;
-  for (std::int64_t g = 0; g < G; ++g) {
-    for (std::int64_t t = 0; t < tiles; ++t) {
-      std::int8_t* panel = dst + (g * tiles + t) * Kd * mr;
-      for (std::int64_t m = 0; m < mr; ++m) {
-        const std::int64_t row = t * mr + m;
-        if (row >= Mg) continue;
-        const std::int8_t* src = w + (g * Mg + row) * Kd;
-        for (std::int64_t k = 0; k < Kd; ++k) panel[k * mr + m] = src[k];
-      }
-    }
-  }
-}
-
-void pack_fc_transposed(const float* w, std::int64_t out, std::int64_t in,
-                        std::int64_t block, float* dst) {
-  const std::int64_t tiles = (out + block - 1) / block;
-  for (std::int64_t t = 0; t < tiles; ++t) {
-    float* panel = dst + t * block * in;
-    for (std::int64_t l = 0; l < block; ++l) {
-      const std::int64_t row = t * block + l;
-      if (row >= out) continue;
-      const float* src = w + row * in;
-      for (std::int64_t j = 0; j < in; ++j) panel[j * block + l] = src[j];
     }
   }
 }

@@ -1,22 +1,21 @@
-// The `simd` kernel backend: hand-vectorized AVX2 / AVX-512 micro-kernels
-// behind per-function target attributes and __builtin_cpu_supports, so this
-// TU compiles with baseline flags and the binary runs anywhere — machines
-// without AVX2+FMA fall back to the scalar kernels at table-build time.
+// The `simd` kernel table: hand-vectorized AVX2 / AVX-512 conv, pool and
+// lrn micro-kernels behind per-function target attributes and
+// __builtin_cpu_supports, so this TU compiles with baseline flags and the
+// binary runs anywhere — machines without AVX2+FMA fall back to the scalar
+// kernels at table-build time.
 //
 // Bit-exactness (fp32): every output element keeps the scalar backend's
 // rounding contract exactly —
 //   * conv GEMM: vfmadd lanes reproduce the scalar std::fma chain
 //     (k-ascending, bias-first); lane independence means the wider AVX-512
 //     8x16 tile is still the same per-element chain;
-//   * fc: vmulps+vaddps across *output rows* (transposed weight panels)
-//     reproduces the scalar separate-multiply-then-add chain, j-ascending;
 //   * avg pool: masked-gather lanes add +0.0 for window positions the
 //     scalar kernel skips — exact, because a partial sum is never -0.0;
 //   * max pool: extra -inf lanes never change a float max;
 //   * lrn: double products of float values are exact, so the vector fma
 //     square-sum equals the scalar sum bit-for-bit.
-// The int8 kernels accumulate in int32 (exact, order-free) and share the
-// final fma(dequant, acc, bias) step with the scalar int8 kernels.
+// fc and relu have no vector kernels here; the layers call the scalar ones
+// (see the note above the pool kernels and DESIGN §11).
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -148,50 +147,12 @@ __attribute__((target("avx512f,fma"))) void avx512_gemm_tile(
   }
 }
 
-// ----------------------------------------------------------------- fc
-
-__attribute__((target("avx2,fma"))) void avx2_fc_rows(
-    const float* w, const float* wt, std::int64_t in, const float* x,
-    const float* bias, float* y, std::int64_t row0, std::int64_t row1) {
-  constexpr std::int64_t kB = 8;
-  if (wt == nullptr || row1 - row0 != kB || row0 % kB != 0) {
-    scalar_fc_rows(w, nullptr, in, x, bias, y, row0, row1);  // ragged block
-    return;
-  }
-  const float* panel = wt + row0 * in;  // (row0/kB) * kB * in
-  __m256 acc = _mm256_loadu_ps(bias + row0);
-  for (std::int64_t j = 0; j < in; ++j) {
-    const __m256 wv = _mm256_loadu_ps(panel + j * kB);
-    const __m256 xv = _mm256_broadcast_ss(x + j);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));  // two roundings: the
-    // scalar fc contract is mul-then-add, never fused.
-  }
-  _mm256_storeu_ps(y + row0, acc);
-}
-
-__attribute__((target("avx512f,fma"))) void avx512_fc_rows(
-    const float* w, const float* wt, std::int64_t in, const float* x,
-    const float* bias, float* y, std::int64_t row0, std::int64_t row1) {
-  constexpr std::int64_t kB = 16;
-  if (wt == nullptr || row1 - row0 != kB || row0 % kB != 0) {
-    scalar_fc_rows(w, nullptr, in, x, bias, y, row0, row1);
-    return;
-  }
-  const float* panel = wt + row0 * in;
-  __m512 acc = _mm512_loadu_ps(bias + row0);
-  for (std::int64_t j = 0; j < in; ++j) {
-    const __m512 wv = _mm512_loadu_ps(panel + j * kB);
-    const __m512 xv = _mm512_set1_ps(x[j]);
-    acc = _mm512_add_ps(acc, _mm512_mul_ps(wv, xv));
-  }
-  _mm512_storeu_ps(y + row0, acc);
-}
-
-// relu: no AVX2 variant. An explicit _mm256_max_ps loop measured 0.73x
-// the scalar loop (bench_micro_kernels, relu 64x112²): the op is purely
-// memory-bound, the compiler already vectorizes the scalar max, and the
-// hand-written version only added dispatch and alignment overhead. The
-// simd (and therefore int8) tables keep scalar_relu_range.
+// fc and relu: no vector kernels. An explicit _mm256_max_ps relu loop
+// measured 0.73x the scalar loop (bench_micro_kernels, relu 64x112²): the
+// op is purely memory-bound and the compiler already vectorizes the scalar
+// max. The AVX fc kernels needed a block-transposed copy of every fc
+// weight matrix, which added ~504 MB to a paper-workload process (DESIGN
+// §11), for layers that are a small share of DNN time.
 
 // --------------------------------------------------------------- pool
 
@@ -303,92 +264,6 @@ __attribute__((target("avx2,fma"))) void avx2_lrn_row(
   }
 }
 
-// ----------------------------------------------------------- int8 GEMM
-
-__attribute__((target("avx2,fma"))) void avx2_gemm_tile_i8(
-    const std::int8_t* apack, std::int64_t kd, const std::int8_t* b,
-    std::int64_t n, const float* bias, float dequant, float* c,
-    std::int64_t m_total, std::int64_t i0, std::int64_t i1, std::int64_t j0,
-    std::int64_t j1) {
-  constexpr std::int64_t kMR = 4;
-  constexpr std::int64_t kNR = 8;
-  const __m256 dq = _mm256_set1_ps(dequant);
-  for (std::int64_t i = i0; i < i1; i += kMR) {
-    const std::int8_t* panel = apack + (i / kMR) * (kd * kMR);
-    const std::int64_t mr = std::min(kMR, m_total - i);
-    std::int64_t j = j0;
-    if (mr == kMR) {
-      for (; j + kNR <= j1; j += kNR) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
-        const std::int8_t* bk = b + j;
-        const std::int8_t* ak = panel;
-        for (std::int64_t k = 0; k < kd; ++k, bk += n, ak += kMR) {
-          const __m256i bv = _mm256_cvtepi8_epi32(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bk)));
-          acc0 = _mm256_add_epi32(
-              acc0, _mm256_mullo_epi32(_mm256_set1_epi32(ak[0]), bv));
-          acc1 = _mm256_add_epi32(
-              acc1, _mm256_mullo_epi32(_mm256_set1_epi32(ak[1]), bv));
-          acc2 = _mm256_add_epi32(
-              acc2, _mm256_mullo_epi32(_mm256_set1_epi32(ak[2]), bv));
-          acc3 = _mm256_add_epi32(
-              acc3, _mm256_mullo_epi32(_mm256_set1_epi32(ak[3]), bv));
-        }
-        _mm256_storeu_ps(
-            c + (i + 0) * n + j,
-            _mm256_fmadd_ps(dq, _mm256_cvtepi32_ps(acc0),
-                            _mm256_broadcast_ss(bias + i + 0)));
-        _mm256_storeu_ps(
-            c + (i + 1) * n + j,
-            _mm256_fmadd_ps(dq, _mm256_cvtepi32_ps(acc1),
-                            _mm256_broadcast_ss(bias + i + 1)));
-        _mm256_storeu_ps(
-            c + (i + 2) * n + j,
-            _mm256_fmadd_ps(dq, _mm256_cvtepi32_ps(acc2),
-                            _mm256_broadcast_ss(bias + i + 2)));
-        _mm256_storeu_ps(
-            c + (i + 3) * n + j,
-            _mm256_fmadd_ps(dq, _mm256_cvtepi32_ps(acc3),
-                            _mm256_broadcast_ss(bias + i + 3)));
-      }
-    }
-    if (j < j1 || mr < kMR) {
-      scalar_gemm_tile_i8(apack, kd, b, n, bias, dequant, c, m_total, i,
-                          std::min(i + kMR, i1), j, j1);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void avx2_fc_rows_i8(
-    const std::int8_t* qw, std::int64_t in, const std::int8_t* qx,
-    const float* bias, float dequant, float* y, std::int64_t row0,
-    std::int64_t row1) {
-  alignas(32) std::int32_t lanes[8];
-  for (std::int64_t i = row0; i < row1; ++i) {
-    const std::int8_t* row = qw + i * in;
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t j = 0;
-    for (; j + 8 <= in; j += 8) {
-      const __m256i wv = _mm256_cvtepi8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j)));
-      const __m256i xv = _mm256_cvtepi8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(qx + j)));
-      acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(wv, xv));
-    }
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    std::int32_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] +
-                         lanes[5] + lanes[6] + lanes[7];
-    for (; j < in; ++j) {
-      total += static_cast<std::int32_t>(row[j]) *
-               static_cast<std::int32_t>(qx[j]);
-    }
-    y[i] = std::fma(dequant, static_cast<float>(total), bias[i]);
-  }
-}
-
 }  // namespace
 
 #endif  // OFFLOAD_KERNELS_X86
@@ -397,34 +272,21 @@ KernelOps make_simd_ops() {
   KernelOps ops;
   ops.kind = KernelBackend::kSimd;
   ops.name = "simd";
-  ops.quantized = false;
   // Scalar fallbacks first; overridden below when the CPU qualifies.
   ops.gemm_mr = 4;
   ops.gemm_nr = 8;
   ops.gemm_tile = &scalar_gemm_tile;
-  ops.gemm_tile_i8 = &scalar_gemm_tile_i8;
-  ops.fc_block = 8;
-  ops.fc_rows = &scalar_fc_rows;
-  ops.fc_rows_i8 = &scalar_fc_rows_i8;
-  ops.relu_range = &scalar_relu_range;
   ops.pool_plane = &scalar_pool_plane;
   ops.lrn_row = &scalar_lrn_row;
 #if OFFLOAD_KERNELS_X86
   if (cpu_supports_simd()) {
     ops.gemm_tile = &avx2_gemm_tile;
-    ops.gemm_tile_i8 = &avx2_gemm_tile_i8;
-    ops.fc_rows = &avx2_fc_rows;
-    ops.fc_transposed = true;
-    ops.fc_rows_i8 = &avx2_fc_rows_i8;
-    // relu_range stays scalar — see the note above the pool kernels.
     ops.pool_plane = &avx2_pool_plane;
     ops.lrn_row = &avx2_lrn_row;
     if (cpu_supports_avx512()) {
       ops.gemm_mr = 8;
       ops.gemm_nr = 16;
       ops.gemm_tile = &avx512_gemm_tile;
-      ops.fc_block = 16;
-      ops.fc_rows = &avx512_fc_rows;
     }
   }
 #endif

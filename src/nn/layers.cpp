@@ -8,6 +8,7 @@
 #include "src/nn/conv.h"
 #include "src/nn/dense.h"
 #include "src/nn/kernels.h"
+#include "src/nn/kernels_impl.h"
 #include "src/nn/lrn.h"
 #include "src/nn/pool.h"
 #include "src/util/arena.h"
@@ -49,15 +50,6 @@ std::int64_t pool_out_dim(std::int64_t in, std::int64_t k, std::int64_t s,
       (in + 2 * p - k + s - 1) / s + 1;  // ceil division for non-negatives
   if (p > 0 && (out - 1) * s >= in + p) --out;
   return out;
-}
-
-/// int8 GEMM accumulators are int32: depth * 127 * 127 must not overflow.
-void check_i8_depth(std::int64_t depth, const std::string& what) {
-  if (depth > 130000) {
-    throw std::runtime_error(what + ": int8 backend: reduction depth " +
-                             std::to_string(depth) +
-                             " would overflow int32 accumulation");
-  }
 }
 
 }  // namespace
@@ -155,14 +147,14 @@ std::string InputLayer::config_str() const {
 // forward_batch() = parallel im2col + packed, register-tiled GEMM. The GEMM
 // partitions the output matrix into kRowBlock x kColBlock macro-tiles that
 // run as independent parallel_for tasks (disjoint output ranges); each
-// macro-tile is computed by the active backend's micro-kernel over
+// macro-tile is computed by the active table's micro-kernel over
 // panel-packed weights. Every output element accumulates bias-first then k
 // ascending (the DESIGN §11 contract), so results are bit-identical at any
-// thread count and across the fp32 backends.
+// thread count and across both kernel tables.
 
 namespace {
 
-/// Macro-tile task geometry. Multiples of every backend's micro-kernel
+/// Macro-tile task geometry. Multiples of every table's micro-kernel
 /// (mr in {4, 8}, nr in {8, 16}), so tile starts always land on panel
 /// boundaries.
 constexpr std::int64_t kRowBlock = 64;   ///< C rows per task
@@ -170,19 +162,17 @@ constexpr std::int64_t kColBlock = 512;  ///< C cols per task
 
 /// col[r][ow..] rows for r in [row_lo, row_hi), r = (c*K + kh)*K + kw.
 /// Writes zeros where the window reads padding, so the buffer needs no
-/// pre-clearing (it comes from the scratch arena, not calloc). Templated so
-/// the int8 path can im2col quantized activations with the same indexing.
-template <typename T>
-void im2col_rows(const T* src, std::int64_t H, std::int64_t W, std::int64_t K,
-                 std::int64_t S, std::int64_t P, std::int64_t OH,
-                 std::int64_t OW, T* col, std::int64_t row_lo,
-                 std::int64_t row_hi) {
+/// pre-clearing (it comes from the scratch arena, not calloc).
+void im2col_rows(const float* src, std::int64_t H, std::int64_t W,
+                 std::int64_t K, std::int64_t S, std::int64_t P,
+                 std::int64_t OH, std::int64_t OW, float* col,
+                 std::int64_t row_lo, std::int64_t row_hi) {
   const std::int64_t N = OH * OW;
   for (std::int64_t r = row_lo; r < row_hi; ++r) {
     const std::int64_t c = r / (K * K);
     const std::int64_t kh = (r / K) % K;
     const std::int64_t kw = r % K;
-    T* dst = col + r * N;
+    float* dst = col + r * N;
     // ow range whose input column iw = ow*S + kw - P lands inside [0, W).
     const std::int64_t ow0 =
         kw >= P ? 0 : std::min(OW, (P - kw + S - 1) / S);
@@ -193,37 +183,37 @@ void im2col_rows(const T* src, std::int64_t H, std::int64_t W, std::int64_t K,
     for (std::int64_t oh = 0; oh < OH; ++oh) {
       const std::int64_t ih = oh * S + kh - P;
       if (ih < 0 || ih >= H) {
-        std::fill(dst, dst + OW, T(0));
+        std::fill(dst, dst + OW, 0.0f);
         dst += OW;
         continue;
       }
-      const T* row = src + (c * H + ih) * W;
-      std::fill(dst, dst + ow0, T(0));
+      const float* row = src + (c * H + ih) * W;
+      std::fill(dst, dst + ow0, 0.0f);
       if (S == 1) {
-        const T* from = row + ow0 + kw - P;
+        const float* from = row + ow0 + kw - P;
         std::copy(from, from + (ow1 - ow0), dst + ow0);
       } else {
         for (std::int64_t ow = ow0; ow < ow1; ++ow) {
           dst[ow] = row[ow * S + kw - P];
         }
       }
-      std::fill(dst + ow1, dst + OW, T(0));
+      std::fill(dst + ow1, dst + OW, 0.0f);
       dst += OW;
     }
   }
 }
 
-/// fp32 conv core: one im2col over all samples, then one parallel GEMM over
+/// Conv core: one im2col over all samples, then one parallel GEMM over
 /// every (sample, group, macro-tile) task. Each sample's tasks run the same
 /// micro-kernels at any batch size, so the batched output is bit-identical
 /// to B batch-of-1 forwards — but the thread pool sees B x the tiles, which
 /// keeps every core busy even on the small late-network feature maps.
-void conv_forward_fp32(const KernelOps& ops, const float* panels,
-                       const float* src, float* out_data, const float* bias,
-                       std::int64_t batch, std::int64_t C, std::int64_t H,
-                       std::int64_t W, std::int64_t K, std::int64_t S,
-                       std::int64_t P, std::int64_t OH, std::int64_t OW,
-                       std::int64_t M, std::int64_t G) {
+void conv_forward(const KernelOps& ops, const float* panels, const float* src,
+                  float* out_data, const float* bias, std::int64_t batch,
+                  std::int64_t C, std::int64_t H, std::int64_t W,
+                  std::int64_t K, std::int64_t S, std::int64_t P,
+                  std::int64_t OH, std::int64_t OW, std::int64_t M,
+                  std::int64_t G) {
   const std::int64_t N = OH * OW;
   const std::int64_t Mg = M / G;
   const std::int64_t Kd = (C / G) * K * K;
@@ -273,83 +263,6 @@ void conv_forward_fp32(const KernelOps& ops, const float* panels,
                     out_data + (b * M + g * Mg) * N, Mg, rb * kRowBlock,
                     std::min(Mg, (rb + 1) * kRowBlock), cb * kColBlock,
                     std::min(N, (cb + 1) * kColBlock));
-    }
-  };
-  util::parallel_for(0, batch * per_sample, 1, run);
-}
-
-/// int8 conv core: per-sample symmetric activation quantization, int8
-/// im2col, exact-int32 GEMM, fp32 dequant on the way out. Accumulation is
-/// integer so every decomposition is bit-identical; simd == scalar by
-/// construction.
-void conv_forward_i8(const KernelOps& ops, const std::int8_t* qpanels,
-                     float wscale, const float* src, float* out_data,
-                     const float* bias, std::int64_t batch, std::int64_t C,
-                     std::int64_t H, std::int64_t W, std::int64_t K,
-                     std::int64_t S, std::int64_t P, std::int64_t OH,
-                     std::int64_t OW, std::int64_t M, std::int64_t G) {
-  const std::int64_t N = OH * OW;
-  const std::int64_t Mg = M / G;
-  const std::int64_t Kd = (C / G) * K * K;
-  const std::int64_t CKK = C * K * K;
-  const std::int64_t CHW = C * H * W;
-  util::ScratchArena::Frame scratch(util::ScratchArena::local());
-
-  std::int8_t* qsrc = reinterpret_cast<std::int8_t*>(
-      scratch.bytes(static_cast<std::size_t>(batch * CHW)));
-  float* dequants = scratch.floats(static_cast<std::size_t>(batch));
-  auto quant = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t b = lo; b < hi; ++b) {
-      const QuantParams qa = choose_symmetric_scale(
-          {src + b * CHW, static_cast<std::size_t>(CHW)});
-      quantize_symmetric(src + b * CHW, qsrc + b * CHW, CHW, qa.inv_scale);
-      dequants[b] = wscale * qa.scale;
-    }
-  };
-  util::parallel_for(0, batch, 1, quant);
-
-  // Quantize-then-im2col == im2col-then-quantize: padding zeros quantize to
-  // zero, everything else is elementwise.
-  const std::int8_t* col_base;
-  std::int64_t col_stride;
-  if (K == 1 && S == 1 && P == 0) {
-    col_base = qsrc;
-    col_stride = CHW;
-  } else {
-    std::int8_t* buf = reinterpret_cast<std::int8_t*>(
-        scratch.bytes(static_cast<std::size_t>(batch * CKK * N)));
-    auto fill = [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t t = lo; t < hi; ++t) {
-        const std::int64_t b = t / CKK;
-        const std::int64_t r = t % CKK;
-        im2col_rows(qsrc + b * CHW, H, W, K, S, P, OH, OW, buf + b * CKK * N,
-                    r, r + 1);
-      }
-    };
-    util::parallel_for(0, batch * CKK, 1, fill);
-    col_base = buf;
-    col_stride = CKK * N;
-  }
-
-  constexpr std::int64_t kMRq = 4;  // int8 panels are mr=4 for every backend
-  const std::int64_t tiles = (Mg + kMRq - 1) / kMRq;
-  const std::int64_t row_blocks = (Mg + kRowBlock - 1) / kRowBlock;
-  const std::int64_t col_blocks = (N + kColBlock - 1) / kColBlock;
-  const std::int64_t per_sample = G * row_blocks * col_blocks;
-  auto run = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / per_sample;
-      std::int64_t rem = t % per_sample;
-      const std::int64_t g = rem / (row_blocks * col_blocks);
-      rem %= row_blocks * col_blocks;
-      const std::int64_t rb = rem / col_blocks;
-      const std::int64_t cb = rem % col_blocks;
-      ops.gemm_tile_i8(qpanels + g * tiles * Kd * kMRq, Kd,
-                       col_base + b * col_stride + g * Kd * N, N,
-                       bias + g * Mg, dequants[b],
-                       out_data + (b * M + g * Mg) * N, Mg, rb * kRowBlock,
-                       std::min(Mg, (rb + 1) * kRowBlock), cb * kColBlock,
-                       std::min(N, (cb + 1) * kColBlock));
     }
   };
   util::parallel_for(0, batch * per_sample, 1, run);
@@ -430,43 +343,12 @@ const float* ConvLayer::ensure_packed(std::int64_t mr) const {
   return cache.panels.data();
 }
 
-const ConvLayer::PackCacheI8& ConvLayer::ensure_packed_i8() const {
-  if (!pack_i8_.valid.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lk(pack_mutex_);
-    if (!pack_i8_.valid.load(std::memory_order_relaxed)) {
-      const std::int64_t G = config_.groups;
-      const std::int64_t Mg = config_.out_channels / G;
-      const std::int64_t Kd =
-          (config_.in_channels / G) * config_.kernel * config_.kernel;
-      check_i8_depth(Kd, "conv " + name());
-      constexpr std::int64_t kMRq = 4;
-      const std::int64_t tiles = (Mg + kMRq - 1) / kMRq;
-      pack_i8_.qw = choose_symmetric_scale(weights_.data());
-      std::vector<std::int8_t> rows(
-          static_cast<std::size_t>(weights_.elements()));
-      quantize_symmetric(weights_.data().data(), rows.data(),
-                         weights_.elements(), pack_i8_.qw.inv_scale);
-      pack_i8_.panels.assign(static_cast<std::size_t>(G * tiles * Kd * kMRq),
-                             0);
-      pack_gemm_panels_i8(rows.data(), G, Mg, Kd, kMRq, pack_i8_.panels.data());
-      pack_i8_.valid.store(true, std::memory_order_release);
-    }
-  }
-  return pack_i8_;
-}
-
 void ConvLayer::warm_pack() const {
-  const KernelOps& ops = active_kernel_ops();
-  if (ops.quantized) {
-    ensure_packed_i8();
-  } else {
-    ensure_packed(ops.gemm_mr);
-  }
+  ensure_packed(active_kernel_ops().gemm_mr);
 }
 
 void ConvLayer::invalidate_packs() {
   for (auto& p : packs_) p.valid.store(false, std::memory_order_release);
-  pack_i8_.valid.store(false, std::memory_order_release);
 }
 
 Tensor ConvLayer::forward_batch(std::span<const Tensor* const> inputs,
@@ -488,17 +370,9 @@ Tensor ConvLayer::forward_batch(std::span<const Tensor* const> inputs,
 
   const KernelOps& ops = active_kernel_ops();
   Tensor out(Shape{batch, M, OH, OW});
-  if (ops.quantized) {
-    const PackCacheI8& qp = ensure_packed_i8();
-    conv_forward_i8(ops, qp.panels.data(), qp.qw.scale, in.data().data(),
-                    out.data().data(), bias_.data().data(), batch, C, H, W, K,
-                    S, P, OH, OW, M, G);
-  } else {
-    const float* panels = ensure_packed(ops.gemm_mr);
-    conv_forward_fp32(ops, panels, in.data().data(), out.data().data(),
-                      bias_.data().data(), batch, C, H, W, K, S, P, OH, OW, M,
-                      G);
-  }
+  conv_forward(ops, ensure_packed(ops.gemm_mr), in.data().data(),
+               out.data().data(), bias_.data().data(), batch, C, H, W, K, S, P,
+               OH, OW, M, G);
   return out;
 }
 
@@ -612,64 +486,6 @@ std::string PoolLayer::config_str() const {
 
 // ------------------------------------------------------- FullyConnectedLayer
 
-namespace {
-
-/// fp32 fc core: parallel over blocks of exactly ops.fc_block output rows
-/// (last block ragged), so parallel_for chunking can never split a vector
-/// panel. Per-row arithmetic is the DESIGN §11 mul-then-add chain at any
-/// decomposition.
-void fc_forward_fp32(const KernelOps& ops, const float* w, const float* wt,
-                     std::int64_t in, std::int64_t out, const float* bias,
-                     const float* x, float* y, std::int64_t batch) {
-  const std::int64_t B = ops.fc_block;
-  const std::int64_t nblocks = (out + B - 1) / B;
-  auto run = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / nblocks;
-      const std::int64_t blk = t % nblocks;
-      const std::int64_t r0 = blk * B;
-      const std::int64_t r1 = std::min(out, r0 + B);
-      ops.fc_rows(w, wt, in, x + b * in, bias, y + b * out, r0, r1);
-    }
-  };
-  util::parallel_for(0, batch * nblocks, 1, run);
-}
-
-/// int8 fc core: per-sample activation quantization + exact int32 dots.
-void fc_forward_i8(const KernelOps& ops, const std::int8_t* qw, float wscale,
-                   std::int64_t in, std::int64_t out, const float* bias,
-                   const float* x, float* y, std::int64_t batch) {
-  util::ScratchArena::Frame scratch(util::ScratchArena::local());
-  std::int8_t* qx = reinterpret_cast<std::int8_t*>(
-      scratch.bytes(static_cast<std::size_t>(batch * in)));
-  float* dequants = scratch.floats(static_cast<std::size_t>(batch));
-  auto quant = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t b = lo; b < hi; ++b) {
-      const QuantParams qa = choose_symmetric_scale(
-          {x + b * in, static_cast<std::size_t>(in)});
-      quantize_symmetric(x + b * in, qx + b * in, in, qa.inv_scale);
-      dequants[b] = wscale * qa.scale;
-    }
-  };
-  util::parallel_for(0, batch, 1, quant);
-
-  const std::int64_t B = ops.fc_block;
-  const std::int64_t nblocks = (out + B - 1) / B;
-  auto run = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / nblocks;
-      const std::int64_t blk = t % nblocks;
-      const std::int64_t r0 = blk * B;
-      const std::int64_t r1 = std::min(out, r0 + B);
-      ops.fc_rows_i8(qw, in, qx + b * in, bias, dequants[b], y + b * out, r0,
-                     r1);
-    }
-  };
-  util::parallel_for(0, batch * nblocks, 1, run);
-}
-
-}  // namespace
-
 FullyConnectedLayer::FullyConnectedLayer(std::string name,
                                          std::int64_t in_features,
                                          std::int64_t out_features)
@@ -700,54 +516,6 @@ std::uint64_t FullyConnectedLayer::flops(std::span<const Shape> inputs) const {
          static_cast<std::uint64_t>(out_);
 }
 
-const float* FullyConnectedLayer::ensure_transposed(std::int64_t block) const {
-  if (tcache_.valid.load(std::memory_order_acquire) &&
-      tcache_.block == block) {
-    return tcache_.panels.data();
-  }
-  std::lock_guard<std::mutex> lk(pack_mutex_);
-  if (!(tcache_.valid.load(std::memory_order_relaxed) &&
-        tcache_.block == block)) {
-    const std::int64_t tiles = (out_ + block - 1) / block;
-    tcache_.panels.assign(static_cast<std::size_t>(tiles * block * in_), 0.0f);
-    pack_fc_transposed(weights_.data().data(), out_, in_, block,
-                       tcache_.panels.data());
-    tcache_.block = block;
-    tcache_.valid.store(true, std::memory_order_release);
-  }
-  return tcache_.panels.data();
-}
-
-const FullyConnectedLayer::QCache& FullyConnectedLayer::ensure_quantized()
-    const {
-  if (!qcache_.valid.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lk(pack_mutex_);
-    if (!qcache_.valid.load(std::memory_order_relaxed)) {
-      check_i8_depth(in_, "fc " + name());
-      qcache_.params = choose_symmetric_scale(weights_.data());
-      qcache_.qw.assign(static_cast<std::size_t>(out_ * in_), 0);
-      quantize_symmetric(weights_.data().data(), qcache_.qw.data(), out_ * in_,
-                         qcache_.params.inv_scale);
-      qcache_.valid.store(true, std::memory_order_release);
-    }
-  }
-  return qcache_;
-}
-
-void FullyConnectedLayer::warm_pack() const {
-  const KernelOps& ops = active_kernel_ops();
-  if (ops.quantized) {
-    ensure_quantized();
-  } else if (ops.fc_transposed) {
-    ensure_transposed(ops.fc_block);
-  }
-}
-
-void FullyConnectedLayer::invalidate_packs() {
-  tcache_.valid.store(false, std::memory_order_release);
-  qcache_.valid.store(false, std::memory_order_release);
-}
-
 Tensor FullyConnectedLayer::forward_batch(
     std::span<const Tensor* const> inputs, std::int64_t batch) const {
   if (inputs.size() != 1) throw std::invalid_argument("fc: one input");
@@ -757,19 +525,25 @@ Tensor FullyConnectedLayer::forward_batch(
     throw std::invalid_argument("fc " + name() +
                                 ": batched feature count mismatch");
   }
-  const KernelOps& ops = active_kernel_ops();
   Tensor out(Shape{batch, out_});
+  const float* w = weights_.data().data();
+  const float* bias = bias_.data().data();
   const float* x = in.data().data();
-  if (ops.quantized) {
-    const QCache& qc = ensure_quantized();
-    fc_forward_i8(ops, qc.qw.data(), qc.params.scale, in_, out_,
-                  bias_.data().data(), x, out.data().data(), batch);
-  } else {
-    const float* wt =
-        ops.fc_transposed ? ensure_transposed(ops.fc_block) : nullptr;
-    fc_forward_fp32(ops, weights_.data().data(), wt, in_, out_,
-                    bias_.data().data(), x, out.data().data(), batch);
-  }
+  float* y = out.data().data();
+  // Parallel over blocks of kFcBlock output rows per sample (last block
+  // ragged). Per-row arithmetic is the DESIGN §11 mul-then-add chain at any
+  // decomposition.
+  constexpr std::int64_t kFcBlock = 8;
+  const std::int64_t nblocks = (out_ + kFcBlock - 1) / kFcBlock;
+  auto run = [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t t = lo; t < hi; ++t) {
+      const std::int64_t b = t / nblocks;
+      const std::int64_t r0 = (t % nblocks) * kFcBlock;
+      detail::scalar_fc_rows(w, in_, x + b * in_, bias, y + b * out_, r0,
+                             std::min(out_, r0 + kFcBlock));
+    }
+  };
+  util::parallel_for(0, batch * nblocks, 1, run);
   return out;
 }
 
@@ -786,8 +560,6 @@ void FullyConnectedLayer::init_params(util::Pcg32& rng) {
   for (auto& v : bias_.data()) {
     v = static_cast<float>(rng.uniform(-0.01, 0.01));
   }
-  invalidate_packs();
-  warm_pack();
 }
 
 void FullyConnectedLayer::write_params(util::BinaryWriter& w) const {
@@ -798,8 +570,6 @@ void FullyConnectedLayer::write_params(util::BinaryWriter& w) const {
 void FullyConnectedLayer::read_params(util::BinaryReader& r) {
   for (auto& v : weights_.data()) v = r.f32();
   for (auto& v : bias_.data()) v = r.f32();
-  invalidate_packs();
-  warm_pack();
 }
 
 std::string FullyConnectedLayer::config_str() const {
@@ -825,10 +595,9 @@ Tensor ReluLayer::forward_batch(std::span<const Tensor* const> inputs,
   // Elementwise: identical arithmetic no matter how the index space is
   // chunked, so the flat batched range is trivially bit-exact.
   Tensor out = *inputs[0];
-  const KernelOps& ops = active_kernel_ops();
   float* data = out.data().data();
   auto clamp = [&](std::int64_t lo, std::int64_t hi) {
-    ops.relu_range(data, lo, hi);
+    detail::scalar_relu_range(data, lo, hi);
   };
   util::parallel_for(0, out.elements(), 1 << 15, clamp);
   return out;

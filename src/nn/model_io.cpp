@@ -1,5 +1,6 @@
 #include "src/nn/model_io.h"
 
+#include <charconv>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -41,26 +42,40 @@ KvMap parse_kv(const std::vector<std::string>& tokens, std::size_t from) {
   return kv;
 }
 
-std::int64_t kv_int(const KvMap& kv, const std::string& key) {
+/// Parses the whole token as one number; anything else (empty, trailing
+/// characters, out of range) is a DecodeError, never a std::logic_error.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw util::DecodeError("model description: bad number for '" + what +
+                            "': '" + text + "'");
+  }
+  return value;
+}
+
+const std::string& kv_value(const KvMap& kv, const std::string& key) {
   auto it = kv.find(key);
   if (it == kv.end()) {
     throw util::DecodeError("model description: missing key '" + key + "'");
   }
-  return std::stoll(it->second);
+  return it->second;
+}
+
+std::int64_t kv_int(const KvMap& kv, const std::string& key) {
+  return parse_number<std::int64_t>(kv_value(kv, key), key);
 }
 
 double kv_double(const KvMap& kv, const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    throw util::DecodeError("model description: missing key '" + key + "'");
-  }
-  return std::stod(it->second);
+  return parse_number<double>(kv_value(kv, key), key);
 }
 
 Shape parse_shape(const std::string& text) {
   std::vector<std::int64_t> dims;
   for (const auto& part : util::split(text, 'x')) {
-    dims.push_back(std::stoll(part));
+    dims.push_back(parse_number<std::int64_t>(part, "shape"));
   }
   return Shape(std::move(dims));
 }
@@ -70,15 +85,13 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
   if (kind == "input") {
     auto it = kv.find("shape");
     if (it == kv.end()) throw util::DecodeError("input layer: missing shape");
-    double scale = 1.0;
-    if (auto s = kv.find("scale"); s != kv.end()) scale = std::stod(s->second);
+    const double scale = kv.count("scale") ? kv_double(kv, "scale") : 1.0;
     return std::make_unique<InputLayer>(name, parse_shape(it->second), scale);
   }
   if (kind == "conv") {
     // "g" (channel groups) is optional so pre-group descriptions parse
     // unchanged.
-    std::int64_t groups = 1;
-    if (auto g = kv.find("g"); g != kv.end()) groups = std::stoll(g->second);
+    const std::int64_t groups = kv.count("g") ? kv_int(kv, "g") : 1;
     return std::make_unique<ConvLayer>(
         name, ConvConfig{.in_channels = kv_int(kv, "in"),
                          .out_channels = kv_int(kv, "out"),
@@ -164,7 +177,15 @@ std::unique_ptr<Network> parse_description(const std::string& text) {
       inputs = util::split(it->second, ',');
       kv.erase(it);
     }
-    net->add(make_layer(kind, name, kv), inputs);
+    // Layer constructors and Network::add reject bad configs and graphs
+    // with std::logic_error subclasses; from the wire those are decode
+    // errors like any other.
+    try {
+      net->add(make_layer(kind, name, kv), inputs);
+    } catch (const std::logic_error& e) {
+      throw util::DecodeError("line " + std::to_string(line_no) + ": " +
+                              e.what());
+    }
   }
   if (!net) throw util::DecodeError("empty model description");
   return net;

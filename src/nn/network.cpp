@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/nn/kernels.h"
 #include "src/obs/metrics.h"
 
 namespace offload::nn {
@@ -155,15 +154,7 @@ Tensor Network::run_range(std::size_t begin, std::size_t end,
       metrics->add("nn.output_bytes", values[i].bytes());
     }
   }
-  if (metrics) {
-    metrics->add("nn.forward_ranges");
-    // Which backend ran the kernels. Counted only off the default so the
-    // scalar metrics snapshots (and their goldens) keep their exact lines.
-    const KernelBackend k = active_kernel_backend();
-    if (k != KernelBackend::kScalar) {
-      metrics->add(std::string("nn.kernels.") + kernel_backend_name(k));
-    }
-  }
+  if (metrics) metrics->add("nn.forward_ranges");
   return values[end - 1];
 }
 

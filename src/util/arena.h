@@ -30,9 +30,6 @@ class ScratchArena {
     float* floats(std::size_t n) {
       return static_cast<float*>(arena_.allocate(n * sizeof(float)));
     }
-    std::uint8_t* bytes(std::size_t n) {
-      return static_cast<std::uint8_t*>(arena_.allocate(n));
-    }
 
    private:
     ScratchArena& arena_;

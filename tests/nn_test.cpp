@@ -9,7 +9,6 @@
 #include "src/nn/concat.h"
 #include "src/nn/conv.h"
 #include "src/nn/dense.h"
-#include "src/nn/kernels.h"
 #include "src/nn/lrn.h"
 #include "src/nn/model_io.h"
 #include "src/nn/models.h"
@@ -63,16 +62,7 @@ TEST(Tensor, RandomUniformDeterministic) {
 
 // ------------------------------------------------------------------- conv
 
-/// Exact-value cases assert fp32 semantics: when the ambient backend is
-/// int8 (a CI matrix cell), run them on the simd fp32 path instead —
-/// bit-exact to scalar by contract, so the hand-computed values hold.
-nn::KernelBackend fp32_backend() {
-  return nn::active_kernel_ops().quantized ? nn::KernelBackend::kSimd
-                                           : nn::active_kernel_backend();
-}
-
 TEST(Conv, HandComputedIdentity) {
-  nn::ScopedKernelBackend fp32(fp32_backend());
   // 1x1 conv with weight 2 and bias 1 doubles-plus-one every pixel.
   ConvLayer conv("c", {.in_channels = 1, .out_channels = 1, .kernel = 1,
                        .stride = 1, .pad = 0});
@@ -109,7 +99,6 @@ TEST(Conv, StrideAndShape) {
 }
 
 TEST(Conv, MultiChannelAccumulation) {
-  nn::ScopedKernelBackend fp32(fp32_backend());
   ConvLayer conv("c", {.in_channels = 2, .out_channels = 1, .kernel = 1,
                        .stride = 1, .pad = 0});
   conv.weights()[0] = 1.0f;  // channel 0
@@ -179,7 +168,6 @@ TEST(Pool, NegativeInputsSurviveMax) {
 // --------------------------------------------------------------------- fc
 
 TEST(FullyConnected, HandCase) {
-  nn::ScopedKernelBackend fp32(fp32_backend());
   FullyConnectedLayer fc("f", 3, 2);
   // Row 0: [1,2,3] bias 1; row 1: [0,0,1] bias -1.
   auto params = std::vector<float>{1, 2, 3, 0, 0, 1};
@@ -474,6 +462,21 @@ TEST(ModelIo, MalformedDescriptionThrows) {
   EXPECT_THROW(parse_description("model m\nlayer a bogus\n"),
                util::DecodeError);
   EXPECT_THROW(parse_description("model m\nlayer a conv in=1\n"),
+               util::DecodeError);
+  // Numbers must be whole, in-range tokens, and a layer's own config
+  // check surfaces as a DecodeError too.
+  const std::string head = "model m\nlayer x input shape=3x8x8\n";
+  EXPECT_THROW(
+      parse_description(head + "layer c conv in=3 out=4 k=abc s=1 p=0\n"),
+      util::DecodeError);
+  EXPECT_THROW(
+      parse_description(head + "layer c conv in=3 out=4 k=3x s=1 p=0\n"),
+      util::DecodeError);
+  EXPECT_THROW(parse_description(head +
+                                 "layer c conv in=3 out=4 "
+                                 "k=99999999999999999999999 s=1 p=0\n"),
+               util::DecodeError);
+  EXPECT_THROW(parse_description(head + "layer f fc in=0 out=4\n"),
                util::DecodeError);
 }
 

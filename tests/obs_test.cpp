@@ -17,7 +17,6 @@
 
 #include "src/core/offload.h"
 #include "src/core/trace_breakdown.h"
-#include "src/nn/kernels.h"
 #include "src/obs/export.h"
 #include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
@@ -42,9 +41,6 @@ nn::BenchmarkModel tiny_model() {
 /// Exercises retries, backoff, failover, crash recovery, and both
 /// transmit directions — nearly every span kind in one trace stream.
 void run_faulted_scenario(obs::Obs& obs) {
-  // Goldens are recorded under the default backend: pin it so an ambient
-  // OFFLOAD_KERNELS=simd/int8 cannot add kernels.backend attrs or metrics.
-  nn::ScopedKernelBackend scoped(nn::KernelBackend::kScalar);
   edge::AppBundle bundle = make_benchmark_app(tiny_model(), false);
   RuntimeConfig config;
   config.client.supervisor.enabled = true;
@@ -66,7 +62,6 @@ void run_faulted_scenario(obs::Obs& obs) {
 /// Routing markers, per-server (fleet/server<k>) spans and gauges, and the
 /// dedup counters all land in the golden.
 void run_fleet_scenario(obs::Obs& obs) {
-  nn::ScopedKernelBackend scoped(nn::KernelBackend::kScalar);
   edge::AppBundle bundle = make_benchmark_app(tiny_model(), false);
   RuntimeConfig config;
   config.fleet.size = 2;
