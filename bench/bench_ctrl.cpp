@@ -87,7 +87,6 @@ PolicyResult run_policy(ctrl::PolicyKind policy, const Scenario& scenario,
   config.client.supervisor.enabled = true;
   config.client.controller.policy = policy;
   config.client.controller.seed = trial_seed;
-  config.client.controller.ignore_env = true;
   config.click_at = core::after_ack_click_time(
       *bundle.network, false, config.client.partition_cut, kHealthyBps);
 

@@ -1,26 +1,10 @@
 #include "src/core/runtime.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "src/core/trace_breakdown.h"
 
 namespace offload::core {
-
-namespace {
-bool env_truthy(const char* name) {
-  const char* env = std::getenv(name);
-  if (!env) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
-}  // namespace
-
-void RuntimeConfig::TierOptions::apply_env() {
-  if (ignore_env) return;
-  if (env_truthy("OFFLOAD_TIER")) enabled = true;
-  if (env_truthy("OFFLOAD_STEAL")) steal = true;
-}
 
 OffloadingRuntime::OffloadingRuntime(RuntimeConfig config,
                                      edge::AppBundle app)
@@ -80,19 +64,8 @@ OffloadingRuntime::OffloadingRuntime(RuntimeConfig config,
     injector_->attach_channel(*link_.channels[0]);
     injector_->attach_server(fleet_->server(0));
   }
-  config_.tier.apply_env();
-  if (config_.tier.enabled) {
-    tier::TierConfig tier_config;
-    tier_config.escalation_budget = config_.tier.escalation_budget;
-    tier_config.steal = config_.tier.steal;
-    tier_config.steal_interval = config_.tier.steal_interval;
-    tier_config.steal_seed = config_.tier.steal_seed;
-    tier_config.steal_min_backlog = config_.tier.steal_min_backlog;
-    tier_config.uplink.a_to_b.bandwidth_bps = config_.tier.uplink_bandwidth_bps;
-    tier_config.uplink.a_to_b.latency = config_.tier.uplink_latency;
-    tier_config.uplink.b_to_a.bandwidth_bps = config_.tier.uplink_bandwidth_bps;
-    tier_config.uplink.b_to_a.latency = config_.tier.uplink_latency;
-    tier_config.cloud_replicas = config_.tier.cloud_replicas;
+  if (config_.tier) {
+    tier::TierConfig tier_config = *config_.tier;
     tier_config.obs = obs_;
     if (injector_) {
       // Tier links share the run's fault plan: blackout windows (and any

@@ -47,32 +47,12 @@ struct RuntimeConfig {
     bool dedup = false;
   };
   FleetOptions fleet;
-  /// Edge→cloud tier above the fleet. Off by default: the degenerate
-  /// configuration constructs no topology, no cloud, no extra channels —
-  /// the paper reproduction stays bit-for-bit identical.
-  struct TierOptions {
-    /// `OFFLOAD_TIER=1` turns the tier on (cloud overflow escalation and
-    /// drain-based migration become available).
-    bool enabled = false;
-    /// `OFFLOAD_STEAL=1` additionally enables deterministic work stealing
-    /// between edges (implies nothing unless `enabled` is also set).
-    bool steal = false;
-    /// Per-relay deadline budget (tier::TierConfig::escalation_budget).
-    sim::SimTime escalation_budget = sim::SimTime::seconds(2);
-    sim::SimTime steal_interval = sim::SimTime::millis(50);
-    std::uint64_t steal_seed = 1;
-    std::size_t steal_min_backlog = 2;
-    /// Edge→cloud WAN shape: fatter but farther than the client links.
-    double uplink_bandwidth_bps = 200e6;
-    sim::SimTime uplink_latency = sim::SimTime::millis(20);
-    /// Lanes on the cloud scheduler (it absorbs every edge's overflow).
-    int cloud_replicas = 4;
-    /// Tests set this to pin a configuration against ambient env vars.
-    bool ignore_env = false;
-    /// Fold in `OFFLOAD_TIER` / `OFFLOAD_STEAL` ("1"/"true"/"on" enable).
-    void apply_env();
-  };
-  TierOptions tier;
+  /// Edge→cloud tier above the fleet (cloud overflow escalation,
+  /// drain-based migration, optional work stealing). Unset by default: the
+  /// degenerate configuration constructs no topology, no cloud, no extra
+  /// channels — the paper reproduction stays bit-for-bit identical. The
+  /// runtime fills in `obs` and `on_channel` (the fault plan's tier links).
+  std::optional<tier::TierConfig> tier;
   /// Observability sink shared by every actor (client, servers, channels,
   /// schedulers). Null = the runtime owns one internally; tracing is
   /// always on (a handful of spans per inference), and the breakdown is
@@ -127,7 +107,7 @@ class OffloadingRuntime {
   fault::FaultPlan* fault_plan() {
     return injector_ ? &injector_->plan() : nullptr;
   }
-  /// The edge→cloud tier, or null when RuntimeConfig::tier left it off.
+  /// The edge→cloud tier, or null when RuntimeConfig::tier is unset.
   tier::Topology* topology() { return topology_.get(); }
   /// The observability sink all actors share (the caller's, or the
   /// runtime-owned one). Valid for the runtime's lifetime.

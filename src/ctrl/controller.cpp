@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 namespace offload::ctrl {
 namespace {
@@ -30,24 +27,6 @@ const char* policy_name(PolicyKind kind) {
     case PolicyKind::kBandit: return "bandit";
   }
   return "?";
-}
-
-PolicyKind parse_policy(std::string_view name) {
-  if (name == "static") return PolicyKind::kStatic;
-  if (name == "drift") return PolicyKind::kDrift;
-  if (name == "bandit") return PolicyKind::kBandit;
-  throw std::invalid_argument("unknown OFFLOAD_CTRL policy: " +
-                              std::string(name));
-}
-
-void ControllerConfig::apply_env() {
-  if (ignore_env) return;
-  if (const char* env = std::getenv("OFFLOAD_CTRL")) {
-    policy = parse_policy(env);
-  }
-  if (const char* env = std::getenv("OFFLOAD_CTRL_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
 }
 
 CutController::CutController(const ControllerConfig& config,

@@ -1,15 +1,18 @@
 // Online partition-point controller (the ROADMAP's "DynO-style" item):
 // closes the loop between live telemetry and the per-inference DNN cut.
 // The paper picks the cut once, at click time, from a static
-// Neurosurgeon-style cost model; this controller re-selects it for every
-// inference — and re-cuts mid-flight when the supervisor reports a failed
-// attempt — from what the system actually observed: the measured upload
-// bandwidth (net::BandwidthEstimator), the target server's queue depth and
+// Neurosurgeon-style cost model plus the observed network status
+// (Section III.B.2). This controller is the client's only runtime cut
+// selection: the drift policy's first, untrained decision *is* that static
+// estimate, and from there it re-selects the cut for every inference — and
+// re-cuts mid-flight when the supervisor reports a failed attempt — from
+// what the system actually observed: the measured upload bandwidth
+// (net::BandwidthEstimator), the target server's queue depth and
 // batch-formation wait (serve::Scheduler pull accessors), and the fleet's
 // per-server outstanding counts.
 //
-// Two policies, selected by ControllerConfig::policy (the OFFLOAD_CTRL env
-// knob):
+// Two policies, selected by ControllerConfig::policy (set through
+// edge::ClientConfig::controller):
 //   drift  — the static partitioner estimate per candidate cut, times an
 //            EWMA correction factor learned per (server, cut) from observed
 //            end-to-end latencies, plus a queue-occupancy wait term.
@@ -29,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/nn/cost_model.h"
@@ -46,13 +48,11 @@ enum class PolicyKind : std::uint8_t {
 };
 
 const char* policy_name(PolicyKind kind);
-/// Parses "static" / "drift" / "bandit"; throws std::invalid_argument.
-PolicyKind parse_policy(std::string_view name);
 
 struct ControllerConfig {
   PolicyKind policy = PolicyKind::kStatic;
   /// Seed for the controller's PCG32 stream (bandit exploration draws and
-  /// tie-breaks). The OFFLOAD_CTRL_SEED env knob.
+  /// tie-breaks).
   std::uint64_t seed = 1;
   /// EWMA smoothing for the per-(server, cut) drift-correction factors.
   double ewma_alpha = 0.3;
@@ -77,14 +77,7 @@ struct ControllerConfig {
   /// requirement against a degenerate estimator).
   double min_bandwidth_bps = 1e3;
   nn::PartitionerOptions partitioner;
-  /// When false (the default), apply_env() lets OFFLOAD_CTRL /
-  /// OFFLOAD_CTRL_SEED override policy and seed at client construction.
-  /// Benches that sweep policies explicitly set true.
-  bool ignore_env = false;
 
-  /// Override policy/seed from the environment (no-op when ignore_env).
-  /// Unknown OFFLOAD_CTRL values throw std::invalid_argument.
-  void apply_env();
   bool active() const { return policy != PolicyKind::kStatic; }
 };
 

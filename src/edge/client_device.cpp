@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "src/jsvm/snapshot.h"
 #include "src/jsvm/snapshot_diff.h"
@@ -16,7 +18,6 @@ namespace offload::edge {
 ClientDevice::ClientDevice(sim::Simulation& sim, net::Endpoint& endpoint,
                            ClientConfig config, AppBundle bundle)
     : sim_(sim),
-      endpoint_(endpoint),
       config_(std::move(config)),
       bundle_(std::move(bundle)),
       local_store_(std::make_shared<ModelStore>()) {
@@ -25,21 +26,11 @@ ClientDevice::ClientDevice(sim::Simulation& sim, net::Endpoint& endpoint,
   }
   // The client owns the full, trained model locally.
   obs_ = config_.obs;
-  config_.controller.apply_env();
   local_store_->store_files(nn::model_files(*bundle_.network));
   browser_ = std::make_unique<BrowserHost>(config_.profile, local_store_);
   browser_->add_image("input", bundle_.input_image);
   if (supervising()) backoff_.emplace(config_.supervisor);
-  servers_.push_back(&endpoint_);
-  model_sent_.push_back(0);
-  breakers_.emplace_back(config_.supervisor);
-  endpoint_.set_handler([this](const net::Message& m) { on_message(m); });
-  if (supervising()) {
-    endpoint_.set_failure_handler(
-        [this](const net::Message& m, int attempts) {
-          on_delivery_failure(m, attempts);
-        });
-  }
+  attach_server(endpoint);
 }
 
 std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
@@ -58,7 +49,7 @@ std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
 
 std::vector<nn::ModelFile> ClientDevice::files_to_send() const {
   // An adaptive controller may re-cut shallower than the click-time cut,
-  // so the server needs the full weights (auto_partition's convention).
+  // so the server needs the full weights.
   if (controller_active()) return nn::model_files(*bundle_.network);
   if (config_.presend_rear_only && config_.partition_cut != SIZE_MAX) {
     return nn::model_files_rear_only(*bundle_.network, config_.partition_cut);
@@ -66,63 +57,56 @@ std::vector<nn::ModelFile> ClientDevice::files_to_send() const {
   return nn::model_files(*bundle_.network);
 }
 
+void ClientDevice::open_presend_span(net::Message& msg, const char* kind,
+                                     const char* counter) {
+  if (!obs_) return;
+  // One kPresend span per model send toward an ACK, on the session trace.
+  // A re-send supersedes (closes) the previous open span.
+  if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
+  presend_span_ =
+      obs_->trace.open(0, 0, obs::SpanKind::kPresend, kind + bundle_.name,
+                       "client/protocol", sim_.now());
+  msg.ctx = {0, presend_span_, 0};
+  obs_->metrics.add(counter);
+}
+
 void ClientDevice::send_model_files(bool count_as_presend) {
   if (model_sent()) return;
-  if (config_.dedup_presend) {
-    send_model_offer(count_as_presend);
-    return;
-  }
   model_sent() = true;
   awaiting_ack_ = true;
-  ModelFilesPayload payload;
-  payload.files = files_to_send();
   net::Message msg;
-  msg.type = net::MessageType::kModelFiles;
   msg.name = bundle_.name;
-  msg.payload = payload.encode();
+  if (config_.dedup_presend) {
+    // Content-addressed pre-send: ship digests, not bodies. The server
+    // answers "have:<app>" (an ACK) when its blob cache covers the bundle,
+    // or "send_files:<app>" naming the files it needs uploaded in full.
+    ModelOfferPayload payload;
+    for (const auto& f : files_to_send()) {
+      payload.files.push_back(
+          {f.name, util::fnv1a(std::span(f.content)), f.size()});
+    }
+    msg.type = net::MessageType::kModelOffer;
+    msg.payload = payload.encode();
+  } else {
+    ModelFilesPayload payload;
+    payload.files = files_to_send();
+    msg.type = net::MessageType::kModelFiles;
+    msg.payload = payload.encode();
+  }
   timeline_.model_upload_bytes = msg.payload.size();
   if (count_as_presend) timeline_.model_upload_started = sim_.now();
-  if (obs_) {
-    // One kPresend span per model send toward an ACK, on the session
-    // trace. A re-send supersedes (closes) the previous open span.
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "presend:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.model_sends");
+  if (config_.dedup_presend) {
+    open_presend_span(msg, "offer:", "client.model_offers");
+  } else {
+    open_presend_span(msg, "presend:", "client.model_sends");
   }
   active_endpoint().send(std::move(msg));
 }
 
-void ClientDevice::send_model_offer(bool count_as_presend) {
-  // Content-addressed pre-send: ship digests, not bodies. The server
-  // answers "have:<app>" (an ACK) when its blob cache covers the bundle,
-  // or "send_files:<app>" naming the files it needs uploaded in full.
-  model_sent() = true;
-  awaiting_ack_ = true;
-  ModelOfferPayload payload;
-  for (const auto& f : files_to_send()) {
-    payload.files.push_back(
-        {f.name, util::fnv1a(std::span(f.content)), f.size()});
-  }
-  net::Message msg;
-  msg.type = net::MessageType::kModelOffer;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.model_upload_bytes = msg.payload.size();
-  if (count_as_presend) timeline_.model_upload_started = sim_.now();
-  if (obs_) {
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "offer:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.model_offers");
-  }
-  active_endpoint().send(std::move(msg));
+void ClientDevice::resend_model() {
+  model_sent() = false;
+  send_model_files(/*count_as_presend=*/false);
+  arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
 }
 
 void ClientDevice::send_requested_files(const FileListPayload& request) {
@@ -166,15 +150,7 @@ void ClientDevice::send_overlay() {
   msg.type = net::MessageType::kVmOverlay;
   msg.name = bundle_.name;
   msg.payload = std::move(overlay.payload);
-  if (obs_) {
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "overlay:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.overlay_sends");
-  }
+  open_presend_span(msg, "overlay:", "client.overlay_sends");
   active_endpoint().send(std::move(msg));
   model_sent() = true;  // the overlay carried the model files
   timeline_.model_upload_started = sim_.now();
@@ -203,34 +179,18 @@ void ClientDevice::click_at(sim::SimTime at) {
   sim_.schedule_at(at, [this] { begin_inference(); });
 }
 
-std::size_t ClientDevice::pick_partition_cut() {
-  if (!config_.auto_partition) return config_.partition_cut;
-  if (!client_cost_) {
-    const nn::Network* nets[] = {bundle_.network.get()};
-    client_cost_ = nn::LayerCostModel::profile_device(config_.profile, nets);
-    server_cost_ = nn::LayerCostModel::profile_device(
-        nn::DeviceProfile::edge_server(), nets);
-  }
-  nn::Partitioner partitioner(*bundle_.network, *client_cost_, *server_cost_);
-  nn::PartitionCandidate best =
-      partitioner.best(bandwidth_.estimate_bps(), 0.001);
-  return best.cut;
-}
-
 // ---------------------------------------------------------------------------
 // Partition controller
 // ---------------------------------------------------------------------------
 
 void ClientDevice::ensure_controller() {
   if (controller_) return;
-  if (!client_cost_) {
-    const nn::Network* nets[] = {bundle_.network.get()};
-    client_cost_ = nn::LayerCostModel::profile_device(config_.profile, nets);
-    server_cost_ = nn::LayerCostModel::profile_device(
-        nn::DeviceProfile::edge_server(), nets);
-  }
-  controller_.emplace(config_.controller, bundle_.network, *client_cost_,
-                      *server_cost_);
+  const nn::Network* nets[] = {bundle_.network.get()};
+  controller_.emplace(
+      config_.controller, bundle_.network,
+      nn::LayerCostModel::profile_device(config_.profile, nets),
+      nn::LayerCostModel::profile_device(nn::DeviceProfile::edge_server(),
+                                         nets));
 }
 
 ctrl::LinkSignals ClientDevice::gather_signals(std::size_t server) {
@@ -246,8 +206,7 @@ void ClientDevice::apply_decision(ctrl::Decision decision,
   decision_recorded_ = false;
   if (decision.local) {
     // The controller says local execution wins under current conditions.
-    // The app still needs a valid cut for its inference_front/rear calls
-    // (same idiom as the auto_partition local branch).
+    // The app still needs a valid cut for its inference_front/rear calls.
     timeline_.local_fallback = true;
     std::size_t local_cut = config_.partition_cut != SIZE_MAX
                                 ? config_.partition_cut
@@ -307,6 +266,13 @@ void ClientDevice::perform_recut(const ctrl::Decision& decision) {
   record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
   decision_ = decision;
   decision_recorded_ = false;
+  if (decision.local) {
+    // The controller prices the remote side out entirely: the local
+    // decision governs the finish.
+    count("ctrl.recuts_local");
+    abandon_remote("controller chose local");
+    return;
+  }
   count("ctrl.recuts");
   OFFLOAD_LOG_INFO << "client: re-cutting in flight to node " << decision.cut;
   if (obs_) {
@@ -334,64 +300,27 @@ void ClientDevice::perform_recut(const ctrl::Decision& decision) {
     return;
   }
   interp.enqueue_event(std::move(target), "click", jsvm::Undefined{});
-  interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
-    return ev.type == config_.offload_event;
-  };
-  {
-    obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-    interp.run_events();
-  }
-  double exec_s = browser_->consume_compute_seconds();
-  timeline_.client_exec_s += exec_s;
+  const double exec_s = execute(/*defer_offload=*/true, "exec_recut");
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
-  if (obs_) {
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                     "exec_recut", "client", sim_.now(), exec_end, exec_s);
-  }
-  auto pending = interp.take_pending_offload();
-  if (!pending) {
+  if (!interp.take_pending_offload()) {
     // The app ran to completion locally (no offload event at the new cut).
     timeline_.local_fallback = true;
     timeline_.offloaded = false;
-    awaiting_result_ = false;
-    inflight_snapshot_.reset();
+    clear_inflight();
     cancel_supervision_timers();
     timeline_.finished = exec_end;
     finish_trace();
     return;
   }
-  jsvm::SnapshotResult snap =
-      jsvm::capture_snapshot(interp, config_.snapshot_options);
-  SnapshotPayload payload;
-  payload.cut = decision.cut;
-  payload.program = std::move(snap.program);
-  timeline_.snapshot_stats = snap.stats;
-  timeline_.used_differential = false;
-  double capture_s =
-      config_.profile.snapshot_capture_s(snap.stats.total_bytes);
-  timeline_.capture_s += capture_s;
-  if (obs_) {
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                     "recapture", "client", exec_end,
-                     exec_end + sim::SimTime::seconds(capture_s), capture_s);
-    obs_->metrics.add("client.recaptures");
-  }
-  net::Message msg;
-  msg.type = net::MessageType::kSnapshot;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.snapshot_bytes = msg.wire_size();
-  inflight_snapshot_ = std::move(msg);
+  CapturedSnapshot snap =
+      capture_message(/*differential=*/false, exec_end, /*recapture=*/true);
+  inflight_snapshot_ = std::move(snap.msg);
   baseline_.reset();  // the re-run front invalidated the shared baseline
-  sim_.schedule(sim::SimTime::seconds(exec_s + capture_s), [this] {
+  sim_.schedule(sim::SimTime::seconds(exec_s + snap.capture_s), [this] {
     if (!awaiting_result_ || !inflight_snapshot_) return;
-    if (model_sent()) {
-      resend_inflight();
-    } else {
-      // Failover landed on a cold server: presend first; the ACK replays
-      // the refreshed snapshot.
-      begin_recovery("recut on cold server");
-    }
+    // A failover that landed on a cold server presends first; the ACK
+    // replays the refreshed snapshot.
+    resend_or_recover("recut on cold server");
   });
 }
 
@@ -415,9 +344,14 @@ void ClientDevice::apply_route() {
   if (valid.empty()) return;
   candidates_ = std::move(valid);
   if (candidates_.front() != active_server_) {
-    active_server_ = candidates_.front();
-    baseline_.reset();  // sessions do not migrate between servers
+    switch_server(candidates_.front());
   }
+}
+
+void ClientDevice::switch_server(std::size_t index) {
+  active_server_ = index;
+  timeline_.server_index = static_cast<int>(index);
+  baseline_.reset();  // sessions do not migrate between servers
 }
 
 void ClientDevice::notify_done() {
@@ -476,22 +410,6 @@ void ClientDevice::begin_inference() {
     apply_decision(
         controller_->decide(active_server_, gather_signals(active_server_)),
         "click");
-  } else if (config_.offload && config_.auto_partition) {
-    std::size_t cut = pick_partition_cut();
-    if (cut + 1 >= bundle_.network->size()) {
-      // The partitioner says local execution wins under current network
-      // conditions; honor it for this inference. The app still needs a
-      // valid cut for its inference_front/rear calls.
-      timeline_.local_fallback = true;
-      std::size_t local_cut = config_.partition_cut != SIZE_MAX
-                                  ? config_.partition_cut
-                                  : bundle_.network->cut_points().front();
-      browser_->set_partition_cut(bundle_.name, local_cut);
-      timeline_.used_partition_cut = local_cut;
-    } else {
-      timeline_.used_partition_cut = cut;
-      browser_->set_partition_cut(bundle_.name, cut);
-    }
   }
 
   jsvm::DomNodePtr target =
@@ -505,26 +423,58 @@ void ClientDevice::begin_inference() {
   run_app_events();
 }
 
-void ClientDevice::run_locally() {
+double ClientDevice::run_realm(bool defer_offload) {
   jsvm::Interpreter& interp = browser_->interp();
-  interp.offload_hook = nullptr;
+  if (defer_offload) {
+    interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
+      return ev.type == config_.offload_event;
+    };
+  } else {
+    interp.offload_hook = nullptr;
+  }
   {
     obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
     interp.run_events();
   }
-  double exec_s = browser_->consume_compute_seconds();
+  return browser_->consume_compute_seconds();
+}
+
+double ClientDevice::execute(bool defer_offload, const char* label) {
+  const double exec_s = run_realm(defer_offload);
   timeline_.client_exec_s += exec_s;
-  timeline_.finished = sim_.now() + sim::SimTime::seconds(exec_s);
   if (obs_) {
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                     "exec_local", "client", sim_.now(),
-                     *timeline_.finished, exec_s);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec, label,
+                     "client", sim_.now(),
+                     sim_.now() + sim::SimTime::seconds(exec_s), exec_s);
   }
+  return exec_s;
+}
+
+void ClientDevice::run_locally() {
+  const double exec_s = execute(/*defer_offload=*/false, "exec_local");
+  timeline_.finished = sim_.now() + sim::SimTime::seconds(exec_s);
   finish_trace();
 }
 
+void ClientDevice::fall_back_locally(const char* reason) {
+  if (supervising()) {
+    abandon_remote(reason);
+    return;
+  }
+  clear_inflight();
+  timeline_.local_fallback = true;
+  timeline_.offloaded = false;  // the result never came from the server
+  run_locally();
+}
+
+void ClientDevice::clear_inflight() {
+  awaiting_result_ = false;
+  inflight_snapshot_.reset();
+  resend_snapshot_on_ack_ = false;
+  hold_snapshot_for_ack_ = false;
+}
+
 void ClientDevice::run_app_events() {
-  jsvm::Interpreter& interp = browser_->interp();
   bool want_offload = config_.offload && !timeline_.local_fallback;
   if (want_offload && config_.local_fallback_before_ack &&
       !timeline_.ack_received && config_.presend_model) {
@@ -542,9 +492,7 @@ void ClientDevice::run_app_events() {
       ++sup_stats_.failovers;
       count("supervisor.failovers");
       OFFLOAD_LOG_WARN << "client: breaker open, routing to server " << next;
-      active_server_ = next;
-      timeline_.server_index = static_cast<int>(next);
-      baseline_.reset();  // sessions do not migrate between servers
+      switch_server(next);
     } else {
       ++sup_stats_.breaker_short_circuits;
       count("supervisor.breaker_short_circuits");
@@ -558,23 +506,9 @@ void ClientDevice::run_app_events() {
     return;
   }
 
-  interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
-    return ev.type == config_.offload_event;
-  };
-  {
-    obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-    interp.run_events();
-  }
-  double exec_s = browser_->consume_compute_seconds();
-  timeline_.client_exec_s += exec_s;
+  const double exec_s = execute(/*defer_offload=*/true, "exec_front");
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
-  if (obs_) {
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                     "exec_front", "client", sim_.now(), exec_end, exec_s);
-  }
-
-  auto pending = interp.take_pending_offload();
-  if (!pending) {
+  if (!browser_->interp().take_pending_offload()) {
     // Ran to completion locally (app never raised the offload event).
     timeline_.finished = exec_end;
     finish_trace();
@@ -583,45 +517,53 @@ void ClientDevice::run_app_events() {
 
   // Offload point reached: capture the snapshot (the pending event is
   // still at the queue front and rides along). Repeat offloads diff
-  // against the state the server kept.
+  // against the state the server kept. The capture is charged right after
+  // the front execution, so its span abuts the exec span.
+  timeline_.offloaded = true;
+  CapturedSnapshot snap = capture_message(
+      config_.differential_snapshots && baseline_.has_value(), exec_end,
+      /*recapture=*/false);
+  send_snapshot_message(std::move(snap.msg), exec_s + snap.capture_s);
+}
+
+ClientDevice::CapturedSnapshot ClientDevice::capture_message(
+    bool differential, sim::SimTime at, bool recapture) {
+  jsvm::Interpreter& interp = browser_->interp();
   SnapshotPayload payload;
   payload.cut = timeline_.used_partition_cut == SIZE_MAX
                     ? UINT64_MAX
                     : timeline_.used_partition_cut;
-  if (config_.differential_snapshots && baseline_) {
-    jsvm::DiffSnapshotResult diff =
-        jsvm::capture_snapshot_diff(interp, *baseline_,
-                                    config_.snapshot_options);
+  if (differential) {
+    jsvm::DiffSnapshotResult diff = jsvm::capture_snapshot_diff(
+        interp, *baseline_, config_.snapshot_options);
     payload.differential = !diff.full_fallback;
     payload.base_version = diff.base_version;
     payload.program = std::move(diff.program);
     timeline_.snapshot_stats = diff.stats;
-    timeline_.used_differential = payload.differential;
   } else {
     jsvm::SnapshotResult snap =
         jsvm::capture_snapshot(interp, config_.snapshot_options);
     payload.program = std::move(snap.program);
     timeline_.snapshot_stats = snap.stats;
   }
-  timeline_.capture_s = config_.profile.snapshot_capture_s(
+  timeline_.used_differential = payload.differential;
+  const double capture_s = config_.profile.snapshot_capture_s(
       timeline_.snapshot_stats.total_bytes);
-  timeline_.offloaded = true;
+  // A recapture adds to the inference's capture time; the first sets it.
+  timeline_.capture_s = recapture ? timeline_.capture_s + capture_s
+                                  : capture_s;
   if (obs_) {
-    // The capture is charged immediately after the front execution; its
-    // span abuts the exec span so the two tile [now, snapshot send).
     obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                     "capture", "client", exec_end,
-                     exec_end + sim::SimTime::seconds(timeline_.capture_s),
-                     timeline_.capture_s);
+                     recapture ? "recapture" : "capture", "client", at,
+                     at + sim::SimTime::seconds(capture_s), capture_s);
+    if (recapture) obs_->metrics.add("client.recaptures");
   }
-
-  net::Message msg;
-  msg.type = net::MessageType::kSnapshot;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.snapshot_bytes = msg.wire_size();
-
-  send_snapshot_message(std::move(msg), exec_s + timeline_.capture_s);
+  CapturedSnapshot out{net::Message{}, capture_s};
+  out.msg.type = net::MessageType::kSnapshot;
+  out.msg.name = bundle_.name;
+  out.msg.payload = payload.encode();
+  timeline_.snapshot_bytes = out.msg.wire_size();
+  return out;
 }
 
 void ClientDevice::send_snapshot_message(net::Message msg, double busy_s) {
@@ -632,46 +574,31 @@ void ClientDevice::send_snapshot_message(net::Message msg, double busy_s) {
     // must accompany the snapshot (Section III.B.1's slow path).
     const bool model_pending = !model_sent();
     send_model_files(/*count_as_presend=*/false);
+    inflight_snapshot_ = std::move(msg);
     if (config_.dedup_presend && model_pending) {
       // Dedup slow path: the offer has to resolve into an ACK (cache hit
       // or an upload of the missing files) before the snapshot can run
       // remotely — sent now it would only bounce with "model_missing".
       // Park it; the ACK dispatches it without counting a retry.
-      inflight_snapshot_ = std::move(msg);
       hold_snapshot_for_ack_ = true;
-      if (supervising()) {
-        arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-        if (config_.supervisor.hedge_after != sim::SimTime::zero() &&
-            !hedge_running_ && !hedge_timer_.valid()) {
-          hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
-                                       [this] { start_hedge(); });
-        }
-      }
-      return;
+      arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
+    } else {
+      dispatch_inflight_snapshot();
     }
-    timeline_.snapshot_sent = sim_.now();
-    inflight_snapshot_ = msg;
-    ++attempts_;
-    mark_snapshot_send(msg, "snapshot_send");
-    active_endpoint().send(std::move(msg));
-    if (supervising()) {
-      arm_upload_watchdog();
-      if (config_.supervisor.hedge_after != sim::SimTime::zero() &&
-          !hedge_running_ && !hedge_timer_.valid()) {
-        hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
-                                     [this] { start_hedge(); });
-      }
-    }
+    arm_hedge_timer();
   });
+}
+
+void ClientDevice::send_inflight(const char* label) {
+  timeline_.snapshot_sent = sim_.now();
+  mark_snapshot_send(*inflight_snapshot_, label);
+  active_endpoint().send(*inflight_snapshot_);
 }
 
 void ClientDevice::dispatch_inflight_snapshot() {
   if (!inflight_snapshot_) return;
-  timeline_.snapshot_sent = sim_.now();
   ++attempts_;
-  net::Message msg = *inflight_snapshot_;
-  mark_snapshot_send(msg, "snapshot_send");
-  active_endpoint().send(std::move(msg));
+  send_inflight("snapshot_send");
   if (supervising()) arm_upload_watchdog();
 }
 
@@ -717,43 +644,45 @@ void ClientDevice::on_phase_timeout(Phase phase) {
   ++sup_stats_.deadline_expiries;
   count("supervisor.deadline_expiries");
   record_breaker_outcome(/*success=*/false);
-  if (phase == Phase::kPresend) {
-    if (!awaiting_ack_) return;  // raced with the ACK
-    if (awaiting_result_ && inflight_snapshot_) {
-      // A snapshot is riding on this ACK (recovery or the slow path):
-      // funnel the whole exchange through the retry policy.
-      retry_snapshot("model pre-send deadline");
-      return;
-    }
-    if (presend_attempts_ >= config_.supervisor.max_attempts) {
-      OFFLOAD_LOG_WARN << "client: model pre-send abandoned after "
-                       << presend_attempts_ << " attempts";
-      return;  // inferences proceed locally until the server recovers
-    }
-    sim::SimTime wait = backoff_->delay(presend_attempts_);
-    sup_stats_.backoff_wait_s += wait.to_seconds();
-    ++sup_stats_.retries;
-    count("supervisor.retries");
-    if (obs_) {
-      // Pre-send backoffs belong to the app session, not any inference:
-      // a trace-0 marker, never a kRetryBackoff phase span.
-      obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
-                         sim_.now());
-    }
-    OFFLOAD_LOG_WARN << "client: model ACK overdue, re-sending after "
-                     << wait.str();
-    sim_.schedule(wait, [this] {
-      if (!awaiting_ack_) return;
-      ++presend_attempts_;
-      model_sent() = false;
-      send_model_files(/*count_as_presend=*/false);
-      arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-    });
+  if (phase != Phase::kPresend) {
+    retry_snapshot(phase == Phase::kUpload      ? "upload deadline"
+                   : phase == Phase::kExecute ? "execution deadline"
+                                              : "download deadline");
     return;
   }
-  retry_snapshot(phase == Phase::kUpload     ? "upload deadline"
-                 : phase == Phase::kExecute  ? "execution deadline"
-                                             : "download deadline");
+  if (!awaiting_ack_) return;  // raced with the ACK
+  if (awaiting_result_ && inflight_snapshot_) {
+    // A snapshot is riding on this ACK (recovery or the slow path):
+    // funnel the whole exchange through the retry policy.
+    retry_snapshot("model pre-send deadline");
+    return;
+  }
+  retry_presend_after_backoff();
+}
+
+void ClientDevice::retry_presend_after_backoff() {
+  if (presend_attempts_ >= config_.supervisor.max_attempts) {
+    OFFLOAD_LOG_WARN << "client: model pre-send abandoned after "
+                     << presend_attempts_ << " attempts";
+    return;  // inferences proceed locally until the server recovers
+  }
+  sim::SimTime wait = backoff_->delay(presend_attempts_);
+  sup_stats_.backoff_wait_s += wait.to_seconds();
+  ++sup_stats_.retries;
+  count("supervisor.retries");
+  if (obs_) {
+    // Pre-send backoffs belong to the app session, not any inference:
+    // a trace-0 marker, never a kRetryBackoff phase span.
+    obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
+                       sim_.now());
+  }
+  OFFLOAD_LOG_WARN << "client: model ACK missing, re-sending after "
+                   << wait.str();
+  sim_.schedule(wait, [this] {
+    if (!awaiting_ack_) return;
+    ++presend_attempts_;
+    resend_model();
+  });
 }
 
 void ClientDevice::retry_snapshot(const char* reason) {
@@ -771,13 +700,7 @@ void ClientDevice::retry_snapshot(const char* reason) {
   }
   if (auto recut = plan_recut()) {
     if (recut->local) {
-      // The controller prices the remote side out entirely: charge the
-      // superseded decision and let the local decision govern the finish.
-      record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
-      decision_ = *recut;
-      decision_recorded_ = false;
-      count("ctrl.recuts_local");
-      abandon_remote("controller chose local");
+      perform_recut(*recut);  // finishes locally under the new decision
       return;
     }
     // Re-cut after the backoff wait instead of resending the same bytes.
@@ -813,10 +736,16 @@ void ClientDevice::resend_inflight() {
   ++timeline_.retries;
   count("supervisor.retries");
   count("client.retries");
-  timeline_.snapshot_sent = sim_.now();
-  mark_snapshot_send(*inflight_snapshot_, "snapshot_resend");
-  active_endpoint().send(*inflight_snapshot_);
+  send_inflight("snapshot_resend");
   arm_upload_watchdog();
+}
+
+void ClientDevice::resend_or_recover(const char* reason) {
+  if (model_sent()) {
+    resend_inflight();  // this server already holds the model
+  } else {
+    begin_recovery(reason);
+  }
 }
 
 void ClientDevice::record_breaker_outcome(bool success) {
@@ -867,31 +796,16 @@ bool ClientDevice::try_failover() {
   ++sup_stats_.failovers;
   count("supervisor.failovers");
   OFFLOAD_LOG_WARN << "client: failing over to server " << next;
-  active_server_ = next;
-  timeline_.server_index = static_cast<int>(next);
-  baseline_.reset();  // sessions do not migrate between servers
-  attempts_ = 0;      // fresh retry budget against the new server
+  switch_server(next);
+  attempts_ = 0;  // fresh retry budget against the new server
   if (auto recut = plan_recut()) {
     // The failover carries a per-server cut override: the new server's
     // load (and our learned corrections for it) may favor another split.
-    if (recut->local) {
-      record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
-      decision_ = *recut;
-      decision_recorded_ = false;
-      count("ctrl.recuts_local");
-      abandon_remote("controller chose local");
-      return true;
-    }
     pending_recut_.reset();
     perform_recut(*recut);  // resends (or recovers) with the new cut
     return true;
   }
-  if (model_sent()) {
-    // This server already holds the model from an earlier stint.
-    resend_inflight();
-  } else {
-    begin_recovery("failover");
-  }
+  resend_or_recover("failover");
   return true;
 }
 
@@ -911,11 +825,9 @@ void ClientDevice::begin_recovery(const char* reason) {
         std::string("recovery:") + reason, "client", sim_.now());
   }
   baseline_.reset();  // any kept session died with the server
-  model_sent() = false;
   resend_snapshot_on_ack_ = true;
   presend_attempts_ = 1;
-  send_model_files(/*count_as_presend=*/false);
-  arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
+  resend_model();
 }
 
 void ClientDevice::abandon_remote(const char* reason) {
@@ -928,10 +840,7 @@ void ClientDevice::abandon_remote(const char* reason) {
                        "client", sim_.now());
   }
   cancel_supervision_timers();
-  awaiting_result_ = false;
-  inflight_snapshot_.reset();
-  resend_snapshot_on_ack_ = false;
-  hold_snapshot_for_ack_ = false;
+  clear_inflight();
   ignore_late_result_ = true;
   timeline_.local_fallback = true;
   timeline_.offloaded = false;  // the result will not come from a server
@@ -951,13 +860,7 @@ void ClientDevice::start_hedge() {
                       "hedged local execution";
   // The offloaded event is still at the realm's queue front (capture left
   // it in place), so the hedge is simply: stop deferring, run it here.
-  jsvm::Interpreter& interp = browser_->interp();
-  interp.offload_hook = nullptr;
-  {
-    obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-    interp.run_events();
-  }
-  hedge_exec_s_ = browser_->consume_compute_seconds();
+  hedge_exec_s_ = run_realm(/*defer_offload=*/false);
   hedge_finish_at_ = sim_.now() + sim::SimTime::seconds(hedge_exec_s_);
   hedge_finish_timer_ = sim_.schedule(sim::SimTime::seconds(hedge_exec_s_),
                                       [this] { finish_hedge(); });
@@ -986,10 +889,7 @@ void ClientDevice::finish_hedge() {
   timeline_.local_fallback = true;
   timeline_.offloaded = false;
   record_breaker_outcome(/*success=*/false);
-  awaiting_result_ = false;
-  inflight_snapshot_.reset();
-  resend_snapshot_on_ack_ = false;
-  hold_snapshot_for_ack_ = false;
+  clear_inflight();
   ignore_late_result_ = true;
   cancel_supervision_timers();
   finish_trace();
@@ -1007,23 +907,17 @@ void ClientDevice::on_delivery_failure(const net::Message& message,
     return;
   }
   if (message.type == net::MessageType::kModelFiles && awaiting_ack_) {
-    if (presend_attempts_ >= config_.supervisor.max_attempts) return;
-    sim::SimTime wait = backoff_->delay(presend_attempts_);
-    sup_stats_.backoff_wait_s += wait.to_seconds();
-    ++sup_stats_.retries;
-    count("supervisor.retries");
-    if (obs_) {
-      obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
-                         sim_.now());
-    }
-    sim_.schedule(wait, [this] {
-      if (!awaiting_ack_) return;
-      ++presend_attempts_;
-      model_sent() = false;
-      send_model_files(/*count_as_presend=*/false);
-      arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-    });
+    retry_presend_after_backoff();
   }
+}
+
+void ClientDevice::arm_hedge_timer() {
+  if (!supervising() || hedge_running_ || hedge_timer_.valid() ||
+      config_.supervisor.hedge_after == sim::SimTime::zero()) {
+    return;
+  }
+  hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
+                               [this] { start_hedge(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,371 +925,308 @@ void ClientDevice::on_delivery_failure(const net::Message& message,
 // ---------------------------------------------------------------------------
 
 void ClientDevice::on_message(const net::Message& message) {
-  switch (message.type) {
-    case net::MessageType::kAck: {
-      if (obs_ && presend_span_) {
-        // The pre-send span covers send -> ACK (store time included).
-        obs_->trace.close(presend_span_, sim_.now());
-        presend_span_ = 0;
-      }
-      if (supervising()) {
-        awaiting_ack_ = false;
-        record_breaker_outcome(/*success=*/true);
-        if (phase_ == Phase::kPresend) cancel_phase_timer();
-      }
-      if (!timeline_.ack_received) {
-        timeline_.ack_received = sim_.now();
-        // The completed upload doubles as a bandwidth observation
-        // (Section III.B.2's "runtime network status").
-        if (timeline_.model_upload_bytes > 0) {
-          bandwidth_.observe(timeline_.model_upload_bytes,
-                             *timeline_.ack_received -
-                                 timeline_.model_upload_started);
-        }
-      }
-      if (resend_snapshot_on_ack_ && awaiting_result_ && inflight_snapshot_) {
-        // Crash recovery / failover: the model landed on the (re)started
-        // server — now replay the snapshot that was in flight.
-        resend_snapshot_on_ack_ = false;
-        if (recovery_started_) {
-          double spent = (sim_.now() - *recovery_started_).to_seconds();
-          sup_stats_.recovery_s += spent;
-          timeline_.recovery_s += spent;
-          recovery_started_.reset();
-          if (obs_ && recovery_span_) {
-            obs_->trace.close(recovery_span_, sim_.now(), spent);
-            recovery_span_ = 0;
-          }
-        }
-        resend_inflight();
-        return;
-      }
-      if (hold_snapshot_for_ack_ && awaiting_result_ && inflight_snapshot_) {
-        // The dedup pre-send resolved (cache hit or completed upload):
-        // the parked snapshot goes out now, as a first send, not a retry.
-        hold_snapshot_for_ack_ = false;
-        dispatch_inflight_snapshot();
-        return;
-      }
-      if (util::starts_with(message.name, "installed:") && awaiting_result_ &&
-          inflight_snapshot_) {
-        // Our earlier snapshot was refused pre-install; send it again.
-        timeline_.snapshot_sent = sim_.now();
-        mark_snapshot_send(*inflight_snapshot_, "snapshot_send");
-        active_endpoint().send(*inflight_snapshot_);
-        if (supervising()) arm_upload_watchdog();
-      }
-      return;
-    }
-    case net::MessageType::kResultSnapshot: {
-      // Close the server's transmit-down span at arrival, even for results
-      // about to be discarded — the bytes did land here.
-      if (obs_) obs_->trace.close(message.ctx.span, sim_.now());
-      if (ignore_late_result_) {
-        // This inference already finished locally (hedge win or
-        // abandonment); the straggler loses the race.
-        OFFLOAD_LOG_INFO << "client: dropping late result snapshot";
-        ignore_late_result_ = false;
-        return;
-      }
-      if (!awaiting_result_) {
-        OFFLOAD_LOG_WARN << "client: unexpected result snapshot";
-        return;
-      }
-      if (!payload_intact(message)) {
-        // Damaged on the downlink. Supervised: treat as one more
-        // retryable failure. Unsupervised: surface the typed error.
-        if (!supervising()) throw PayloadCorruptError(message);
-        record_breaker_outcome(/*success=*/false);
-        retry_snapshot("corrupt result payload");
-        return;
-      }
-      SnapshotPayload payload =
-          SnapshotPayload::decode(std::span(message.payload));
-      double restore_s =
-          config_.profile.snapshot_restore_s(payload.program.size());
-      if (hedge_running_) {
-        // Both runners are live: the remote result completes at
-        // now + restore; the local hedge at hedge_finish_at_. First
-        // finisher takes it.
-        if (sim_.now() + sim::SimTime::seconds(restore_s) >
-            hedge_finish_at_) {
-          OFFLOAD_LOG_INFO << "client: local hedge will finish first, "
-                              "discarding remote result";
-          return;  // finish_hedge() completes the inference
-        }
-        hedge_running_ = false;
-        if (hedge_finish_timer_.valid()) sim_.cancel(hedge_finish_timer_);
-        hedge_finish_timer_ = sim::EventHandle{};
-        timeline_.hedge_wasted_s += hedge_exec_s_;
-        ++sup_stats_.hedge_remote_wins;
-        count("supervisor.hedge_remote_wins");
-      }
-      if (supervising()) {
-        cancel_supervision_timers();
-        record_breaker_outcome(/*success=*/true);
-      }
-      awaiting_result_ = false;
-      inflight_snapshot_.reset();
-      resend_snapshot_on_ack_ = false;
-      hold_snapshot_for_ack_ = false;
-      timeline_.result_received = sim_.now();
-      // Adopt the new execution state on a fresh page (the snapshot is a
-      // self-contained app).
-      browser_->reset_realm();
-      if (timeline_.used_partition_cut != SIZE_MAX) {
-        browser_->set_partition_cut(bundle_.name,
-                                    timeline_.used_partition_cut);
-      }
-      jsvm::restore_snapshot(browser_->interp(), payload.program);
-      {
-        obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-        browser_->interp().run_events();
-      }
-      browser_->consume_compute_seconds();
-      if (config_.differential_snapshots) {
-        // This restored state is now the baseline both sides share.
-        baseline_ = jsvm::fingerprint_realm(browser_->interp());
-      }
-      timeline_.restore_s = restore_s;
-      timeline_.finished =
-          sim_.now() + sim::SimTime::seconds(timeline_.restore_s);
-      if (obs_) {
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientRestore,
-                         "restore_result", "client", sim_.now(),
-                         *timeline_.finished, timeline_.restore_s);
-      }
-      finish_trace();
-      return;
-    }
-    case net::MessageType::kControl: {
-      if (util::starts_with(message.name, "accepted:") && awaiting_result_) {
-        // Upload phase done; the execution clock starts. With the
-        // controller on, the receipt doubles as a per-attempt upload
-        // bandwidth observation (gated so the static path's estimator
-        // state stays bit-identical to the paper reproduction).
-        if (controller_active() && timeline_.snapshot_sent &&
-            timeline_.snapshot_bytes > 0) {
-          bandwidth_.observe(timeline_.snapshot_bytes,
-                             sim_.now() - *timeline_.snapshot_sent);
-        }
-        if (supervising()) {
-          arm_phase(Phase::kExecute, config_.supervisor.execute_deadline);
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "done:") && awaiting_result_) {
-        // Execution phase done; only the download remains.
-        if (supervising()) {
-          arm_phase(Phase::kDownload, config_.supervisor.download_deadline);
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "need_full") && awaiting_result_) {
-        if (hedge_running_) {
-          // The realm already ran the handler locally — we cannot
-          // recapture it. Let the hedge finish the inference.
-          abandon_remote("session lost during hedge");
-          return;
-        }
-        // The server lost (or never had) our differential baseline: the
-        // realm is untouched since capture, so take a full snapshot and
-        // retry.
-        OFFLOAD_LOG_INFO << "client: server needs a full snapshot, resending";
-        jsvm::SnapshotResult snap =
-            jsvm::capture_snapshot(browser_->interp(),
-                                   config_.snapshot_options);
-        SnapshotPayload payload;
-        payload.cut = timeline_.used_partition_cut == SIZE_MAX
-                          ? UINT64_MAX
-                          : timeline_.used_partition_cut;
-        payload.program = std::move(snap.program);
-        timeline_.snapshot_stats = snap.stats;
-        timeline_.used_differential = false;
-        net::Message msg;
-        msg.type = net::MessageType::kSnapshot;
-        msg.name = bundle_.name;
-        msg.payload = payload.encode();
-        timeline_.snapshot_bytes = msg.wire_size();
-        double recapture_s = config_.profile.snapshot_capture_s(
-            snap.stats.total_bytes);
-        timeline_.capture_s += recapture_s;
-        if (obs_) {
-          obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                           "recapture", "client", sim_.now(),
-                           sim_.now() + sim::SimTime::seconds(recapture_s),
-                           recapture_s);
-          obs_->metrics.add("client.recaptures");
-        }
-        awaiting_result_ = false;  // send_snapshot_message re-arms it
-        send_snapshot_message(std::move(msg), recapture_s);
-        return;
-      }
-      if (util::starts_with(message.name, "redirect:") && awaiting_result_) {
-        // The server is draining its queue (tier migration): it names a
-        // peer that should finish this inference. Our session realm did
-        // not travel — the peer gets a fresh model push and a replayed
-        // self-contained snapshot; the redirect is just a failover whose
-        // target the server chose for us.
-        std::size_t target = servers_.size();
-        const std::string name = message.name.substr(9);
-        std::size_t colon = name.find(':');
-        if (colon != std::string::npos) {
-          target = static_cast<std::size_t>(
-              std::strtoul(name.substr(0, colon).c_str(), nullptr, 10));
-        }
-        if (supervising() && inflight_snapshot_) {
-          cancel_phase_timer();
-          if (target < servers_.size() && target != active_server_ &&
-              breakers_[target].allow(sim_.now())) {
-            OFFLOAD_LOG_INFO << "client: server redirected us to server "
-                             << target;
-            ++sup_stats_.redirects;
-            count("supervisor.redirects");
-            active_server_ = target;
-            timeline_.server_index = static_cast<int>(target);
-            baseline_.reset();  // sessions do not migrate between servers
-            attempts_ = 0;      // fresh retry budget against the target
-            if (model_sent()) {
-              resend_inflight();
-            } else {
-              begin_recovery("redirect");
-            }
-            return;
-          }
-          // The named target is unusable (bad index, open breaker): fall
-          // into the ordinary retry/failover policy instead.
-          retry_snapshot("redirect to unusable server");
-          return;
-        }
-        OFFLOAD_LOG_WARN << "client: redirected without a usable inflight "
-                            "snapshot, falling back locally";
-        if (supervising()) {
-          abandon_remote("redirect without snapshot");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;
-        run_locally();
-        return;
-      }
-      if ((util::starts_with(message.name, "overloaded") ||
-           util::starts_with(message.name, "expired:")) &&
-          awaiting_result_) {
-        // The server shed our request (admission queue full) or expired
-        // it past its queue deadline. The realm is untouched since
-        // capture — the offloaded event is still at the queue front — so
-        // finish this inference locally.
-        OFFLOAD_LOG_INFO << "client: server "
-                         << (message.name[0] == 'o' ? "overloaded"
-                                                    : "expired the request")
-                         << ", falling back to local execution";
-        if (supervising()) {
-          abandon_remote(message.name[0] == 'o' ? "server overloaded"
-                                                : "server queue deadline");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;  // the result never came from the server
-        run_locally();
-        return;
-      }
-      if (util::starts_with(message.name, "model_missing:") &&
-          awaiting_result_) {
-        // The server cannot run our app: its model store has no entry —
-        // the signature of a crashed-and-restarted server (or a never
-        // pre-sent model). Supervised clients re-presend and replay;
-        // others fall back locally rather than hang.
-        if (supervising() && inflight_snapshot_) {
-          cancel_phase_timer();
-          begin_recovery("server lost the model");
-          return;
-        }
-        OFFLOAD_LOG_WARN << "client: server has no model for '"
-                         << bundle_.name << "', falling back locally";
-        if (supervising()) {
-          abandon_remote("server lost the model");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;
-        run_locally();
-        return;
-      }
-      if (util::starts_with(message.name, "send_files:")) {
-        // The server's blob cache missed part (or all) of our offer; it
-        // wants those files uploaded in full.
-        if (!payload_intact(message)) {
-          // The request list itself was damaged in flight: restart the
-          // exchange with a fresh offer.
-          if (!supervising()) throw PayloadCorruptError(message);
-          record_breaker_outcome(/*success=*/false);
-          model_sent() = false;
-          send_model_files(/*count_as_presend=*/false);
-          arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-          return;
-        }
-        send_requested_files(
-            FileListPayload::decode(std::span(message.payload)));
-        return;
-      }
-      if (util::starts_with(message.name, "corrupt_payload:")) {
-        // The server rejected our bytes (CRC mismatch). Re-send whatever
-        // was in flight toward it — unless the snapshot is still parked
-        // on the dedup pre-send, in which case the damaged bytes were the
-        // offer/upload and the model branch below restarts it.
-        if (awaiting_result_ && inflight_snapshot_ &&
-            !hold_snapshot_for_ack_) {
-          if (supervising()) {
-            record_breaker_outcome(/*success=*/false);
-            retry_snapshot("server rejected corrupt payload");
-          } else {
-            OFFLOAD_LOG_WARN << "client: snapshot corrupted in flight, "
-                                "re-sending";
-            ++timeline_.retries;
-            count("client.retries");
-            timeline_.snapshot_sent = sim_.now();
-            mark_snapshot_send(*inflight_snapshot_, "snapshot_resend");
-            active_endpoint().send(*inflight_snapshot_);
-          }
-          return;
-        }
-        if (awaiting_ack_ || !timeline_.ack_received) {
-          OFFLOAD_LOG_WARN << "client: model upload corrupted in flight, "
-                              "re-sending";
-          model_sent() = false;
-          send_model_files(/*count_as_presend=*/false);
-          if (supervising()) {
-            ++sup_stats_.retries;
-            arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-          }
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "not_installed")) {
-        if (config_.install_on_demand && !overlay_sent_) {
-          OFFLOAD_LOG_INFO << "client: server lacks offloading system, "
-                              "sending VM overlay";
-          overlay_sent_ = true;
-          model_sent() = false;  // the refused upload never landed
-          send_overlay();
-        } else if (!config_.install_on_demand) {
-          OFFLOAD_LOG_WARN << "client: server not installed and on-demand "
-                              "installation disabled";
-        }
-      }
-      return;
-    }
-    default:
-      OFFLOAD_LOG_WARN << "client: unexpected message type "
-                       << net::message_type_name(message.type);
+  using Handler = void (ClientDevice::*)(const net::Message&);
+  // Control replies by disjoint name prefix; handlers drop off-phase ones.
+  static constexpr std::pair<std::string_view, Handler> kControl[] = {
+      {"accepted:", &ClientDevice::on_accepted},
+      {"done:", &ClientDevice::on_done},
+      {"need_full", &ClientDevice::on_need_full},
+      {"redirect:", &ClientDevice::on_redirect},
+      {"overloaded", &ClientDevice::on_shed},
+      {"expired:", &ClientDevice::on_shed},
+      {"model_missing:", &ClientDevice::on_model_missing},
+      {"send_files:", &ClientDevice::on_send_files},
+      {"corrupt_payload:", &ClientDevice::on_corrupt_payload},
+      {"not_installed", &ClientDevice::on_not_installed},
+  };
+  if (message.type == net::MessageType::kAck) return on_ack(message);
+  if (message.type == net::MessageType::kResultSnapshot) {
+    return on_result(message);
   }
+  if (message.type != net::MessageType::kControl) {
+    OFFLOAD_LOG_WARN << "client: unexpected message type "
+                     << net::message_type_name(message.type);
+    return;
+  }
+  for (const auto& [prefix, handler] : kControl) {
+    if (util::starts_with(message.name, prefix)) {
+      return (this->*handler)(message);
+    }
+  }
+}
+
+void ClientDevice::on_ack(const net::Message& message) {
+  if (obs_ && presend_span_) {
+    // The pre-send span covers send -> ACK (store time included).
+    obs_->trace.close(presend_span_, sim_.now());
+    presend_span_ = 0;
+  }
+  if (supervising()) {
+    awaiting_ack_ = false;
+    record_breaker_outcome(/*success=*/true);
+    if (phase_ == Phase::kPresend) cancel_phase_timer();
+  }
+  if (!timeline_.ack_received) {
+    timeline_.ack_received = sim_.now();
+    // The completed upload doubles as a bandwidth observation
+    // (Section III.B.2's "runtime network status").
+    if (timeline_.model_upload_bytes > 0) {
+      bandwidth_.observe(timeline_.model_upload_bytes,
+                         *timeline_.ack_received -
+                             timeline_.model_upload_started);
+    }
+  }
+  if (!awaiting_result_ || !inflight_snapshot_) return;
+  if (resend_snapshot_on_ack_) {
+    // Crash recovery / failover: the model landed on the (re)started
+    // server — now replay the snapshot that was in flight.
+    resend_snapshot_on_ack_ = false;
+    if (recovery_started_) {
+      double spent = (sim_.now() - *recovery_started_).to_seconds();
+      sup_stats_.recovery_s += spent;
+      timeline_.recovery_s += spent;
+      recovery_started_.reset();
+      if (obs_ && recovery_span_) {
+        obs_->trace.close(recovery_span_, sim_.now(), spent);
+        recovery_span_ = 0;
+      }
+    }
+    resend_inflight();
+  } else if (hold_snapshot_for_ack_) {
+    // The dedup pre-send resolved (cache hit or completed upload): the
+    // parked snapshot goes out now, as a first send, not a retry.
+    hold_snapshot_for_ack_ = false;
+    dispatch_inflight_snapshot();
+  } else if (util::starts_with(message.name, "installed:")) {
+    // Our earlier snapshot was refused pre-install; send it again.
+    send_inflight("snapshot_send");
+    if (supervising()) arm_upload_watchdog();
+  }
+}
+
+void ClientDevice::on_result(const net::Message& message) {
+  // Close the server's transmit-down span at arrival, even for results
+  // about to be discarded — the bytes did land here.
+  if (obs_) obs_->trace.close(message.ctx.span, sim_.now());
+  if (ignore_late_result_) {
+    // This inference already finished locally (hedge win or abandonment);
+    // the straggler loses the race.
+    OFFLOAD_LOG_INFO << "client: dropping late result snapshot";
+    ignore_late_result_ = false;
+    return;
+  }
+  if (!awaiting_result_) {
+    OFFLOAD_LOG_WARN << "client: unexpected result snapshot";
+    return;
+  }
+  if (!payload_intact(message)) {
+    // Damaged on the downlink. Supervised: treat as one more retryable
+    // failure. Unsupervised: surface the typed error.
+    if (!supervising()) throw PayloadCorruptError(message);
+    record_breaker_outcome(/*success=*/false);
+    retry_snapshot("corrupt result payload");
+    return;
+  }
+  SnapshotPayload payload = SnapshotPayload::decode(std::span(message.payload));
+  double restore_s = config_.profile.snapshot_restore_s(payload.program.size());
+  if (hedge_running_) {
+    // Both runners are live: the remote result completes at now + restore;
+    // the local hedge at hedge_finish_at_. First finisher takes it.
+    if (sim_.now() + sim::SimTime::seconds(restore_s) > hedge_finish_at_) {
+      OFFLOAD_LOG_INFO << "client: local hedge will finish first, "
+                          "discarding remote result";
+      return;  // finish_hedge() completes the inference
+    }
+    hedge_running_ = false;
+    if (hedge_finish_timer_.valid()) sim_.cancel(hedge_finish_timer_);
+    hedge_finish_timer_ = sim::EventHandle{};
+    timeline_.hedge_wasted_s += hedge_exec_s_;
+    ++sup_stats_.hedge_remote_wins;
+    count("supervisor.hedge_remote_wins");
+  }
+  if (supervising()) {
+    cancel_supervision_timers();
+    record_breaker_outcome(/*success=*/true);
+  }
+  clear_inflight();
+  timeline_.result_received = sim_.now();
+  // Adopt the new execution state on a fresh page (the snapshot is a
+  // self-contained app).
+  browser_->reset_realm();
+  if (timeline_.used_partition_cut != SIZE_MAX) {
+    browser_->set_partition_cut(bundle_.name, timeline_.used_partition_cut);
+  }
+  jsvm::restore_snapshot(browser_->interp(), payload.program);
+  run_realm(/*defer_offload=*/false);
+  if (config_.differential_snapshots) {
+    // This restored state is now the baseline both sides share.
+    baseline_ = jsvm::fingerprint_realm(browser_->interp());
+  }
+  timeline_.restore_s = restore_s;
+  timeline_.finished = sim_.now() + sim::SimTime::seconds(restore_s);
+  if (obs_) {
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientRestore,
+                     "restore_result", "client", sim_.now(),
+                     *timeline_.finished, restore_s);
+  }
+  finish_trace();
+}
+
+void ClientDevice::on_accepted(const net::Message&) {
+  if (!awaiting_result_) return;
+  // Upload phase done; the execution clock starts. With the controller on,
+  // the receipt doubles as a per-attempt upload bandwidth observation
+  // (gated so the static path's estimator state stays bit-identical to the
+  // paper reproduction).
+  if (controller_active() && timeline_.snapshot_sent &&
+      timeline_.snapshot_bytes > 0) {
+    bandwidth_.observe(timeline_.snapshot_bytes,
+                       sim_.now() - *timeline_.snapshot_sent);
+  }
+  arm_phase(Phase::kExecute, config_.supervisor.execute_deadline);
+}
+
+void ClientDevice::on_done(const net::Message&) {
+  // Execution phase done; only the download remains.
+  if (awaiting_result_) {
+    arm_phase(Phase::kDownload, config_.supervisor.download_deadline);
+  }
+}
+
+void ClientDevice::on_need_full(const net::Message&) {
+  if (!awaiting_result_) return;
+  if (hedge_running_) {
+    // The realm already ran the handler locally — we cannot recapture it.
+    // Let the hedge finish the inference.
+    abandon_remote("session lost during hedge");
+    return;
+  }
+  // The server lost (or never had) our differential baseline: the realm is
+  // untouched since capture, so take a full snapshot and retry.
+  OFFLOAD_LOG_INFO << "client: server needs a full snapshot, resending";
+  CapturedSnapshot snap = capture_message(/*differential=*/false, sim_.now(),
+                                          /*recapture=*/true);
+  awaiting_result_ = false;  // send_snapshot_message re-arms it
+  send_snapshot_message(std::move(snap.msg), snap.capture_s);
+}
+
+void ClientDevice::on_redirect(const net::Message& message) {
+  if (!awaiting_result_) return;
+  // The server is draining its queue (tier migration): it names a peer
+  // that should finish this inference. Our session realm did not travel —
+  // the peer gets a fresh model push and a replayed self-contained
+  // snapshot; the redirect is just a failover whose target the server
+  // chose for us.
+  std::size_t target = servers_.size();
+  const std::string name = message.name.substr(9);
+  std::size_t colon = name.find(':');
+  if (colon != std::string::npos) {
+    target = static_cast<std::size_t>(
+        std::strtoul(name.substr(0, colon).c_str(), nullptr, 10));
+  }
+  if (!supervising() || !inflight_snapshot_) {
+    OFFLOAD_LOG_WARN << "client: redirected without a usable inflight "
+                        "snapshot, falling back locally";
+    fall_back_locally("redirect without snapshot");
+    return;
+  }
+  cancel_phase_timer();
+  if (target >= servers_.size() || target == active_server_ ||
+      !breakers_[target].allow(sim_.now())) {
+    // The named target is unusable (bad index, open breaker): fall into
+    // the ordinary retry/failover policy instead.
+    retry_snapshot("redirect to unusable server");
+    return;
+  }
+  OFFLOAD_LOG_INFO << "client: server redirected us to server " << target;
+  ++sup_stats_.redirects;
+  count("supervisor.redirects");
+  switch_server(target);
+  attempts_ = 0;  // fresh retry budget against the target
+  resend_or_recover("redirect");
+}
+
+void ClientDevice::on_shed(const net::Message& message) {
+  if (!awaiting_result_) return;
+  // The server shed our request (admission queue full) or expired it past
+  // its queue deadline. The realm is untouched since capture — the
+  // offloaded event is still at the queue front — so finish this inference
+  // locally.
+  const bool overloaded = message.name[0] == 'o';
+  OFFLOAD_LOG_INFO << "client: server "
+                   << (overloaded ? "overloaded" : "expired the request")
+                   << ", falling back to local execution";
+  fall_back_locally(overloaded ? "server overloaded"
+                               : "server queue deadline");
+}
+
+void ClientDevice::on_model_missing(const net::Message&) {
+  if (!awaiting_result_) return;
+  // The server cannot run our app: its model store has no entry — the
+  // signature of a crashed-and-restarted server (or a never pre-sent
+  // model). Supervised clients re-presend and replay; others fall back
+  // locally rather than hang.
+  if (supervising() && inflight_snapshot_) {
+    cancel_phase_timer();
+    begin_recovery("server lost the model");
+    return;
+  }
+  OFFLOAD_LOG_WARN << "client: server has no model for '" << bundle_.name
+                   << "', falling back locally";
+  fall_back_locally("server lost the model");
+}
+
+void ClientDevice::on_send_files(const net::Message& message) {
+  // The server's blob cache missed part (or all) of our offer; it wants
+  // those files uploaded in full.
+  if (payload_intact(message)) {
+    send_requested_files(FileListPayload::decode(std::span(message.payload)));
+    return;
+  }
+  // The request list itself was damaged in flight: restart the exchange
+  // with a fresh offer.
+  if (!supervising()) throw PayloadCorruptError(message);
+  record_breaker_outcome(/*success=*/false);
+  resend_model();
+}
+
+void ClientDevice::on_corrupt_payload(const net::Message&) {
+  // The server rejected our bytes (CRC mismatch). Re-send whatever was in
+  // flight toward it — unless the snapshot is still parked on the dedup
+  // pre-send, in which case the damaged bytes were the offer/upload and
+  // the model branch below restarts it.
+  if (awaiting_result_ && inflight_snapshot_ && !hold_snapshot_for_ack_) {
+    if (supervising()) {
+      record_breaker_outcome(/*success=*/false);
+      retry_snapshot("server rejected corrupt payload");
+      return;
+    }
+    OFFLOAD_LOG_WARN << "client: snapshot corrupted in flight, re-sending";
+    ++timeline_.retries;
+    count("client.retries");
+    send_inflight("snapshot_resend");
+    return;
+  }
+  if (awaiting_ack_ || !timeline_.ack_received) {
+    OFFLOAD_LOG_WARN << "client: model upload corrupted in flight, "
+                        "re-sending";
+    resend_model();
+    if (supervising()) ++sup_stats_.retries;
+  }
+}
+
+void ClientDevice::on_not_installed(const net::Message&) {
+  if (!config_.install_on_demand) {
+    OFFLOAD_LOG_WARN << "client: server not installed and on-demand "
+                        "installation disabled";
+    return;
+  }
+  if (overlay_sent_) return;
+  OFFLOAD_LOG_INFO << "client: server lacks offloading system, sending VM "
+                      "overlay";
+  overlay_sent_ = true;
+  model_sent() = false;  // the refused upload never landed
+  send_overlay();
 }
 
 void ClientDevice::mark_snapshot_send(net::Message& msg, const char* label) {

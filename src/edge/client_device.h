@@ -14,6 +14,10 @@
 // re-targeting), and crash recovery (a restarted server answers
 // "model_missing"/"need_full"; the supervisor re-presends and retries).
 // Disabled, the client behaves exactly as before.
+//
+// Cut selection has one runtime path: ClientConfig::controller (src/ctrl).
+// Server replies enter through on_message, which dispatches each message
+// kind — and each control-reply prefix — to one handler.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +34,7 @@
 #include "src/jsvm/fingerprint.h"
 #include "src/net/bandwidth.h"
 #include "src/net/channel.h"
-#include "src/nn/cost_model.h"
 #include "src/obs/obs.h"
-#include "src/nn/partition.h"
 #include "src/sim/simulation.h"
 #include "src/vmsynth/vmimage.h"
 
@@ -67,22 +69,18 @@ struct ClientConfig {
   /// be better for the client to execute the DNN locally while the model
   /// is being uploaded").
   bool local_fallback_before_ack = false;
-  /// Choose the partition point at click time with the Neurosurgeon-style
-  /// partitioner and the observed bandwidth, instead of a fixed cut. Only
-  /// meaningful for partial-inference apps; implies full-weight pre-send.
-  bool auto_partition = false;
   /// Offload supervision (deadlines/retries/hedging/breaker/recovery).
   /// Disabled by default.
   SupervisorConfig supervisor;
-  /// Online partition-point controller (src/ctrl). The default `static`
-  /// policy disables it entirely — the click-time cut above is used and
-  /// behavior is bit-identical to the paper reproduction. `drift`/`bandit`
-  /// re-select the cut per inference from live telemetry, and re-cut on
-  /// supervised failures. Only meaningful for partial-inference apps
-  /// (offload_event == "front_complete"); implies full-weight pre-send,
-  /// like auto_partition (which it overrides when active). The constructor
-  /// applies the OFFLOAD_CTRL / OFFLOAD_CTRL_SEED env knobs unless
-  /// controller.ignore_env is set.
+  /// Online partition-point controller (src/ctrl), the client's only
+  /// runtime cut selection. The default `static` policy disables it
+  /// entirely — the fixed partition_cut above is used and behavior is
+  /// bit-identical to the paper reproduction. `drift` starts from the
+  /// Neurosurgeon-style partitioner estimate at the observed bandwidth
+  /// (Section III.B.2) and `bandit` explores from it; both re-select the
+  /// cut per inference from live telemetry and re-cut on supervised
+  /// failures. Only meaningful for partial-inference apps (offload_event ==
+  /// "front_complete"); implies full-weight pre-send.
   ctrl::ControllerConfig controller;
   /// Telemetry hook for the controller: given an attached-server index,
   /// return that server's live load signals (queue depth, lanes, batch
@@ -218,20 +216,65 @@ class ClientDevice {
   /// Supervisor phase currently under a deadline watchdog.
   enum class Phase { kIdle, kPresend, kUpload, kExecute, kDownload };
 
+  /// A captured kSnapshot message and its client-side capture seconds.
+  struct CapturedSnapshot {
+    net::Message msg;
+    double capture_s = 0;
+  };
+
+  // --- Reply handling: on_message dispatches to one handler per kind ---
   void on_message(const net::Message& message);
+  void on_ack(const net::Message& message);
+  void on_result(const net::Message& message);
+  void on_accepted(const net::Message& message);
+  void on_done(const net::Message& message);
+  void on_need_full(const net::Message& message);
+  void on_redirect(const net::Message& message);
+  /// "overloaded:" and "expired:": the server shed the request.
+  void on_shed(const net::Message& message);
+  void on_model_missing(const net::Message& message);
+  void on_send_files(const net::Message& message);
+  void on_corrupt_payload(const net::Message& message);
+  void on_not_installed(const net::Message& message);
+
   void begin_inference();
   void run_app_events();
+  /// Run the realm's queued events — deferring `offload_event` when
+  /// `defer_offload` — and return the compute seconds they took.
+  double run_realm(bool defer_offload);
+  /// run_realm, charged to the timeline as a kClientExec span `label`
+  /// starting now.
+  double execute(bool defer_offload, const char* label);
   void run_locally();
+  /// Finish this inference locally after the server refused it: through
+  /// abandon_remote when supervised, else directly (uncounted).
+  void fall_back_locally(const char* reason);
+  /// Stop waiting on the server: drop the in-flight snapshot and the
+  /// flags that would replay it.
+  void clear_inflight();
+  /// Capture the realm at the current cut into a kSnapshot message (a
+  /// differential against baseline_ when `differential`) and charge it on
+  /// the timeline with a capture span from `at`. A recapture adds to the
+  /// inference's capture time; the first capture sets it.
+  CapturedSnapshot capture_message(bool differential, sim::SimTime at,
+                                   bool recapture);
   void send_snapshot_message(net::Message msg, double busy_s);
+  /// Send the held in-flight snapshot (its transmit-up span `label`).
+  void send_inflight(const char* label);
   void send_model_files(bool count_as_presend);
-  void send_model_offer(bool count_as_presend);
+  /// Mark the model unsent on the active server, send it again and watch
+  /// for the ACK.
+  void resend_model();
   void send_requested_files(const FileListPayload& request);
   void send_overlay();
+  /// Open the session-trace kPresend span `kind`<app> for a model send
+  /// (closing the one it supersedes) and stamp it on `msg`.
+  void open_presend_span(net::Message& msg, const char* kind,
+                         const char* counter);
   /// First (non-retry) send of the held in-flight snapshot: used when a
   /// dedup pre-send resolves and the snapshot that waited on it goes out.
   void dispatch_inflight_snapshot();
   std::vector<nn::ModelFile> files_to_send() const;
-  std::size_t pick_partition_cut();
 
   // --- Partition controller (all no-ops under the static policy) ---
   /// The controller governs this client: adaptive policy, offloading
@@ -240,7 +283,7 @@ class ClientDevice {
     return config_.controller.active() && config_.offload &&
            config_.offload_event == "front_complete";
   }
-  /// Build the controller (and the shared cost models) on first use.
+  /// Build the controller (profiling both cost models) on first use.
   void ensure_controller();
   /// Assemble the telemetry for a decision about `server`: measured upload
   /// bandwidth plus whatever the signals hook reports.
@@ -253,12 +296,16 @@ class ClientDevice {
   /// Re-decide after `attempts_` failed sends; nullopt = keep retrying the
   /// current cut (controller inactive, hedge running, or nothing useful).
   std::optional<ctrl::Decision> plan_recut();
-  /// Re-run the app front at the decision's cut and resend the snapshot
-  /// (drops the stale deferred event, honest recompute + recapture).
+  /// Supersede the current decision. A local one abandons the remote side;
+  /// otherwise re-run the app front at the decision's cut and resend the
+  /// snapshot (drops the stale deferred event, honest recompute +
+  /// recapture).
   void perform_recut(const ctrl::Decision& decision);
   /// Apply the routing hook (if any) for the upcoming inference: refresh
   /// the candidate order and re-pin the active server to its head.
   void apply_route();
+  /// Make server `index` the active one (sessions do not migrate).
+  void switch_server(std::size_t index);
   /// Fire the on_inference_done hook (once per inference).
   void notify_done();
 
@@ -287,13 +334,21 @@ class ClientDevice {
   /// Funnel for every retryable remote failure: backoff + resend, fail
   /// over, or abandon to local execution.
   void retry_snapshot(const char* reason);
+  /// Re-send the model after a backoff wait (a lost or unanswered
+  /// pre-send), until the attempt budget runs out.
+  void retry_presend_after_backoff();
   void resend_inflight();
+  /// Resend the in-flight snapshot if the active server holds the model,
+  /// else re-presend first (begin_recovery).
+  void resend_or_recover(const char* reason);
   bool try_failover();
   /// Re-presend the model to the active server and resend the snapshot
   /// once the ACK lands (crash recovery / failover bootstrap).
   void begin_recovery(const char* reason);
   /// Give up on the remote side and finish this inference locally.
   void abandon_remote(const char* reason);
+  /// Schedule the local hedge once per inference, if configured.
+  void arm_hedge_timer();
   void start_hedge();
   void finish_hedge();
   void on_delivery_failure(const net::Message& message, int attempts);
@@ -312,7 +367,6 @@ class ClientDevice {
   }
 
   sim::Simulation& sim_;
-  net::Endpoint& endpoint_;
   ClientConfig config_;
   AppBundle bundle_;
   std::shared_ptr<ModelStore> local_store_;
@@ -328,9 +382,6 @@ class ClientDevice {
   /// Common state shared with the server (differential snapshots).
   std::optional<jsvm::RealmFingerprint> baseline_;
   net::BandwidthEstimator bandwidth_{30e6};
-  /// Lazily built cost models for auto-partitioning.
-  std::optional<nn::LayerCostModel> client_cost_;
-  std::optional<nn::LayerCostModel> server_cost_;
 
   // --- Partition-controller state ---
   std::optional<ctrl::CutController> controller_;

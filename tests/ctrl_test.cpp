@@ -1,8 +1,8 @@
 // Tests for the online partition-point controller (src/ctrl): policy
-// parsing and env knobs, bit-determinism of decisions, drift-correction
-// learning, failure-escalation re-cuts, and the end-to-end integration
-// with the client supervisor (re-cut on stall, adaptation to bandwidth
-// collapse, byte-identical repeated runs, and the static-policy
+// names, immunity to the environment, bit-determinism of decisions,
+// drift-correction learning, failure-escalation re-cuts, and the end-to-end
+// integration with the client supervisor (re-cut on stall, adaptation to
+// bandwidth collapse, byte-identical repeated runs, and the static-policy
 // equivalence with the paper reproduction).
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "src/core/offload.h"
 #include "src/ctrl/controller.h"
+#include "src/obs/export.h"
 
 namespace offload::core {
 namespace {
@@ -53,7 +54,6 @@ core::RuntimeConfig adaptive_config(const edge::AppBundle& bundle,
   config.client.offload_event = "front_complete";
   config.client.supervisor.enabled = true;
   config.client.controller.policy = policy;
-  config.client.controller.ignore_env = true;
   config.click_at = core::after_ack_click_time(
       *bundle.network, false, config.client.partition_cut, 30e6);
   return config;
@@ -62,35 +62,48 @@ core::RuntimeConfig adaptive_config(const edge::AppBundle& bundle,
 // ---------------------------------------------------------------------------
 // Policy + config
 
-TEST(CtrlConfig, ParsePolicyRoundTrips) {
-  EXPECT_EQ(ctrl::parse_policy("static"), ctrl::PolicyKind::kStatic);
-  EXPECT_EQ(ctrl::parse_policy("drift"), ctrl::PolicyKind::kDrift);
-  EXPECT_EQ(ctrl::parse_policy("bandit"), ctrl::PolicyKind::kBandit);
+TEST(CtrlConfig, PolicyNamesAndActivity) {
+  EXPECT_STREQ(ctrl::policy_name(ctrl::PolicyKind::kStatic), "static");
   EXPECT_STREQ(ctrl::policy_name(ctrl::PolicyKind::kDrift), "drift");
-  EXPECT_THROW(ctrl::parse_policy("adaptive"), std::invalid_argument);
+  EXPECT_STREQ(ctrl::policy_name(ctrl::PolicyKind::kBandit), "bandit");
+  ctrl::ControllerConfig config;
+  EXPECT_FALSE(config.active());
+  config.policy = ctrl::PolicyKind::kBandit;
+  EXPECT_TRUE(config.active());
 }
 
-TEST(CtrlConfig, AppliesEnvKnobs) {
+TEST(CtrlConfig, EnvironmentCannotTurnOnControllerOrTier) {
+  // Policy, seed and tier are set only through the config structs:
+  // OFFLOAD_CTRL / OFFLOAD_TIER in the environment must change nothing.
+  auto run_once = [](obs::Obs* obs, bool* ctrl_off, bool* tier_off) {
+    edge::AppBundle bundle = make_benchmark_app(tiny_model(), true);
+    core::RuntimeConfig config;
+    config.client.partition_cut = core::first_pool_cut(*bundle.network);
+    config.client.offload_event = "front_complete";
+    config.click_at = core::after_ack_click_time(
+        *bundle.network, false, config.client.partition_cut, 30e6);
+    config.obs = obs;
+    core::OffloadingRuntime runtime(config, std::move(bundle));
+    runtime.run();
+    *ctrl_off = runtime.client().cut_controller() == nullptr;
+    *tier_off = runtime.topology() == nullptr;
+  };
+  obs::Obs clean;
+  bool ctrl_off = false;
+  bool tier_off = false;
+  run_once(&clean, &ctrl_off, &tier_off);
+  ASSERT_TRUE(ctrl_off);
+  ASSERT_TRUE(tier_off);
+
   ::setenv("OFFLOAD_CTRL", "bandit", 1);
-  ::setenv("OFFLOAD_CTRL_SEED", "99", 1);
-  ctrl::ControllerConfig config;
-  config.apply_env();
-  EXPECT_EQ(config.policy, ctrl::PolicyKind::kBandit);
-  EXPECT_EQ(config.seed, 99u);
-  EXPECT_TRUE(config.active());
-
-  ctrl::ControllerConfig pinned;
-  pinned.ignore_env = true;
-  pinned.apply_env();
-  EXPECT_EQ(pinned.policy, ctrl::PolicyKind::kStatic);
-  EXPECT_EQ(pinned.seed, 1u);
-  EXPECT_FALSE(pinned.active());
-
-  ::setenv("OFFLOAD_CTRL", "bogus", 1);
-  ctrl::ControllerConfig bad;
-  EXPECT_THROW(bad.apply_env(), std::invalid_argument);
+  ::setenv("OFFLOAD_TIER", "1", 1);
+  obs::Obs with_env;
+  run_once(&with_env, &ctrl_off, &tier_off);
   ::unsetenv("OFFLOAD_CTRL");
-  ::unsetenv("OFFLOAD_CTRL_SEED");
+  ::unsetenv("OFFLOAD_TIER");
+  EXPECT_TRUE(ctrl_off);
+  EXPECT_TRUE(tier_off);
+  EXPECT_EQ(obs::to_jsonl(with_env.trace), obs::to_jsonl(clean.trace));
 }
 
 // ---------------------------------------------------------------------------

@@ -141,10 +141,13 @@ TEST(LocalFallback, FasterThanWaitingForModelUpload) {
   EXPECT_LT(fallback.inference_seconds, blocking.inference_seconds);
 }
 
-TEST(AutoPartition, PicksACutAndMatchesResults) {
+// The drift controller's first, untrained decision is the static
+// Neurosurgeon-style partitioner estimate at the observed bandwidth
+// (Section III.B.2): the runtime partition selection.
+TEST(DriftFirstDecision, PicksACutAndMatchesResults) {
   edge::AppBundle bundle = make_benchmark_app(tiny_model(), /*partial=*/true);
   RuntimeConfig config;
-  config.client.auto_partition = true;
+  config.client.controller.policy = ctrl::PolicyKind::kDrift;
   config.client.offload_event = "front_complete";
   config.client.partition_cut = SIZE_MAX;
   config.click_at = after_ack_click_time(*bundle.network, false, 0, 30e6);
@@ -155,13 +158,13 @@ TEST(AutoPartition, PicksACutAndMatchesResults) {
   EXPECT_NE(runtime.client().timeline().used_partition_cut, SIZE_MAX);
 }
 
-TEST(AutoPartition, TerribleNetworkChoosesLocal) {
+TEST(DriftFirstDecision, TerribleNetworkChoosesLocal) {
   // At 2 kbps the model ACK arrives after ~half an hour of simulated
-  // time; the bandwidth estimator observes that, and the partitioner then
+  // time; the bandwidth estimator observes that, and the controller then
   // picks fully-local execution for the click.
   edge::AppBundle bundle = make_benchmark_app(tiny_model(), /*partial=*/true);
   RuntimeConfig config;
-  config.client.auto_partition = true;
+  config.client.controller.policy = ctrl::PolicyKind::kDrift;
   config.client.offload_event = "front_complete";
   config.client.partition_cut = SIZE_MAX;
   config.channel.a_to_b.bandwidth_bps = 2e3;

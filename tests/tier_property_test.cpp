@@ -39,7 +39,6 @@ std::string expected_result_text() {
   edge::AppBundle bundle = core::make_benchmark_app(tiny_model(), false);
   core::RuntimeConfig config;
   config.client.offload = false;
-  config.tier.ignore_env = true;
   core::OffloadingRuntime runtime(config, std::move(bundle));
   return runtime.run().result_text;
 }
@@ -318,8 +317,7 @@ TEST(TierProperty, IdleTierLeavesDegenerateRunByteIdentical) {
     core::RuntimeConfig config;
     config.client.supervisor.enabled = true;
     config.fleet.dedup = true;
-    config.tier.ignore_env = true;
-    config.tier.enabled = tier_on;
+    if (tier_on) config.tier.emplace();
     config.click_at =
         core::after_ack_click_time(*bundle.network, false, 0, 30e6);
     config.obs = obs;
