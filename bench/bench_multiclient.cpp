@@ -1,20 +1,9 @@
-// Edge-server capacity under many clients, two experiments in one binary:
-//
-// 1. Contention fleet (the original experiment): N clients offload the
-//    AgeNet app to one server at the same instant; queueing on the
-//    server's compute stretches inference time ~linearly.
-//
-// 2. Serving sweep: Poisson streams of partial-inference requests hit the
-//    serving scheduler directly, sweeping queue policy (FIFO / EDF),
-//    dynamic batch size, and offered load relative to single-request
-//    capacity. Reports p50/p95/p99 latency, sustained throughput, and the
-//    shed rate under admission control — showing that batch fusion lifts
-//    sustained throughput above request-at-a-time FIFO and that load
-//    shedding keeps the p99 of admitted requests bounded at 2x overload.
+// Edge-server contention under many clients: N clients offload the AgeNet
+// app to one server at the same instant; queueing on the server's compute
+// stretches inference time ~linearly.
 //
 // Results are also written as BENCH_multiclient.json for cross-PR
 // tracking.
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -22,15 +11,11 @@
 #include "bench/json_writer.h"
 #include "src/core/offload.h"
 #include "src/obs/obs.h"
-#include "src/serve/scheduler.h"
-#include "src/util/rng.h"
 #include "src/util/stats.h"
 
 namespace {
 
 using namespace offload;
-
-// ------------------------------------------------------------ experiment 1
 
 struct FleetResult {
   double mean_s = 0;
@@ -101,101 +86,6 @@ FleetResult run_fleet(int n_clients) {
   return out;
 }
 
-// ------------------------------------------------------------ experiment 2
-
-struct ServingResult {
-  double capacity_rps = 0;    ///< 1 / single-request rear service time
-  double offered_rps = 0;
-  double throughput_rps = 0;  ///< completed / makespan
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double shed_rate = 0;       ///< rejected / offered
-  int largest_batch = 0;
-};
-
-/// Poisson stream of AgeNet partial-inference jobs (cut after the conv
-/// stack, rear = the fc layers) against a standalone scheduler.
-ServingResult run_serving(const char* policy, std::size_t max_batch,
-                          double load_factor) {
-  constexpr int kRequests = 300;
-  sim::Simulation sim;
-  std::shared_ptr<const nn::Network> net = nn::build_agenet();
-  const std::size_t cut = net->index_of("pool5");
-
-  // The scheduler publishes its own latency histogram and shed counters;
-  // the bench reads those instead of keeping a parallel set of hand
-  // accumulators. Pre-define serve.total_ms with fine linear buckets so
-  // the interpolated percentiles resolve to a quarter millisecond.
-  obs::Obs obs;
-  {
-    std::vector<double> bounds;
-    for (double b = 0.25; b <= 400.0; b += 0.25) bounds.push_back(b);
-    obs.metrics.define_histogram("serve.total_ms", std::move(bounds));
-  }
-
-  serve::SchedulerConfig cfg;
-  cfg.profile = nn::DeviceProfile::edge_server();
-  cfg.replicas = 1;
-  cfg.max_batch = max_batch;
-  cfg.max_batch_wait = sim::SimTime::millis(20);
-  cfg.max_queue = 32;
-  cfg.policy = policy;
-  cfg.obs = &obs;
-  serve::Scheduler sched(sim, cfg);
-  sched.register_model(net);
-
-  const double service_s =
-      cfg.profile.network_batch_time_s(*net, cut + 1, net->size(), 1);
-  const double capacity_rps = 1.0 / service_s;
-  const double rate = load_factor * capacity_rps;
-
-  util::Pcg32 rng(2024, 77);
-  util::Pcg32 feature_rng(5, 9);
-  nn::Tensor feature =
-      nn::Tensor::random_uniform(net->analyze().shapes[cut], feature_rng);
-
-  sim::SimTime last_completion;
-  double t = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    t += -std::log(1.0 - rng.canonical()) / rate;  // exponential gap
-    const sim::SimTime at = sim::SimTime::seconds(t);
-    // Client-side latency budgets, for EDF to order by.
-    const sim::SimTime deadline =
-        at + sim::SimTime::seconds(rng.uniform(0.03, 0.12));
-    sim.schedule_at(at, [&, deadline] {
-      sched.submit_infer(
-          net->name(), cut, feature,
-          [&](nn::Tensor, const serve::RequestTiming& timing) {
-            last_completion = timing.completed;
-          },
-          deadline);
-    });
-  }
-  sim.run();
-
-  ServingResult out;
-  out.capacity_rps = capacity_rps;
-  out.offered_rps = rate;
-  const std::uint64_t completed = obs.metrics.counter("serve.completed");
-  out.throughput_rps = last_completion > sim::SimTime::zero()
-                           ? static_cast<double>(completed) /
-                                 last_completion.to_seconds()
-                           : 0.0;
-  if (const obs::Histogram* h = obs.metrics.histogram("serve.total_ms")) {
-    out.p50_ms = h->quantile(0.50);
-    out.p95_ms = h->quantile(0.95);
-    out.p99_ms = h->quantile(0.99);
-  }
-  out.shed_rate =
-      static_cast<double>(obs.metrics.counter("serve.rejected.queue_full")) /
-      kRequests;
-  out.largest_batch = sched.stats().largest_batch;
-  return out;
-}
-
-std::string fmt2(double v) { return util::format_fixed(v, 2); }
-
 }  // namespace
 
 int main() {
@@ -226,52 +116,6 @@ int main() {
       "\nNote: requests serialize on the server's compute (FIFO). The "
       "uplinks are independent (each client has its own Wi-Fi path), so "
       "the growth isolates server-side contention.\n\n");
-
-  offload::bench::print_banner(
-      "Serving sweep — scheduler policy x batch size x offered load",
-      "batch fusion (batch >= 4) sustains strictly higher throughput than "
-      "request-at-a-time FIFO; admission control sheds overload so the p99 "
-      "of admitted requests stays bounded at 2x capacity");
-
-  struct Variant {
-    const char* policy;
-    std::size_t max_batch;
-  };
-  const Variant variants[] = {
-      {"fifo", 1}, {"fifo", 4}, {"fifo", 8}, {"edf", 4}};
-  const double loads[] = {0.9, 1.2, 1.5, 2.0};
-
-  offload::util::TextTable sweep;
-  sweep.header({"policy", "batch", "load x cap", "offered rps", "tput rps",
-                "p50 ms", "p95 ms", "p99 ms", "shed %", "max fused"});
-  for (const Variant& v : variants) {
-    for (double load : loads) {
-      ServingResult r = run_serving(v.policy, v.max_batch, load);
-      sweep.row({v.policy, std::to_string(v.max_batch), fmt2(load),
-                 fmt2(r.offered_rps), fmt2(r.throughput_rps), fmt2(r.p50_ms),
-                 fmt2(r.p95_ms), fmt2(r.p99_ms), fmt2(100.0 * r.shed_rate),
-                 std::to_string(r.largest_batch)});
-      json.push_back(offload::bench::JsonObject()
-                         .set("experiment", "serving")
-                         .set("policy", v.policy)
-                         .set("max_batch", v.max_batch)
-                         .set("load_factor", load)
-                         .set("capacity_rps", r.capacity_rps)
-                         .set("offered_rps", r.offered_rps)
-                         .set("throughput_rps", r.throughput_rps)
-                         .set("p50_ms", r.p50_ms)
-                         .set("p95_ms", r.p95_ms)
-                         .set("p99_ms", r.p99_ms)
-                         .set("shed_rate", r.shed_rate)
-                         .set("largest_batch", r.largest_batch));
-    }
-  }
-  std::printf("%s", sweep.str().c_str());
-  std::printf(
-      "\nNote: requests are AgeNet partial inferences (cut after the conv "
-      "stack). Capacity = 1 / single-request rear time. Batched variants "
-      "fuse compatible requests into one rear-range forward, amortizing "
-      "per-layer overhead and streaming weights once per launch.\n");
 
   return offload::bench::write_json_array("BENCH_multiclient.json", json)
              ? 0

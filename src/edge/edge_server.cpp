@@ -19,8 +19,6 @@ EdgeServer::EdgeServer(sim::Simulation& sim, net::Endpoint& endpoint,
 
 std::unique_ptr<serve::Scheduler> EdgeServer::make_scheduler() const {
   serve::SchedulerConfig sched = config_.scheduler;
-  sched.profile = config_.profile;  // the server's compute, not a default
-  sched.drop_expired = config_.queue_deadline != sim::SimTime::zero();
   sched.obs = config_.obs;
   sched.obs_name = config_.obs_name;
   return std::make_unique<serve::Scheduler>(sim_, std::move(sched));
@@ -392,9 +390,8 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
 
   // The server's compute is a shared resource: executions from all
   // clients queue on the serving scheduler (the default 1-replica FIFO
-  // configuration is exactly the old compute reservation). Snapshot jobs
-  // are opaque to the batcher — each one is a full JS VM execution in its
-  // own realm, so there is nothing to fuse.
+  // configuration is exactly the old compute reservation). Each job is
+  // opaque: a full JS VM execution in its own realm.
   ++stats_.snapshots_executed;
   count("snapshots_executed");
   const std::size_t record_index = executions_.size();

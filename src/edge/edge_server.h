@@ -57,11 +57,9 @@ struct EdgeServerConfig {
   /// (deadline-aware cancellation in the serving scheduler). Zero = never.
   sim::SimTime queue_deadline = sim::SimTime::zero();
   jsvm::SnapshotOptions snapshot_options;
-  /// Compute-scheduler knobs: replica lanes, queue policy, batching window
-  /// and the admission bound (0 = never shed). The `profile` field inside
-  /// is ignored — the server's own profile above is used. The default
-  /// (1 replica, FIFO, batch 1, unbounded) reproduces the original FIFO
-  /// compute reservation bit-for-bit.
+  /// Compute-scheduler knobs: replica lanes and the admission bound (0 =
+  /// never shed). The default (1 replica, unbounded) reproduces the
+  /// original FIFO compute reservation bit-for-bit.
   serve::SchedulerConfig scheduler;
   /// Observability sink (optional, shared with the client and channel so
   /// spans from all actors land in one trace). The scheduler inherits it.
@@ -88,8 +86,8 @@ struct EscalationRequest {
 struct ServerExecutionRecord {
   sim::SimTime received_at;
   double queue_wait_s = 0;  ///< waited for earlier requests (contention)
-  double batch_wait_s = 0;  ///< replica idle while a batch formed (zero
-                            ///< for snapshot jobs unless batching is on)
+  double batch_wait_s = 0;  ///< lane idle before dispatch (zero: jobs
+                            ///< dispatch as soon as a lane frees)
   double restore_s = 0;   ///< parse+run the incoming snapshot
   double execute_s = 0;   ///< DNN execution on the server browser
   double capture_s = 0;   ///< producing the result snapshot
@@ -210,8 +208,8 @@ class EdgeServer {
   BrowserHost* last_browser() { return last_browser_; }
 
   /// The compute scheduler all snapshot executions queue on. Exposed so
-  /// callers can register models for direct inference jobs and so tests
-  /// can inspect batching/shedding stats.
+  /// the tier and the controller can read its load and tests can inspect
+  /// its shedding stats.
   serve::Scheduler& scheduler() { return *scheduler_; }
   const serve::Scheduler& scheduler() const { return *scheduler_; }
 

@@ -16,20 +16,6 @@ double DeviceProfile::layer_time_s(LayerKind kind, std::uint64_t flops) const {
          per_layer_overhead_s;
 }
 
-double DeviceProfile::layer_batch_time_s(LayerKind kind, std::uint64_t flops,
-                                         std::int64_t batch) const {
-  const double first = layer_time_s(kind, flops);
-  if (batch <= 1) return first;
-  const double throughput = gflops[idx(kind)];
-  if (throughput <= 0.0) return first;  // overhead-only layers don't scale
-  const double speedup = batch_marginal_speedup > 0.0
-                             ? batch_marginal_speedup
-                             : 1.0;
-  const double marginal =
-      static_cast<double>(flops) / (throughput * speedup * 1e9);
-  return first + static_cast<double>(batch - 1) * marginal;
-}
-
 double DeviceProfile::network_time_s(const Network& net, std::size_t begin,
                                      std::size_t end) const {
   const auto& analysis = net.analyze();
@@ -37,18 +23,6 @@ double DeviceProfile::network_time_s(const Network& net, std::size_t begin,
   end = std::min(end, net.size());
   for (std::size_t i = begin; i < end; ++i) {
     total += layer_time_s(net.layer(i).kind(), analysis.flops[i]);
-  }
-  return total;
-}
-
-double DeviceProfile::network_batch_time_s(const Network& net,
-                                           std::size_t begin, std::size_t end,
-                                           std::int64_t batch) const {
-  const auto& analysis = net.analyze();
-  double total = 0.0;
-  end = std::min(end, net.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    total += layer_batch_time_s(net.layer(i).kind(), analysis.flops[i], batch);
   }
   return total;
 }
@@ -79,7 +53,6 @@ DeviceProfile DeviceProfile::embedded_client() {
   p.snapshot_parse_Bps = 50e6;
   // Small caches: weights are re-streamed for every sample, so fusing a
   // batch barely helps beyond amortizing dispatch overhead.
-  p.batch_marginal_speedup = 1.25;
   return p;
 }
 
@@ -97,9 +70,6 @@ DeviceProfile DeviceProfile::edge_server_gpu() {
   p.gflops[idx(LayerKind::kSoftmax)] *= 20.0;
   p.gflops[idx(LayerKind::kConcat)] *= 10.0;
   p.per_layer_overhead_s = 0.2e-3;  // GPU dispatch overhead
-  // Uploading weight textures dominates single-sample WebGL inference;
-  // fused batches reuse them, so marginal samples are far cheaper.
-  p.batch_marginal_speedup = 5.0;
   return p;
 }
 
@@ -113,9 +83,6 @@ DeviceProfile DeviceProfile::edge_server() {
   p.per_layer_overhead_s = 0.1e-3;
   p.snapshot_serialize_Bps = 300e6;
   p.snapshot_parse_Bps = 600e6;
-  // Large caches keep the hot weight working set resident across the
-  // samples of a fused batch.
-  p.batch_marginal_speedup = 1.7;
   return p;
 }
 
@@ -128,7 +95,6 @@ DeviceProfile DeviceProfile::cloud_server() {
   p.per_layer_overhead_s = 0.05e-3;
   p.snapshot_serialize_Bps = 600e6;
   p.snapshot_parse_Bps = 1200e6;
-  p.batch_marginal_speedup = 2.0;
   return p;
 }
 

@@ -25,23 +25,9 @@ struct DeviceProfile {
   double snapshot_serialize_Bps = 30e6;
   /// Snapshot parse+restore rate, bytes/second (restore side).
   double snapshot_parse_Bps = 60e6;
-  /// Effective throughput multiplier for the 2nd..Nth sample of a fused
-  /// batched layer launch. Weights stream through the cache (or over the
-  /// PCIe bus, for WebGL) once per launch instead of once per sample, so
-  /// marginal samples run closer to compute-bound. 1.0 = batching buys
-  /// nothing beyond amortized per-layer overhead.
-  double batch_marginal_speedup = 1.0;
 
   /// Time to execute one layer with the given FLOP count.
   double layer_time_s(LayerKind kind, std::uint64_t flops) const;
-
-  /// Time to execute one layer over a fused batch of `batch` samples,
-  /// each costing `flops`. The first sample pays the same as
-  /// layer_time_s (so batch=1 is bit-for-bit the unbatched cost); each
-  /// additional sample adds flops/(throughput × batch_marginal_speedup)
-  /// and no further per-layer overhead.
-  double layer_batch_time_s(LayerKind kind, std::uint64_t flops,
-                            std::int64_t batch) const;
 
   /// Time to execute nodes [begin, end) of `net` on this device.
   double network_time_s(const Network& net, std::size_t begin,
@@ -49,11 +35,6 @@ struct DeviceProfile {
   double network_time_s(const Network& net) const {
     return network_time_s(net, 0, net.size());
   }
-
-  /// Batched-launch time for nodes [begin, end): sums layer_batch_time_s
-  /// per node. Equals network_time_s when batch == 1.
-  double network_batch_time_s(const Network& net, std::size_t begin,
-                              std::size_t end, std::int64_t batch) const;
 
   double snapshot_capture_s(std::uint64_t snapshot_bytes) const;
   double snapshot_restore_s(std::uint64_t snapshot_bytes) const;

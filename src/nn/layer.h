@@ -48,9 +48,7 @@ class Layer {
 
   /// Floating-point operation count for one forward pass over a single
   /// sample (multiply and add counted separately, the Neurosurgeon
-  /// convention). Drives the device cost model; a fused batch of B samples
-  /// costs B x this many FLOPs (see DeviceProfile::layer_batch_time_s for
-  /// how the dispatch overhead amortizes).
+  /// convention). Drives the device cost model.
   virtual std::uint64_t flops(std::span<const Shape> inputs) const = 0;
 
   /// Batched forward, the one forward entry every layer implements: every

@@ -118,14 +118,6 @@ std::int64_t leading_batch(const Tensor& t, const char* what) {
   return t.shape()[0];
 }
 
-/// Counted only by the batched entry points, after the shared runner, so
-/// single-sample metrics snapshots (and their goldens) keep their lines.
-void count_batched_samples(std::int64_t batch) {
-  if (obs::MetricsRegistry* metrics = obs::tls_metrics()) {
-    metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
-  }
-}
-
 }  // namespace
 
 Tensor Network::run_range(std::size_t begin, std::size_t end,
@@ -167,22 +159,6 @@ Tensor Network::run_front(const Tensor& input, std::size_t end,
   return run_range(1, end, values, batch);
 }
 
-Tensor Network::run_rear(Tensor features, std::size_t cut) const {
-  if (cut + 1 >= nodes_.size()) {
-    throw std::out_of_range("forward_rear: nothing after cut");
-  }
-  const std::int64_t batch = leading_batch(features, "forward_rear");
-  const Shape per = features.shape().unbatched();
-  if (per != analyze().shapes[cut]) {
-    throw std::invalid_argument("forward_rear: feature shape " + per.str() +
-                                " != expected " +
-                                analyze().shapes[cut].str());
-  }
-  std::vector<Tensor> values(nodes_.size());
-  values[cut] = std::move(features);
-  return run_range(cut + 1, nodes_.size(), values, batch);
-}
-
 Tensor Network::forward(const Tensor& input) const {
   if (nodes_.empty()) throw std::logic_error("Network::forward: empty graph");
   return drop_batch_dim(run_front(as_batch_of_one(input), nodes_.size(), 1));
@@ -196,7 +172,17 @@ Tensor Network::forward_front(const Tensor& input, std::size_t cut) const {
 }
 
 Tensor Network::forward_rear(const Tensor& feature, std::size_t cut) const {
-  return drop_batch_dim(run_rear(as_batch_of_one(feature), cut));
+  if (cut + 1 >= nodes_.size()) {
+    throw std::out_of_range("forward_rear: nothing after cut");
+  }
+  if (feature.shape() != analyze().shapes[cut]) {
+    throw std::invalid_argument("forward_rear: feature shape " +
+                                feature.shape().str() + " != expected " +
+                                analyze().shapes[cut].str());
+  }
+  std::vector<Tensor> values(nodes_.size());
+  values[cut] = as_batch_of_one(feature);
+  return drop_batch_dim(run_range(cut + 1, nodes_.size(), values, 1));
 }
 
 Tensor Network::forward_batch(const Tensor& input) const {
@@ -205,14 +191,11 @@ Tensor Network::forward_batch(const Tensor& input) const {
   }
   const std::int64_t batch = leading_batch(input, "Network::forward_batch");
   Tensor out = run_front(input, nodes_.size(), batch);
-  count_batched_samples(batch);
-  return out;
-}
-
-Tensor Network::forward_rear_batch(const Tensor& features,
-                                   std::size_t cut) const {
-  Tensor out = run_rear(features, cut);
-  count_batched_samples(features.shape()[0]);
+  // Counted only here, after the shared runner, so single-sample metrics
+  // snapshots (and their goldens) keep their lines.
+  if (obs::MetricsRegistry* metrics = obs::tls_metrics()) {
+    metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
+  }
   return out;
 }
 

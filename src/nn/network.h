@@ -71,9 +71,6 @@ class Network {
   /// output of the last node. Bit-identical to forwarding each sample alone
   /// and stacking the results, at any batch size and thread count.
   Tensor forward_batch(const Tensor& input) const;
-  /// Run nodes (cut, end) from a batched feature tensor {B, dims-of-cut...}.
-  /// The serving scheduler's fused-dispatch path.
-  Tensor forward_rear_batch(const Tensor& features, std::size_t cut) const;
 
   /// Node indices that are valid offloading points: every edge into the
   /// downstream subgraph originates at that node. Always contains node 0
@@ -89,9 +86,6 @@ class Network {
   /// Feed a batched input to node 0 and run nodes [1, end).
   Tensor run_front(const Tensor& input, std::size_t end,
                    std::int64_t batch) const;
-  /// Run nodes (cut, end) from batched features; checks the cut and the
-  /// per-sample feature shape.
-  Tensor run_rear(Tensor features, std::size_t cut) const;
   /// Execute nodes [begin, end) over values that all carry a leading batch
   /// dim of `batch`; `values` must hold outputs of all nodes < begin that
   /// the range reads. Returns output of node end-1.

@@ -1,25 +1,20 @@
-// Typed requests, replies, and per-request timing for the serving
-// scheduler. Two job shapes flow through one queue:
-//
-//  - *opaque* jobs: a precomputed busy time (the snapshot restore + execute
-//    + capture path of the edge server). Never fused — each one is a full
-//    JS VM execution with its own realm.
-//  - *inference* jobs: (model, cut, feature tensor). Jobs that agree on
-//    model and cut may be fused into one batched rear-range forward.
+// Typed replies and per-request timing for the serving scheduler. Every
+// job is opaque: a precomputed busy time (the snapshot restore + execute
+// + capture path of the edge server), each one a full JS VM execution
+// with its own realm.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
-#include "src/nn/tensor.h"
 #include "src/sim/time.h"
 
 namespace offload::serve {
 
 /// Why a submission was refused admission.
 enum class RejectReason {
-  kQueueFull,     ///< pending queue at its configured bound — load shed
-  kUnknownModel,  ///< inference job names a model never registered
+  kQueueFull,  ///< pending queue at its configured bound — load shed
 };
 
 const char* reject_reason_name(RejectReason reason);
@@ -33,20 +28,19 @@ struct Reject {
 
 /// Per-request latency breakdown, filled by the scheduler.
 ///
-/// The wait is split at `available` = max(submitted, replica-free-since):
-/// time before `available` the request was blocked behind other work
-/// (queue wait); time after it the replica sat idle on purpose while the
-/// batch formed (batch wait). Under the degenerate single-replica FIFO
-/// configuration batch wait is identically zero and queue wait reproduces
-/// the old reservation model bit-for-bit.
+/// The wait is split at `available` = max(submitted, end of the lane's
+/// previous job): time before `available` the request was blocked behind
+/// other work (queue wait); time after it the lane sat idle before the
+/// dispatch (batch wait). Jobs dispatch the moment a lane frees, so batch
+/// wait is zero and queue wait reproduces the single-lane FIFO
+/// reservation model bit-for-bit.
 struct RequestTiming {
   sim::SimTime submitted;
   sim::SimTime dispatched;
   sim::SimTime completed;
   double queue_wait_s = 0;  ///< waited for a replica (contention)
-  double batch_wait_s = 0;  ///< replica free, held for batch formation
-  double compute_s = 0;     ///< fused-launch time (shared by the batch)
-  int batch_size = 1;       ///< jobs fused into the launch that ran this one
+  double batch_wait_s = 0;  ///< lane free, job not yet dispatched
+  double compute_s = 0;     ///< the job's busy time on the lane
   int replica = 0;          ///< lane index that executed the job
   /// Obs span id of the lane-busy span covering this job's launch (0 when
   /// the scheduler has no obs sink). Lets callers parent their own
@@ -60,14 +54,9 @@ struct RequestTiming {
 /// Completion callback for opaque jobs, invoked at the completion sim-time.
 using OpaqueDoneFn = std::function<void(const RequestTiming&)>;
 /// Expiry callback: the job's deadline passed while it was still queued
-/// and the scheduler cancelled it (SchedulerConfig::drop_expired). The
-/// timing records submitted and the cancellation time (`completed`); no
-/// compute ever ran.
+/// and the scheduler cancelled it. The timing records submitted and the
+/// cancellation time (`completed`); no compute ever ran.
 using ExpiredFn = std::function<void(const RequestTiming&)>;
-/// Completion callback for inference jobs: this request's slice of the
-/// batched output, plus timing.
-using InferDoneFn = std::function<void(nn::Tensor output,
-                                       const RequestTiming&)>;
 
 /// Outcome of a submit call. Admission is decided synchronously.
 struct SubmitResult {

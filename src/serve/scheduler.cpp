@@ -1,7 +1,6 @@
 #include "src/serve/scheduler.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -11,111 +10,42 @@ const char* reject_reason_name(RejectReason reason) {
   switch (reason) {
     case RejectReason::kQueueFull:
       return "queue_full";
-    case RejectReason::kUnknownModel:
-      return "unknown_model";
   }
   return "unknown";
 }
 
 Scheduler::Scheduler(sim::Simulation& sim, SchedulerConfig config)
-    : sim_(sim),
-      config_(std::move(config)),
-      policy_(make_policy(config_.policy)) {
+    : sim_(sim), config_(std::move(config)) {
   if (config_.replicas < 1) {
     throw std::invalid_argument("Scheduler: replicas must be >= 1");
   }
-  if (config_.max_batch < 1) {
-    throw std::invalid_argument("Scheduler: max_batch must be >= 1");
-  }
   lanes_.resize(static_cast<std::size_t>(config_.replicas));
-}
-
-void Scheduler::register_model(std::shared_ptr<const nn::Network> net) {
-  if (!net) throw std::invalid_argument("Scheduler: null model");
-  models_[net->name()] = std::move(net);
-}
-
-bool Scheduler::has_model(const std::string& name) const {
-  return models_.count(name) > 0;
 }
 
 SubmitResult Scheduler::submit_opaque(double busy_s, OpaqueDoneFn on_done,
                                       sim::SimTime deadline,
                                       ExpiredFn on_expired,
                                       obs::TraceContext ctx) {
-  Job job;
-  job.opaque = true;
-  job.busy_s = busy_s;
-  job.deadline = deadline;
-  job.on_opaque_done = std::move(on_done);
-  job.on_expired = std::move(on_expired);
-  job.ctx = ctx;
-  return admit(std::move(job));
-}
-
-SubmitResult Scheduler::submit_infer(const std::string& model, std::size_t cut,
-                                     nn::Tensor feature, InferDoneFn on_done,
-                                     sim::SimTime deadline,
-                                     ExpiredFn on_expired,
-                                     obs::TraceContext ctx) {
-  Job job;
-  job.opaque = false;
-  job.model = model;
-  job.cut = cut;
-  job.feature = std::move(feature);
-  job.deadline = deadline;
-  job.on_infer_done = std::move(on_done);
-  job.on_expired = std::move(on_expired);
-  job.ctx = ctx;
-  return admit(std::move(job));
-}
-
-bool Scheduler::cancel(std::uint64_t id) {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].id != id) continue;
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    ++stats_.cancelled;
-    if (config_.obs) {
-      config_.obs->metrics.add(config_.obs_name + ".cancelled");
-    }
-    note_queue_depth();
-    return true;
-  }
-  return false;
-}
-
-void Scheduler::note_queue_depth() {
-  if (config_.obs) {
-    config_.obs->metrics.set_gauge(config_.obs_name + ".queue_depth",
-                                   static_cast<std::int64_t>(pending_.size()));
-  }
-}
-
-SubmitResult Scheduler::admit(Job job) {
   SubmitResult result;
   obs::Obs* obs = config_.obs;
-  if (!job.opaque && !has_model(job.model)) {
-    ++stats_.rejected;
-    result.reject = {RejectReason::kUnknownModel, pending_.size()};
-    if (obs) {
-      obs->metrics.add(config_.obs_name + ".rejected.unknown_model");
-      obs->trace.marker(job.ctx.trace, job.ctx.root, "reject:unknown_model",
-                        config_.obs_name + "/queue", sim_.now());
-    }
-    return result;
-  }
-  if (config_.max_queue > 0 && pending_.size() >= config_.max_queue) {
+  if (!would_admit()) {
     ++stats_.rejected;
     result.reject = {RejectReason::kQueueFull, pending_.size()};
     if (obs) {
       obs->metrics.add(config_.obs_name + ".rejected.queue_full");
-      obs->trace.marker(job.ctx.trace, job.ctx.root, "reject:queue_full",
+      obs->trace.marker(ctx.trace, ctx.root, "reject:queue_full",
                         config_.obs_name + "/queue", sim_.now());
     }
     return result;
   }
+  Job job;
   job.id = next_id_++;
+  job.busy_s = busy_s;
   job.submitted = sim_.now();
+  job.deadline = deadline;
+  job.on_done = std::move(on_done);
+  job.on_expired = std::move(on_expired);
+  job.ctx = ctx;
   ++stats_.submitted;
   result.admitted = true;
   result.id = job.id;
@@ -127,19 +57,38 @@ SubmitResult Scheduler::admit(Job job) {
   return result;
 }
 
+bool Scheduler::cancel(std::uint64_t id) {
+  auto it = std::find_if(pending_.begin(), pending_.end(),
+                         [id](const Job& job) { return job.id == id; });
+  if (it == pending_.end()) return false;
+  pending_.erase(it);
+  ++stats_.cancelled;
+  if (config_.obs) {
+    config_.obs->metrics.add(config_.obs_name + ".cancelled");
+  }
+  note_queue_depth();
+  return true;
+}
+
+void Scheduler::note_queue_depth() {
+  if (config_.obs) {
+    config_.obs->metrics.set_gauge(config_.obs_name + ".queue_depth",
+                                   static_cast<std::int64_t>(pending_.size()));
+  }
+}
+
 void Scheduler::expire_overdue() {
   // Collect first, then erase, then notify: an expiry callback may
   // synchronously submit follow-up work that re-enters the scheduler.
   std::vector<Job> expired;
-  for (std::size_t i = pending_.size(); i-- > 0;) {
-    if (pending_[i].deadline < sim_.now()) {
-      expired.push_back(std::move(pending_[i]));
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (it->deadline < sim_.now()) {
+      expired.push_back(std::move(*it));
+      it = pending_.erase(it);
+    } else {
+      ++it;
     }
   }
-  // Restore submission order (the reverse sweep above flipped it).
-  std::sort(expired.begin(), expired.end(),
-            [](const Job& a, const Job& b) { return a.id < b.id; });
   if (!expired.empty()) note_queue_depth();
   for (Job& job : expired) {
     ++stats_.expired;
@@ -160,219 +109,75 @@ void Scheduler::expire_overdue() {
 }
 
 void Scheduler::pump() {
-  if (config_.drop_expired) expire_overdue();
-  for (;;) {
-    int lane = -1;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i].busy_until <= sim_.now()) {
-        lane = static_cast<int>(i);
-        break;
-      }
-    }
-    if (lane < 0 || pending_.empty()) return;
-
-    // Policy order over the waiting jobs (ids break all ties, so this is a
-    // total, deterministic order).
-    std::vector<std::size_t> order(pending_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [this](std::size_t a, std::size_t b) {
-                return policy_->before(pending_[a].info(), pending_[b].info());
-              });
-
-    bool dispatched = false;
-    sim::SimTime earliest_ready = sim::SimTime::max();
-    // Heads already passed over because their batch is still forming; any
-    // later job of the same key must wait with them (dispatching it alone
-    // would reorder within the key).
-    std::vector<std::size_t> held_heads;
-    for (std::size_t oi = 0; oi < order.size(); ++oi) {
-      const Job& head = pending_[order[oi]];
-      bool held = false;
-      for (std::size_t h : held_heads) {
-        if (head.fuses_with(pending_[h])) {
-          held = true;
-          break;
-        }
-      }
-      if (held) continue;
-
-      if (head.opaque || config_.max_batch <= 1) {
-        dispatch({order[oi]}, lane);
-        dispatched = true;
-        break;
-      }
-      std::vector<std::size_t> batch;
-      sim::SimTime oldest = head.submitted;
-      for (std::size_t oj = oi;
-           oj < order.size() && batch.size() < config_.max_batch; ++oj) {
-        const Job& j = pending_[order[oj]];
-        if (oj == oi || j.fuses_with(head)) {
-          batch.push_back(order[oj]);
-          oldest = std::min(oldest, j.submitted);
-        }
-      }
-      const sim::SimTime ready_at = oldest + config_.max_batch_wait;
-      if (batch.size() >= config_.max_batch || sim_.now() >= ready_at) {
-        dispatch(batch, lane);
-        dispatched = true;
-        break;
-      }
-      held_heads.push_back(order[oi]);
-      earliest_ready = std::min(earliest_ready, ready_at);
-    }
-    if (dispatched) continue;  // lane + queue changed; rescan
-
-    // Everything waiting is a batch still forming. Arm (or retarget) the
-    // hold timer for the soonest formation deadline.
-    if (earliest_ready != sim::SimTime::max() &&
-        earliest_ready != hold_timer_at_) {
-      if (hold_timer_.valid()) sim_.cancel(hold_timer_);
-      hold_timer_at_ = earliest_ready;
-      hold_timer_ = sim_.schedule_at(earliest_ready, [this] {
-        hold_timer_ = {};
-        hold_timer_at_ = sim::SimTime::max();
-        pump();
-      });
-    }
-    return;
+  expire_overdue();
+  while (!pending_.empty()) {
+    auto idle = std::find_if(
+        lanes_.begin(), lanes_.end(),
+        [this](const Lane& l) { return l.busy_until <= sim_.now(); });
+    if (idle == lanes_.end()) return;
+    dispatch(static_cast<int>(idle - lanes_.begin()));
   }
 }
 
-void Scheduler::dispatch(const std::vector<std::size_t>& indices, int lane) {
+void Scheduler::dispatch(int lane) {
   const sim::SimTime now = sim_.now();
-  std::vector<Job> batch;
-  batch.reserve(indices.size());
-  for (std::size_t idx : indices) batch.push_back(std::move(pending_[idx]));
-  std::vector<std::size_t> erase_order = indices;
-  std::sort(erase_order.begin(), erase_order.end(),
-            std::greater<std::size_t>());
-  for (std::size_t idx : erase_order) {
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(idx));
-  }
-
-  const Job& head = batch.front();
-  double compute_s = 0;
-  if (head.opaque) {
-    compute_s = head.busy_s;
-  } else {
-    const auto& net = models_.at(head.model);
-    compute_s = config_.profile.network_batch_time_s(
-        *net, head.cut + 1, net->size(),
-        static_cast<std::int64_t>(batch.size()));
-  }
-  const sim::SimTime end = now + sim::SimTime::seconds(compute_s);
+  Job job = std::move(pending_.front());
+  pending_.pop_front();
+  const sim::SimTime end = now + sim::SimTime::seconds(job.busy_s);
 
   Lane& l = lanes_[static_cast<std::size_t>(lane)];
-  obs::Obs* obs = config_.obs;
-  const std::string lane_res =
-      obs ? config_.obs_name + "/lane" + std::to_string(lane) : std::string();
-  // One lane-busy span per launch; per-job wait spans hang off each job's
-  // own trace. Callers of opaque jobs receive the busy-span id through
-  // RequestTiming so their restore/execute/capture sub-spans can nest in
-  // the lane interval.
-  obs::SpanId busy_span = 0;
-  if (obs) {
-    const Job& h = batch.front();
-    busy_span = obs->trace.emit(
-        h.ctx.trace, h.ctx.root, obs::SpanKind::kLaneBusy,
-        h.opaque ? "launch" : "launch:" + h.model, lane_res, now, end,
-        compute_s);
-    obs->trace.attr(busy_span, "batch_size",
-                    static_cast<std::int64_t>(batch.size()));
-  }
-  std::vector<RequestTiming> timings;
-  timings.reserve(batch.size());
-  for (const Job& j : batch) {
-    RequestTiming t;
-    t.submitted = j.submitted;
-    t.dispatched = now;
-    t.completed = end;
-    const sim::SimTime available = std::max(j.submitted, l.free_since);
-    t.queue_wait_s = (available - j.submitted).to_seconds();
-    t.batch_wait_s = (now - available).to_seconds();
-    t.compute_s = compute_s;
-    t.batch_size = static_cast<int>(batch.size());
-    t.replica = lane;
-    t.busy_span = busy_span;
-    if (obs) {
-      obs->trace.emit(j.ctx.trace, j.ctx.root, obs::SpanKind::kQueueWait,
-                      "queue_wait", config_.obs_name + "/queue", j.submitted,
-                      available, t.queue_wait_s);
-      obs->trace.emit(j.ctx.trace, j.ctx.root, obs::SpanKind::kBatchWait,
-                      "batch_wait", config_.obs_name + "/queue", available,
-                      now, t.batch_wait_s);
-    }
-    timings.push_back(t);
+  // The wait splits where the job could first have run: its submission or
+  // the end of the lane's previous job, whichever is later. The lane's
+  // previous busy_until is that end even when this dispatch runs at the
+  // completion instant ahead of the completion event itself.
+  const sim::SimTime available = std::max(job.submitted, l.busy_until);
+  RequestTiming t;
+  t.submitted = job.submitted;
+  t.dispatched = now;
+  t.completed = end;
+  t.queue_wait_s = (available - job.submitted).to_seconds();
+  t.batch_wait_s = (now - available).to_seconds();
+  t.compute_s = job.busy_s;
+  t.replica = lane;
+  // One lane-busy span per job, with its wait spans on the job's own
+  // trace. Callers receive the busy-span id through RequestTiming so their
+  // restore/execute/capture sub-spans can nest in the lane interval.
+  if (obs::Obs* obs = config_.obs) {
+    const std::string lane_res =
+        config_.obs_name + "/lane" + std::to_string(lane);
+    t.busy_span =
+        obs->trace.emit(job.ctx.trace, job.ctx.root, obs::SpanKind::kLaneBusy,
+                        "launch", lane_res, now, end, job.busy_s);
+    obs->trace.attr(t.busy_span, "batch_size", std::int64_t{1});
+    obs->trace.emit(job.ctx.trace, job.ctx.root, obs::SpanKind::kQueueWait,
+                    "queue_wait", config_.obs_name + "/queue", job.submitted,
+                    available, t.queue_wait_s);
+    obs->trace.emit(job.ctx.trace, job.ctx.root, obs::SpanKind::kBatchWait,
+                    "batch_wait", config_.obs_name + "/queue", available, now,
+                    t.batch_wait_s);
   }
   l.busy_until = end;
-  l.last_batch_wait_s = 0;
-  for (const RequestTiming& t : timings) {
-    l.last_batch_wait_s = std::max(l.last_batch_wait_s, t.batch_wait_s);
-  }
+  l.last_batch_wait_s = t.batch_wait_s;
   note_queue_depth();
-
   ++stats_.launches;
-  stats_.largest_batch =
-      std::max(stats_.largest_batch, static_cast<int>(batch.size()));
-  if (batch.size() > 1) stats_.fused_jobs += batch.size();
 
-  sim_.schedule_at(end, [this, lane, batch = std::move(batch),
-                         timings = std::move(timings)]() mutable {
-    complete(std::move(batch), std::move(timings), lane);
+  sim_.schedule_at(end, [this, job = std::move(job), t]() mutable {
+    complete(std::move(job), t);
   });
 }
 
-void Scheduler::complete(std::vector<Job> batch,
-                         std::vector<RequestTiming> timings, int lane) {
-  // Mark the lane idle before callbacks run: a completion callback may
-  // synchronously submit follow-up work that should see this lane free.
-  lanes_[static_cast<std::size_t>(lane)].free_since = sim_.now();
-
+void Scheduler::complete(Job job, const RequestTiming& t) {
   if (obs::Obs* obs = config_.obs) {
-    for (std::size_t i = 0;
-         i < (batch.front().opaque ? std::size_t{1} : batch.size()); ++i) {
-      const RequestTiming& t = timings[i];
-      obs->metrics.add(config_.obs_name + ".completed");
-      obs->metrics.observe(config_.obs_name + ".queue_wait_ms",
-                           t.queue_wait_s * 1e3);
-      obs->metrics.observe(config_.obs_name + ".batch_wait_ms",
-                           t.batch_wait_s * 1e3);
-      obs->metrics.observe(config_.obs_name + ".total_ms", t.total_s() * 1e3);
-    }
-    obs->metrics.observe(config_.obs_name + ".compute_ms",
-                         timings[0].compute_s * 1e3);
+    obs->metrics.add(config_.obs_name + ".completed");
+    obs->metrics.observe(config_.obs_name + ".queue_wait_ms",
+                         t.queue_wait_s * 1e3);
+    obs->metrics.observe(config_.obs_name + ".batch_wait_ms",
+                         t.batch_wait_s * 1e3);
+    obs->metrics.observe(config_.obs_name + ".total_ms", t.total_s() * 1e3);
+    obs->metrics.observe(config_.obs_name + ".compute_ms", t.compute_s * 1e3);
   }
-
-  if (batch.front().opaque) {
-    ++stats_.completed;
-    if (batch.front().on_opaque_done) batch.front().on_opaque_done(timings[0]);
-  } else {
-    const auto& net = models_.at(batch.front().model);
-    const std::size_t cut = batch.front().cut;
-    std::vector<nn::Tensor> features;
-    features.reserve(batch.size());
-    for (Job& j : batch) features.push_back(std::move(j.feature));
-    if (cut + 1 >= net->size()) {
-      // Nothing after the cut: each job's output is its own feature.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        ++stats_.completed;
-        if (batch[i].on_infer_done) {
-          batch[i].on_infer_done(std::move(features[i]), timings[i]);
-        }
-      }
-    } else {
-      nn::Tensor stacked = nn::Tensor::stack(features);
-      nn::Tensor out = net->forward_rear_batch(stacked, cut);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        ++stats_.completed;
-        if (batch[i].on_infer_done) {
-          batch[i].on_infer_done(out.sample(static_cast<std::int64_t>(i)),
-                                 timings[i]);
-        }
-      }
-    }
-  }
+  ++stats_.completed;
+  if (job.on_done) job.on_done(t);
   pump();
 }
 

@@ -1,57 +1,35 @@
-// The serving scheduler: one bounded queue of jobs from many concurrent
-// clients, a configurable ordering policy (FIFO / EDF), dynamic batching
-// of compatible inference jobs, and a pool of model-replica lanes.
+// The serving scheduler: one bounded FIFO queue of opaque jobs from many
+// concurrent clients over a pool of replica lanes.
+//
+// Each job is one self-contained snapshot execution on the edge server: a
+// precomputed busy time that occupies one lane. Jobs run in admission
+// order; nothing is ever fused or reordered.
 //
 // Event-driven over the discrete-event simulation: a job dispatches only
-// when a lane is idle at the current sim time; lane completions and batch
-// hold-timers re-pump the queue. All decisions depend only on sim time and
-// admission order, so results are deterministic at any OFFLOAD_THREADS.
-//
-// Batching (the reason this subsystem exists): jobs that agree on
-// (model, cut) fuse into one batched rear-range forward of up to
-// `max_batch` samples. A partial batch is held until the oldest member has
-// waited `max_batch_wait`, unless the batch fills first. Fused launches
-// amortize per-layer overhead and run marginal samples at the profile's
-// batch_marginal_speedup, which is where the throughput win over
-// request-at-a-time FIFO comes from.
+// when a lane is idle at the current sim time; lane completions re-pump
+// the queue. All decisions depend only on sim time and admission order,
+// so results are deterministic at any OFFLOAD_THREADS.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
-#include "src/nn/device.h"
-#include "src/nn/network.h"
 #include "src/obs/obs.h"
-#include "src/serve/policy.h"
 #include "src/serve/request.h"
 #include "src/sim/simulation.h"
 
 namespace offload::serve {
 
 struct SchedulerConfig {
-  nn::DeviceProfile profile = nn::DeviceProfile::edge_server();
-  /// Model-replica lanes. Each lane executes one launch at a time; the
-  /// whole pool shares the one queue.
+  /// Replica lanes. Each lane executes one job at a time; the whole pool
+  /// shares the one queue.
   int replicas = 1;
-  /// Max inference jobs fused into one launch. 1 = no batching.
-  std::size_t max_batch = 1;
-  /// How long a partial batch may hold an idle lane, measured from the
-  /// submission of its oldest member. Zero = dispatch immediately.
-  sim::SimTime max_batch_wait = sim::SimTime::zero();
   /// Admission bound on the pending queue; submissions beyond it are shed
   /// with Reject{kQueueFull}. 0 = unbounded.
   std::size_t max_queue = 0;
-  /// Queue ordering: "fifo" or "edf".
-  std::string policy = "fifo";
-  /// Deadline-aware cancellation: queued jobs whose deadline has passed
-  /// are dropped at the next pump instead of occupying a lane; their
-  /// `on_expired` callback fires. Off by default (deadlines then only
-  /// order the EDF policy, as before).
-  bool drop_expired = false;
   /// Observability sink (optional). When set, the scheduler maintains a
   /// queue-depth gauge, submission/completion/shed counters, and wait
   /// histograms (all keys prefixed "<obs_name>."), and emits queue-wait /
@@ -68,28 +46,15 @@ class Scheduler {
  public:
   Scheduler(sim::Simulation& sim, SchedulerConfig config);
 
-  /// Make `net` available for inference jobs under net->name(). The
-  /// network is shared by all lanes (weights are read-only at serve time).
-  void register_model(std::shared_ptr<const nn::Network> net);
-  bool has_model(const std::string& name) const;
-
-  /// Opaque job: occupies a lane for exactly `busy_s`; never fused.
-  /// `on_done` runs at the completion sim-time. With `drop_expired` on,
-  /// `on_expired` fires instead if the deadline passes while queued.
-  /// `ctx` ties the job's spans into the submitting request's trace.
+  /// Opaque job: occupies a lane for exactly `busy_s`. `on_done` runs at
+  /// the completion sim-time. A job with a finite `deadline` that is
+  /// still queued once the deadline has passed is dropped instead, and
+  /// `on_expired` fires. `ctx` ties the job's spans into the submitting
+  /// request's trace.
   SubmitResult submit_opaque(double busy_s, OpaqueDoneFn on_done,
                              sim::SimTime deadline = sim::SimTime::max(),
                              ExpiredFn on_expired = nullptr,
                              obs::TraceContext ctx = {});
-
-  /// Inference job: rear-range forward of `model` from `cut` over
-  /// `feature`. May fuse with compatible jobs. `on_done` receives this
-  /// request's output slice at the completion sim-time.
-  SubmitResult submit_infer(const std::string& model, std::size_t cut,
-                            nn::Tensor feature, InferDoneFn on_done,
-                            sim::SimTime deadline = sim::SimTime::max(),
-                            ExpiredFn on_expired = nullptr,
-                            obs::TraceContext ctx = {});
 
   /// Withdraw a still-queued job (work stealing / session migration). The
   /// job's callbacks never fire; the caller owns its fate from here on.
@@ -101,7 +66,7 @@ class Scheduler {
   /// tests): no metrics-registry round-trip, just the scheduler's own
   /// state. Parity with the obs gauges is asserted in serve_test.
   int lanes() const { return static_cast<int>(lanes_.size()); }
-  /// Lanes whose current launch is still running at `now`.
+  /// Lanes whose current job is still running at `now`.
   int busy_lanes(sim::SimTime now) const {
     int n = 0;
     for (const Lane& l : lanes_) {
@@ -109,13 +74,8 @@ class Scheduler {
     }
     return n;
   }
-  /// Batch-formation wait of the most recent launch on `lane` (seconds;
-  /// 0 until that lane has dispatched).
-  double lane_batch_wait_s(int lane) const {
-    return lanes_.at(static_cast<std::size_t>(lane)).last_batch_wait_s;
-  }
-  /// Max over lanes of the most recent launch's batch-formation wait —
-  /// the pull-side analogue of the serve.batch_wait_ms histogram tail.
+  /// Max over lanes of the most recent job's batch wait — the pull-side
+  /// analogue of the serve.batch_wait_ms histogram tail.
   double recent_batch_wait_s() const {
     double w = 0;
     for (const Lane& l : lanes_) w = std::max(w, l.last_batch_wait_s);
@@ -127,8 +87,6 @@ class Scheduler {
   bool would_admit() const {
     return config_.max_queue == 0 || pending_.size() < config_.max_queue;
   }
-  const SchedulerConfig& config() const { return config_; }
-  std::string_view policy_name() const { return policy_->name(); }
 
   struct Stats {
     std::uint64_t submitted = 0;
@@ -136,65 +94,42 @@ class Scheduler {
     std::uint64_t rejected = 0;   ///< load-shed at admission
     std::uint64_t expired = 0;    ///< cancelled in-queue past their deadline
     std::uint64_t cancelled = 0;  ///< withdrawn in-queue via cancel()
-    std::uint64_t launches = 0;   ///< lane dispatches (batches + singles)
-    std::uint64_t fused_jobs = 0; ///< jobs that rode in a batch of size > 1
+    std::uint64_t launches = 0;   ///< lane dispatches (one job each)
     std::size_t peak_queue_depth = 0;
-    int largest_batch = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
   struct Job {
     std::uint64_t id = 0;
-    bool opaque = false;
-    std::string model;     // inference only
-    std::size_t cut = 0;   // inference only
-    nn::Tensor feature;    // inference only
-    double busy_s = 0;     // opaque only
+    double busy_s = 0;
     sim::SimTime submitted;
     sim::SimTime deadline = sim::SimTime::max();
-    OpaqueDoneFn on_opaque_done;
-    InferDoneFn on_infer_done;
+    OpaqueDoneFn on_done;
     ExpiredFn on_expired;
     obs::TraceContext ctx;
-
-    JobInfo info() const { return {id, submitted, deadline}; }
-    /// Fusion key: opaque jobs never share a key.
-    bool fuses_with(const Job& other) const {
-      return !opaque && !other.opaque && model == other.model &&
-             cut == other.cut;
-    }
   };
 
   struct Lane {
     sim::SimTime busy_until;
-    sim::SimTime free_since;  ///< when the lane last became idle
-    /// Longest batch-formation wait in this lane's most recent launch.
+    /// Batch wait of this lane's most recent job.
     double last_batch_wait_s = 0;
   };
 
-  SubmitResult admit(Job job);
   /// Refresh the queue-depth gauge after any pending_ mutation.
   void note_queue_depth();
-  /// Drop queued jobs whose deadline has passed (drop_expired only).
+  /// Drop queued jobs whose deadline has passed.
   void expire_overdue();
-  /// Dispatch as much ready work as idle lanes allow; arm the hold timer
-  /// for batches still forming.
+  /// Dispatch queued jobs, oldest first, while a lane is idle.
   void pump();
-  /// Take the jobs at `indices` (policy order) out of pending_ and launch
-  /// them on `lane` now.
-  void dispatch(const std::vector<std::size_t>& indices, int lane);
-  void complete(std::vector<Job> batch, std::vector<RequestTiming> timings,
-                int lane);
+  /// Take the oldest queued job out of pending_ and run it on `lane` now.
+  void dispatch(int lane);
+  void complete(Job job, const RequestTiming& timing);
 
   sim::Simulation& sim_;
   SchedulerConfig config_;
-  std::unique_ptr<QueuePolicy> policy_;
-  std::map<std::string, std::shared_ptr<const nn::Network>> models_;
-  std::vector<Job> pending_;
+  std::deque<Job> pending_;  ///< admission order
   std::vector<Lane> lanes_;
-  sim::EventHandle hold_timer_;
-  sim::SimTime hold_timer_at_ = sim::SimTime::max();
   std::uint64_t next_id_ = 1;
   Stats stats_;
 };

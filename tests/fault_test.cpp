@@ -286,7 +286,6 @@ TEST(ServerFaults, QueueDeadlineExpiresOverdueJobs) {
   sim::Simulation sim;
   serve::SchedulerConfig config;
   config.replicas = 1;
-  config.drop_expired = true;
   serve::Scheduler scheduler(sim, config);
 
   int done = 0;
@@ -323,7 +322,9 @@ TEST(RetryBackoff, DeterministicGrowthWithCap) {
     double nominal = std::min(0.1 * std::pow(2.0, attempt - 1), 1.0);
     EXPECT_GE(da.to_seconds(), nominal * 0.8 - 1e-9);
     EXPECT_LE(da.to_seconds(), nominal * 1.2 + 1e-9);
-    if (attempt > 1 && attempt < 4) EXPECT_GT(da, prev);
+    if (attempt > 1 && attempt < 4) {
+      EXPECT_GT(da, prev);
+    }
     prev = da;
   }
 }

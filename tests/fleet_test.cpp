@@ -274,7 +274,9 @@ TEST(FleetNaming, DegenerateFleetKeepsLegacyServerName) {
   EdgeFleet fleet(sim, many);
   EXPECT_EQ(fleet.server_name(0), "fleet/server0");
   EXPECT_EQ(fleet.server_name(2), "fleet/server2");
-  EXPECT_THROW(EdgeFleet(sim, FleetConfig{.size = 0}), std::invalid_argument);
+  FleetConfig none;
+  none.size = 0;
+  EXPECT_THROW(EdgeFleet(sim, none), std::invalid_argument);
 }
 
 TEST(FleetRuntime, SpareServerAttachesAfterBalancedSet) {

@@ -1,10 +1,9 @@
 // Tests for batched NN execution: Tensor::stack/sample round trips, and
-// the core contract behind the serving scheduler's fused dispatch — a
-// batched forward is bit-identical to forwarding every sample alone and
-// stacking the results, at any batch size and any thread count. A single
-// sample runs the same code as a batch of 1, so these tests pin batch-offset
-// indexing at B > 1; nn_reference_test checks the kernels themselves
-// against naive loops.
+// the contract behind the one batched forward path — a batched forward is
+// bit-identical to forwarding every sample alone and stacking the results,
+// at any batch size and any thread count. A single sample runs the same
+// code as a batch of 1, so these tests pin batch-offset indexing at B > 1;
+// nn_reference_test checks the kernels themselves against naive loops.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -119,37 +118,6 @@ TEST(NetworkBatch, ThreadCountDoesNotChangeBatchedBits) {
   util::set_default_pool_threads(4);
   Tensor parallel = net->forward_batch(batched);
   expect_bit_identical(sequential, parallel, "1 thread vs 4 threads");
-}
-
-TEST(NetworkBatch, RearBatchMatchesPerSampleThroughInception) {
-  // Rear-range dispatch is what the scheduler fuses. Cut GoogLeNet after
-  // pool4 so the batched rear covers inception modules (concat joins) at a
-  // small spatial size.
-  auto net = nn::build_googlenet(7);
-  const std::size_t cut = net->index_of("pool4");
-  const Shape feature_shape = net->analyze().shapes[cut];
-
-  auto features = random_samples(feature_shape, 3, 13);
-  std::vector<Tensor> singles;
-  for (const Tensor& f : features) {
-    singles.push_back(net->forward_rear(f, cut));
-  }
-  Tensor batched_out =
-      net->forward_rear_batch(Tensor::stack(features), cut);
-  expect_bit_identical(batched_out, Tensor::stack(singles),
-                       "googlenet rear from pool4");
-}
-
-TEST(NetworkBatch, RearBatchValidatesFeatureShape) {
-  auto net = nn::build_tiny_cnn(17);
-  const std::size_t cut = net->index_of("pool1");
-  Tensor wrong = Tensor::zeros(Shape{2, 16, 15, 15});
-  EXPECT_THROW(net->forward_rear_batch(wrong, cut), std::invalid_argument);
-  Tensor no_batch_dim = Tensor::zeros(net->analyze().shapes[cut]);
-  // Rank-3 feature: the leading dim is read as batch and the per-sample
-  // shape no longer matches.
-  EXPECT_THROW(net->forward_rear_batch(no_batch_dim, cut),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-// Tests for the serving scheduler: degenerate FIFO reproduces the old
-// compute-reservation model exactly, results are deterministic across runs
-// and thread counts, batched dispatch is bit-identical to sequential
-// execution, EDF reorders by deadline, admission control bounds the queue,
-// no job starves, the batch hold-timer fires on schedule, and the edge
-// server sheds overload with an "overloaded:" control reply that clients
-// answer by falling back to local execution.
+// Tests for the serving scheduler: FIFO over one lane reproduces the old
+// compute-reservation model exactly, deadlines never reorder the queue,
+// a job queued behind another books its whole wait as queue wait even
+// when dispatched at the completion instant, admission control bounds the
+// queue, replica lanes run concurrently, and the edge server sheds
+// overload with an "overloaded:" control reply that clients answer by
+// falling back to local execution.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,31 +18,16 @@
 #include "src/nn/models.h"
 #include "src/obs/obs.h"
 #include "src/serve/scheduler.h"
-#include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace offload::serve {
 namespace {
 
-/// Restores the default pool to the environment-derived size on scope exit.
-struct PoolGuard {
-  ~PoolGuard() { util::set_default_pool_threads(0); }
-};
-
-void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  ASSERT_EQ(0, std::memcmp(a.data().data(), b.data().data(),
-                           static_cast<std::size_t>(a.bytes())))
-      << what << ": bits differ";
-}
-
 // ---------------------------------------------------------------------------
-// Degenerate configuration == the old FIFO compute reservation
+// One lane, FIFO == the old compute reservation
 
 TEST(SchedulerTest, FifoDegenerateMatchesHandComputedReservation) {
   sim::Simulation sim;
-  SchedulerConfig cfg;  // 1 replica, fifo, batch 1, unbounded
+  SchedulerConfig cfg;  // 1 replica, unbounded
   Scheduler sched(sim, cfg);
 
   std::vector<RequestTiming> timings;
@@ -64,195 +48,67 @@ TEST(SchedulerTest, FifoDegenerateMatchesHandComputedReservation) {
     EXPECT_DOUBLE_EQ(t.completed.to_seconds(), ends[i]) << i;
     EXPECT_DOUBLE_EQ(t.queue_wait_s, starts[i]) << i;  // submitted at t=0
     EXPECT_DOUBLE_EQ(t.batch_wait_s, 0.0) << i;        // never held
-    EXPECT_EQ(t.batch_size, 1) << i;
     EXPECT_EQ(t.replica, 0) << i;
   }
   EXPECT_EQ(sched.stats().launches, 3u);
-  EXPECT_EQ(sched.stats().fused_jobs, 0u);
 }
 
-TEST(SchedulerTest, UnknownModelRejectedTyped) {
+TEST(SchedulerTest, DeadlinesNeverReorderTheQueue) {
+  // One job occupies the lane; three more queue with deadlines in reverse
+  // submission order, all late enough that none expires. They still run
+  // in admission order.
   sim::Simulation sim;
   Scheduler sched(sim, {});
-  SubmitResult r = sched.submit_infer(
-      "nope", 0, nn::Tensor::zeros(nn::Shape{1}),
-      [](nn::Tensor, const RequestTiming&) { FAIL() << "must not run"; });
-  EXPECT_FALSE(r.admitted);
-  EXPECT_EQ(r.reject.reason, RejectReason::kUnknownModel);
-  EXPECT_STREQ(reject_reason_name(r.reject.reason), "unknown_model");
-  EXPECT_EQ(sched.stats().rejected, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism across runs and thread counts
-
-struct WorkloadResult {
-  std::vector<sim::SimTime> completions;  // in submission order
-  std::vector<nn::Tensor> outputs;
-};
-
-/// A Poisson stream of tiny-CNN partial inferences against a batching EDF
-/// scheduler with two replica lanes — every scheduler feature at once.
-WorkloadResult run_workload() {
-  sim::Simulation sim;
-  std::shared_ptr<const nn::Network> net = nn::build_tiny_cnn(17);
-  const std::size_t cut = net->index_of("pool2");
-  const nn::Shape feature_shape = net->analyze().shapes[cut];
-
-  SchedulerConfig cfg;
-  cfg.replicas = 2;
-  cfg.max_batch = 4;
-  cfg.max_batch_wait = sim::SimTime::millis(5);
-  cfg.policy = "edf";
-  Scheduler sched(sim, cfg);
-  sched.register_model(net);
-
-  constexpr int kJobs = 24;
-  WorkloadResult out;
-  out.completions.resize(kJobs);
-  out.outputs.resize(kJobs, nn::Tensor::zeros(nn::Shape{1}));
-
-  util::Pcg32 rng(99, 7);
-  double t = 0;
-  for (int i = 0; i < kJobs; ++i) {
-    t += rng.uniform(0.0, 0.004);
-    const sim::SimTime at = sim::SimTime::seconds(t);
-    const sim::SimTime deadline =
-        at + sim::SimTime::seconds(rng.uniform(0.01, 0.05));
-    nn::Tensor feature =
-        nn::Tensor::random_uniform(feature_shape, rng, -1.0f, 1.0f);
-    sim.schedule_at(at, [&sched, &net, &out, cut, i, deadline,
-                         feature = std::move(feature)] {
-      sched.submit_infer(
-          net->name(), cut, feature,
-          [&out, i](nn::Tensor output, const RequestTiming& timing) {
-            out.completions[static_cast<std::size_t>(i)] = timing.completed;
-            out.outputs[static_cast<std::size_t>(i)] = std::move(output);
-          },
-          deadline);
-    });
-  }
-  sim.run();
-  return out;
-}
-
-TEST(SchedulerTest, DeterministicAcrossRunsAndThreadCounts) {
-  PoolGuard guard;
-  util::set_default_pool_threads(1);
-  WorkloadResult a = run_workload();
-  WorkloadResult b = run_workload();
-  util::set_default_pool_threads(4);
-  WorkloadResult c = run_workload();
-
-  for (std::size_t i = 0; i < a.completions.size(); ++i) {
-    EXPECT_EQ(a.completions[i], b.completions[i]) << "rerun, job " << i;
-    EXPECT_EQ(a.completions[i], c.completions[i]) << "threads, job " << i;
-    expect_bit_identical(a.outputs[i], b.outputs[i],
-                         "rerun output " + std::to_string(i));
-    expect_bit_identical(a.outputs[i], c.outputs[i],
-                         "threaded output " + std::to_string(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched dispatch == sequential execution, bit for bit
-
-TEST(SchedulerTest, BatchedOutputsMatchSequentialBits) {
-  sim::Simulation sim;
-  std::shared_ptr<const nn::Network> net = nn::build_tiny_cnn(17);
-  const std::size_t cut = net->index_of("pool1");
-  const nn::Shape feature_shape = net->analyze().shapes[cut];
-
-  SchedulerConfig cfg;
-  cfg.max_batch = 3;
-  cfg.max_batch_wait = sim::SimTime::seconds(10);
-  Scheduler sched(sim, cfg);
-  sched.register_model(net);
-
-  util::Pcg32 rng(42, 1);
-  std::vector<nn::Tensor> features;
-  std::vector<nn::Tensor> outputs(3, nn::Tensor::zeros(nn::Shape{1}));
-  std::vector<RequestTiming> timings(3);
-  for (int i = 0; i < 3; ++i) {
-    features.push_back(
-        nn::Tensor::random_uniform(feature_shape, rng, -1.0f, 1.0f));
-    sched.submit_infer(net->name(), cut, features.back(),
-                       [&outputs, &timings, i](nn::Tensor output,
-                                               const RequestTiming& timing) {
-                         outputs[static_cast<std::size_t>(i)] =
-                             std::move(output);
-                         timings[static_cast<std::size_t>(i)] = timing;
-                       });
-  }
-  sim.run();
-
-  for (int i = 0; i < 3; ++i) {
-    expect_bit_identical(
-        outputs[static_cast<std::size_t>(i)],
-        net->forward_rear(features[static_cast<std::size_t>(i)], cut),
-        "fused job " + std::to_string(i));
-    EXPECT_EQ(timings[static_cast<std::size_t>(i)].batch_size, 3);
-  }
-  EXPECT_EQ(sched.stats().launches, 1u);   // one fused launch, not three
-  EXPECT_EQ(sched.stats().fused_jobs, 3u);
-  EXPECT_EQ(sched.stats().largest_batch, 3);
-}
-
-// ---------------------------------------------------------------------------
-// EDF ordering
-
-/// Submit one blocking job, then three more with deadlines in reverse
-/// submission order; return the completion order of the last three.
-std::vector<int> completion_order(const std::string& policy) {
-  sim::Simulation sim;
-  SchedulerConfig cfg;
-  cfg.policy = policy;
-  Scheduler sched(sim, cfg);
 
   std::vector<int> order;
-  sched.submit_opaque(1.0, [](const RequestTiming&) {});  // occupies the lane
-  const double deadlines[] = {3.0, 2.0, 1.0};  // reverse of submission order
+  sched.submit_opaque(1.0, [](const RequestTiming&) {});
+  const double deadlines[] = {30.0, 20.0, 10.0};
   for (int i = 0; i < 3; ++i) {
     sched.submit_opaque(
         0.1, [&order, i](const RequestTiming&) { order.push_back(i); },
         sim::SimTime::seconds(deadlines[i]));
   }
   sim.run();
-  return order;
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sched.stats().expired, 0u);
 }
 
-TEST(SchedulerTest, EdfDispatchesByDeadlineFifoByArrival) {
-  EXPECT_EQ(completion_order("edf"), (std::vector<int>{2, 1, 0}));
-  EXPECT_EQ(completion_order("fifo"), (std::vector<int>{0, 1, 2}));
-}
-
-TEST(SchedulerTest, NoStarvationUnderMixedDeadlines) {
-  // Jobs with no deadline (SimTime::max()) sort after every dated job
-  // under EDF, but once arrivals stop the queue drains — nothing is lost.
+TEST(SchedulerTest, SubmissionAtCompletionInstantKeepsTheQueueWait) {
+  // A submission scheduled for t=1s before the first job exists fires
+  // ahead of that job's completion event at the same instant, so the lane
+  // reads free before its completion has run. The job queued at 0.5s then
+  // dispatches at 1s: it waited behind the first job the whole time, which
+  // is queue wait, not batch wait.
   sim::Simulation sim;
+  obs::Obs obs;
   SchedulerConfig cfg;
-  cfg.policy = "edf";
+  cfg.obs = &obs;
   Scheduler sched(sim, cfg);
 
-  constexpr int kJobs = 20;
-  int completed = 0;
-  bool undated_done[kJobs] = {};
-  for (int i = 0; i < kJobs; ++i) {
-    const bool dated = (i % 2) == 0;
-    sched.submit_opaque(
-        0.05,
-        [&completed, &undated_done, i](const RequestTiming&) {
-          ++completed;
-          undated_done[i] = true;
-        },
-        dated ? sim::SimTime::seconds(0.1 * i) : sim::SimTime::max());
-  }
+  std::vector<RequestTiming> timings;  // completion order
+  auto record = [&timings](const RequestTiming& t) { timings.push_back(t); };
+  sim.schedule_at(sim::SimTime::seconds(1),
+                  [&] { sched.submit_opaque(0.25, record); });
+  sched.submit_opaque(1.0, record);
+  sim.schedule_at(sim::SimTime::seconds(0.5),
+                  [&] { sched.submit_opaque(0.25, record); });
   sim.run();
-  EXPECT_EQ(completed, kJobs);
-  for (int i = 1; i < kJobs; i += 2) {
-    EXPECT_TRUE(undated_done[i]) << "undated job " << i << " starved";
-  }
-  EXPECT_EQ(sched.stats().completed, static_cast<std::uint64_t>(kJobs));
+
+  ASSERT_EQ(timings.size(), 3u);
+  const RequestTiming& queued = timings[1];
+  EXPECT_EQ(queued.submitted, sim::SimTime::seconds(0.5));
+  EXPECT_EQ(queued.dispatched, sim::SimTime::seconds(1));
+  EXPECT_DOUBLE_EQ(queued.queue_wait_s, 0.5);
+  EXPECT_DOUBLE_EQ(queued.batch_wait_s, 0.0);
+  const RequestTiming& last = timings[2];
+  EXPECT_EQ(last.dispatched, sim::SimTime::seconds(1.25));
+  EXPECT_DOUBLE_EQ(last.queue_wait_s, 0.25);
+  EXPECT_DOUBLE_EQ(last.batch_wait_s, 0.0);
+  const obs::Histogram* batch_wait =
+      obs.metrics.histogram("serve.batch_wait_ms");
+  ASSERT_NE(batch_wait, nullptr);
+  EXPECT_EQ(batch_wait->count, 3u);
+  EXPECT_DOUBLE_EQ(batch_wait->max, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,49 +167,7 @@ TEST(SchedulerTest, BoundedQueueShedsBeyondCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch hold-timer
-
-TEST(SchedulerTest, PartialBatchDispatchesAtMaxBatchWait) {
-  sim::Simulation sim;
-  std::shared_ptr<const nn::Network> net = nn::build_tiny_cnn(17);
-  const std::size_t cut = net->index_of("pool1");
-  const nn::Shape feature_shape = net->analyze().shapes[cut];
-
-  SchedulerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_batch_wait = sim::SimTime::millis(10);
-  Scheduler sched(sim, cfg);
-  sched.register_model(net);
-
-  util::Pcg32 rng(1, 2);
-  std::vector<RequestTiming> timings;
-  for (int i = 0; i < 2; ++i) {
-    sched.submit_infer(
-        net->name(), cut,
-        nn::Tensor::random_uniform(feature_shape, rng, -1.0f, 1.0f),
-        [&timings](nn::Tensor, const RequestTiming& timing) {
-          timings.push_back(timing);
-        });
-  }
-  sim.run();
-
-  // Two of four slots filled: the lane was free the whole time, so the
-  // entire pre-dispatch wait is batch-formation time, exactly the
-  // configured hold window.
-  ASSERT_EQ(timings.size(), 2u);
-  for (const RequestTiming& t : timings) {
-    EXPECT_EQ(t.dispatched, sim::SimTime::millis(10));
-    EXPECT_DOUBLE_EQ(t.queue_wait_s, 0.0);
-    EXPECT_DOUBLE_EQ(t.batch_wait_s, 0.010);
-    EXPECT_EQ(t.batch_size, 2);
-  }
-  EXPECT_EQ(sched.stats().launches, 1u);
-  // The pull accessor reports the same hold window the per-request
-  // timings observed — this is the value the partition controller folds
-  // into its queue-wait estimate.
-  EXPECT_DOUBLE_EQ(sched.recent_batch_wait_s(), 0.010);
-  EXPECT_DOUBLE_EQ(sched.lane_batch_wait_s(0), 0.010);
-}
+// Replica lanes
 
 TEST(SchedulerTest, MultipleReplicasRunConcurrently) {
   sim::Simulation sim;
