@@ -62,9 +62,10 @@ std::size_t first_pool_cut(const nn::Network& net) {
 
 sim::SimTime after_ack_click_time(const nn::Network& net, bool rear_only,
                                   std::size_t cut, double bandwidth_bps) {
-  std::vector<nn::ModelFile> files =
-      rear_only ? nn::model_files_rear_only(net, cut) : nn::model_files(net);
-  double bytes = static_cast<double>(nn::total_size(files));
+  // The pre-send bundle size: description plus weights, none encoded.
+  const std::size_t begin = rear_only ? cut + 1 : 0;
+  double bytes = static_cast<double>(nn::save_description(net).size() +
+                                     nn::weights_size(net, begin));
   // Transfer + server store + generous margin.
   return sim::SimTime::seconds(bytes * 8.0 / bandwidth_bps + bytes / 400e6 +
                                2.0);

@@ -50,11 +50,12 @@ std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
 std::vector<nn::ModelFile> ClientDevice::files_to_send() const {
   // An adaptive controller may re-cut shallower than the click-time cut,
   // so the server needs the full weights.
-  if (controller_active()) return nn::model_files(*bundle_.network);
-  if (config_.presend_rear_only && config_.partition_cut != SIZE_MAX) {
+  if (!controller_active() && config_.presend_rear_only &&
+      config_.partition_cut != SIZE_MAX) {
     return nn::model_files_rear_only(*bundle_.network, config_.partition_cut);
   }
-  return nn::model_files(*bundle_.network);
+  // The full bundle, as the constructor serialized it into the local store.
+  return local_store_->files();
 }
 
 void ClientDevice::open_presend_span(net::Message& msg, const char* kind,

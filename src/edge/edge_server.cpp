@@ -2,7 +2,6 @@
 
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
-#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -154,7 +153,7 @@ void EdgeServer::handle_model_files(net::Endpoint& from,
     bytes += f.size();
     // Every uploaded file also lands in the content-addressed cache, so a
     // later client offering the same digests skips the body entirely.
-    blob_store_.put(util::fnv1a(std::span(f.content)), f.content);
+    blob_store_.put(f.content);
   }
   store_->store_files(std::move(payload.files));
   ++stats_.models_stored;

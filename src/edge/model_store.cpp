@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/util/crc32.h"
+#include "src/util/hash.h"
 
 namespace offload::edge {
 
@@ -74,14 +75,24 @@ std::shared_ptr<nn::Network> ModelStore::instantiate(
   return net;
 }
 
-void BlobStore::put(std::uint64_t digest, const util::Bytes& content) {
+void BlobStore::resolve() const {
+  for (auto& blob : pending_) {
+    const std::uint64_t digest = util::fnv1a(std::span(blob.content));
+    blobs_[digest] = std::move(blob);
+  }
+  pending_.clear();
+}
+
+void BlobStore::put(util::Bytes content) {
+  resolve();
   Blob blob;
-  blob.content = content;
   blob.crc = util::crc32(std::span(content));
-  blobs_[digest] = std::move(blob);
+  blob.content = std::move(content);
+  pending_.push_back(std::move(blob));
 }
 
 const util::Bytes* BlobStore::find(std::uint64_t digest, bool* corrupt) {
+  resolve();
   if (corrupt) *corrupt = false;
   auto it = blobs_.find(digest);
   if (it == blobs_.end()) return nullptr;
@@ -93,15 +104,30 @@ const util::Bytes* BlobStore::find(std::uint64_t digest, bool* corrupt) {
   return &it->second.content;
 }
 
-void BlobStore::clear() { blobs_.clear(); }
+bool BlobStore::contains(std::uint64_t digest) const {
+  resolve();
+  return blobs_.find(digest) != blobs_.end();
+}
+
+void BlobStore::clear() {
+  blobs_.clear();
+  pending_.clear();
+}
+
+std::size_t BlobStore::blob_count() const {
+  resolve();
+  return blobs_.size();
+}
 
 std::uint64_t BlobStore::total_bytes() const {
+  resolve();
   std::uint64_t n = 0;
   for (const auto& [digest, blob] : blobs_) n += blob.content.size();
   return n;
 }
 
 bool BlobStore::corrupt_blob(std::uint64_t digest) {
+  resolve();
   auto it = blobs_.find(digest);
   if (it == blobs_.end() || it->second.content.empty()) return false;
   it->second.content[0] ^= 0x5a;

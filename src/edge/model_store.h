@@ -49,28 +49,32 @@ class ModelStore {
 };
 
 /// Content-addressed blob cache for pre-sent model files, keyed by the
-/// fnv1a digest the client offers. Shared by every client of one server;
-/// survives until a crash wipes it. Each blob's CRC is recorded at insert
-/// time and re-verified on lookup, so silent disk corruption downgrades to
-/// a cache miss (the client re-uploads) instead of serving a bad network.
+/// fnv1a digest of their content (the digest a client offers). Shared by
+/// every client of one server; survives until a crash wipes it. Each blob's
+/// CRC is recorded at insert time and re-verified on lookup, so silent disk
+/// corruption downgrades to a cache miss (the client re-uploads) instead of
+/// serving a bad network.
+///
+/// Only digest offers read the cache, so put() defers the digest: a blob
+/// is hashed by the next call of any other member (or the next put), which
+/// files every pending blob under its digest first.
 class BlobStore {
  public:
-  /// Cache `content` under `digest` (overwrites an existing entry).
-  void put(std::uint64_t digest, const util::Bytes& content);
+  /// Cache `content` under its fnv1a digest (replacing an equal digest).
+  void put(util::Bytes content);
 
   /// The cached bytes, or nullptr when absent. A blob whose bytes no
   /// longer match their recorded CRC is evicted and reported through
   /// `corrupt` (when non-null) — callers must treat it as a miss.
   const util::Bytes* find(std::uint64_t digest, bool* corrupt = nullptr);
 
-  bool contains(std::uint64_t digest) const {
-    return blobs_.find(digest) != blobs_.end();
-  }
+  bool contains(std::uint64_t digest) const;
 
-  /// Drop everything (a crash loses the cache with the process).
+  /// Drop everything, pending blobs included (a crash loses the cache with
+  /// the process).
   void clear();
 
-  std::size_t blob_count() const { return blobs_.size(); }
+  std::size_t blob_count() const;
   std::uint64_t total_bytes() const;
 
   /// Fault/test hook: flip one byte of a cached blob so the next find()
@@ -82,7 +86,12 @@ class BlobStore {
     util::Bytes content;
     std::uint32_t crc = 0;
   };
-  std::unordered_map<std::uint64_t, Blob> blobs_;
+  /// File every pending blob under its digest.
+  void resolve() const;
+
+  mutable std::unordered_map<std::uint64_t, Blob> blobs_;
+  /// Put but not yet digested.
+  mutable std::vector<Blob> pending_;
 };
 
 }  // namespace offload::edge

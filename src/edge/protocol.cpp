@@ -34,7 +34,13 @@ void verify_payload(const net::Message& message) {
 }
 
 util::Bytes ModelFilesPayload::encode() const {
+  std::size_t size = util::varint_size(files.size());
+  for (const auto& f : files) {
+    size += util::varint_size(f.name.size()) + f.name.size() +
+            util::varint_size(f.content.size()) + f.content.size();
+  }
   util::BinaryWriter w;
+  w.reserve(size);
   w.varint(files.size());
   for (const auto& f : files) {
     w.str(f.name);

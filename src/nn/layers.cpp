@@ -398,13 +398,13 @@ void ConvLayer::init_params(util::Pcg32& rng) {
 }
 
 void ConvLayer::write_params(util::BinaryWriter& w) const {
-  for (float v : weights_.data()) w.f32(v);
-  for (float v : bias_.data()) w.f32(v);
+  w.f32s(weights_.data());
+  w.f32s(bias_.data());
 }
 
 void ConvLayer::read_params(util::BinaryReader& r) {
-  for (auto& v : weights_.data()) v = r.f32();
-  for (auto& v : bias_.data()) v = r.f32();
+  r.f32s(weights_.data());
+  r.f32s(bias_.data());
   invalidate_packs();
   warm_pack();
 }
@@ -563,13 +563,13 @@ void FullyConnectedLayer::init_params(util::Pcg32& rng) {
 }
 
 void FullyConnectedLayer::write_params(util::BinaryWriter& w) const {
-  for (float v : weights_.data()) w.f32(v);
-  for (float v : bias_.data()) w.f32(v);
+  w.f32s(weights_.data());
+  w.f32s(bias_.data());
 }
 
 void FullyConnectedLayer::read_params(util::BinaryReader& r) {
-  for (auto& v : weights_.data()) v = r.f32();
-  for (auto& v : bias_.data()) v = r.f32();
+  r.f32s(weights_.data());
+  r.f32s(bias_.data());
 }
 
 std::string FullyConnectedLayer::config_str() const {

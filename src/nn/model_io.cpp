@@ -191,10 +191,27 @@ std::unique_ptr<Network> parse_description(const std::string& text) {
   return net;
 }
 
+std::uint64_t weights_size(const Network& net, std::size_t begin,
+                           std::size_t end) {
+  end = std::min(end, net.size());
+  // Magic, version, layer count.
+  std::uint64_t n = kWeightsMagic.size() + 4 + 4;
+  for (std::size_t i = begin; i < end; ++i) {
+    const Layer& layer = net.layer(i);
+    const std::uint64_t params = layer.param_count();
+    if (params == 0) continue;
+    // Length-prefixed name, parameter count, fp32 parameters.
+    n += util::varint_size(layer.name().size()) + layer.name().size() + 8 +
+         params * sizeof(float);
+  }
+  return n;
+}
+
 util::Bytes save_weights(const Network& net, std::size_t begin,
                          std::size_t end) {
   end = std::min(end, net.size());
   util::BinaryWriter w;
+  w.reserve(weights_size(net, begin, end));
   w.raw(kWeightsMagic);
   w.u32(kWeightsVersion);
   // Count parameterized layers in range.

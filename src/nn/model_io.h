@@ -37,6 +37,10 @@ std::unique_ptr<Network> parse_description(const std::string& text);
 util::Bytes save_weights(const Network& net, std::size_t begin = 0,
                          std::size_t end = SIZE_MAX);
 
+/// Exact byte count of save_weights(net, begin, end), without encoding.
+std::uint64_t weights_size(const Network& net, std::size_t begin = 0,
+                           std::size_t end = SIZE_MAX);
+
 /// Load parameters into nodes [begin, end). Layer names and parameter
 /// counts must match; throws util::DecodeError otherwise.
 void load_weights(Network& net, std::span<const std::uint8_t> blob,

@@ -9,6 +9,15 @@ void BinaryWriter::f32(float v) {
   u32(std::bit_cast<std::uint32_t>(v));
 }
 
+void BinaryWriter::f32s(std::span<const float> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), p, p + v.size_bytes());
+  } else {
+    for (float x : v) f32(x);
+  }
+}
+
 void BinaryWriter::f64(double v) {
   static_assert(sizeof(double) == 8);
   u64(std::bit_cast<std::uint64_t>(v));
@@ -39,6 +48,18 @@ void BinaryWriter::raw(std::span<const std::uint8_t> data) {
 void BinaryWriter::raw(std::string_view data) { raw(as_bytes(data)); }
 
 float BinaryReader::f32() { return std::bit_cast<float>(u32()); }
+
+void BinaryReader::f32s(std::span<float> out) {
+  // Bounds-check the whole block before writing any element.
+  auto s = take(out.size_bytes());
+  if (out.empty()) return;  // no null pointer reaches memcpy
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), s.data(), s.size());
+  } else {
+    BinaryReader block(s);
+    for (float& x : out) x = block.f32();
+  }
+}
 
 double BinaryReader::f64() { return std::bit_cast<double>(u64()); }
 

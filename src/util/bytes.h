@@ -35,6 +35,9 @@ class BinaryWriter {
   void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
   void f32(float v);
   void f64(double v);
+  /// A block of floats, each as f32 writes it: one append on little-endian
+  /// hosts.
+  void f32s(std::span<const float> v);
 
   /// Unsigned LEB128; compact encoding for sizes and counts.
   void varint(std::uint64_t v);
@@ -49,6 +52,8 @@ class BinaryWriter {
   void raw(std::span<const std::uint8_t> data);
   void raw(std::string_view data);
 
+  /// Pre-size the buffer when the encoded size is known up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
@@ -77,6 +82,10 @@ class BinaryReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   float f32();
   double f64();
+  /// Fill `out` with floats as f32 reads them: one memcpy on little-endian
+  /// hosts. Throws DecodeError, leaving `out` untouched, when fewer than
+  /// 4 * out.size() bytes remain.
+  void f32s(std::span<float> out);
 
   std::uint64_t varint();
   std::string str();
@@ -105,6 +114,13 @@ class BinaryReader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// Encoded length of `v` as BinaryWriter::varint writes it.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Convenience: view a string as bytes (no copy).
 inline std::span<const std::uint8_t> as_bytes(std::string_view s) {

@@ -7,6 +7,7 @@
 #include "src/edge/model_store.h"
 #include "src/edge/protocol.h"
 #include "src/util/crc32.h"
+#include "src/util/hash.h"
 #include "src/jsvm/snapshot.h"
 #include "src/nn/models.h"
 
@@ -74,6 +75,57 @@ TEST(ModelStoreTest, RearOnlyInstantiation) {
   EXPECT_EQ(nn::Tensor::max_abs_diff(net->forward_rear(feature, 2),
                                      rebuilt->forward_rear(feature, 2)),
             0.0f);
+}
+
+std::uint64_t digest_of(const util::Bytes& content) {
+  return util::fnv1a(std::span(content));
+}
+
+TEST(BlobStoreTest, CountsAndContainsRightAfterPut) {
+  BlobStore blobs;
+  const util::Bytes a{1, 2, 3};
+  const util::Bytes b{4, 5, 6, 7};
+  blobs.put(a);
+  blobs.put(b);
+  // No find() yet: the counting members see pending blobs too.
+  EXPECT_TRUE(blobs.contains(digest_of(a)));
+  EXPECT_TRUE(blobs.contains(digest_of(b)));
+  EXPECT_FALSE(blobs.contains(digest_of(util::Bytes{9})));
+  EXPECT_EQ(blobs.blob_count(), 2u);
+  EXPECT_EQ(blobs.total_bytes(), 7u);
+  const util::Bytes* found = blobs.find(digest_of(b));
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(*found, b);
+}
+
+TEST(BlobStoreTest, IdenticalContentIsOneBlob) {
+  BlobStore blobs;
+  const util::Bytes a{1, 2, 3};
+  blobs.put(a);
+  blobs.put(a);
+  EXPECT_EQ(blobs.blob_count(), 1u);
+  EXPECT_EQ(blobs.total_bytes(), 3u);
+}
+
+TEST(BlobStoreTest, CorruptingAnUndigestedBlobIsCaughtByFind) {
+  BlobStore blobs;
+  const util::Bytes a{1, 2, 3};
+  blobs.put(a);
+  ASSERT_TRUE(blobs.corrupt_blob(digest_of(a)));
+  bool corrupt = false;
+  EXPECT_EQ(blobs.find(digest_of(a), &corrupt), nullptr);
+  EXPECT_TRUE(corrupt);
+  EXPECT_EQ(blobs.blob_count(), 0u);
+}
+
+TEST(BlobStoreTest, ClearDropsPendingBlobs) {
+  BlobStore blobs;
+  const util::Bytes a{1, 2, 3};
+  blobs.put(a);
+  blobs.clear();
+  EXPECT_EQ(blobs.blob_count(), 0u);
+  EXPECT_EQ(blobs.total_bytes(), 0u);
+  EXPECT_EQ(blobs.find(digest_of(a)), nullptr);
 }
 
 TEST(BrowserHostTest, InferenceMatchesDirectExecution) {

@@ -186,8 +186,7 @@ TEST(FleetDedup, CrashDuringPresendFailsOverWithDigestSizedReoffer) {
   const std::vector<nn::ModelFile> files = nn::model_files(*warm.network);
   ASSERT_GE(files.size(), 2u);
   for (std::size_t i = 1; i < files.size(); ++i) {
-    fleet.server(1).blob_store().put(util::fnv1a(std::span(files[i].content)),
-                                     files[i].content);
+    fleet.server(1).blob_store().put(files[i].content);
   }
 
   edge::ClientConfig client_config;

@@ -456,6 +456,69 @@ TEST(ModelIo, RearOnlySplit) {
             0.0f);
 }
 
+TEST(ModelIo, WeightsSizeMatchesSaveWeightsAtEveryCut) {
+  std::vector<std::unique_ptr<Network>> nets;
+  nets.push_back(build_googlenet(7));
+  nets.push_back(build_agenet(11));
+  nets.push_back(build_gendernet(13));
+  nets.push_back(build_tiny_cnn(17));
+  for (const auto& net : nets) {
+    SCOPED_TRACE(net->name());
+    EXPECT_EQ(weights_size(*net), save_weights(*net).size());
+    for (std::size_t cut : net->cut_points()) {
+      EXPECT_EQ(weights_size(*net, cut + 1, net->size()),
+                save_weights(*net, cut + 1, net->size()).size())
+          << "rear of cut " << cut;
+    }
+  }
+}
+
+/// save_weights' format written out one element at a time, as the
+/// reference for the bulk float blocks.
+util::Bytes reference_weights(Network& net) {
+  util::BinaryWriter w;
+  w.raw("OFWT");
+  w.u32(1);
+  std::uint32_t count = 0;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    if (net.layer(i).param_count() > 0) ++count;
+  }
+  w.u32(count);
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    Layer& layer = net.layer(i);
+    if (layer.param_count() == 0) continue;
+    w.str(layer.name());
+    w.u64(layer.param_count());
+    Tensor* weights = nullptr;
+    Tensor* bias = nullptr;
+    if (auto* conv = dynamic_cast<ConvLayer*>(&layer)) {
+      weights = &conv->weights();
+      bias = &conv->bias();
+    } else if (auto* fc = dynamic_cast<FullyConnectedLayer*>(&layer)) {
+      weights = &fc->weights();
+      bias = &fc->bias();
+    }
+    if (!weights) {
+      ADD_FAILURE() << "unexpected parameterized layer " << layer.name();
+      continue;
+    }
+    for (float v : weights->data()) w.f32(v);
+    for (float v : bias->data()) w.f32(v);
+  }
+  return std::move(w).take();
+}
+
+TEST(ModelIo, SaveWeightsMatchesPerElementReference) {
+  std::vector<std::unique_ptr<Network>> nets;
+  nets.push_back(build_tiny_cnn(23));
+  nets.push_back(build_gendernet(13));
+  for (const auto& net : nets) {
+    SCOPED_TRACE(net->name());
+    const util::Bytes saved = save_weights(*net);
+    EXPECT_TRUE(saved == reference_weights(*net));
+  }
+}
+
 TEST(ModelIo, MalformedDescriptionThrows) {
   EXPECT_THROW(parse_description(""), util::DecodeError);
   EXPECT_THROW(parse_description("layer x conv\n"), util::DecodeError);

@@ -2,6 +2,10 @@
 // strings, tables.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <vector>
+
 #include "src/nn/tensor.h"
 #include "src/util/aligned.h"
 #include "src/util/base64.h"
@@ -77,6 +81,104 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   inc.update("hello ");
   inc.update("world");
   EXPECT_EQ(inc.value(), crc32("hello world"));
+}
+
+/// The bytewise table CRC, kept here as the reference the sliced
+/// implementation must agree with.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xffffffffu;
+  for (auto b : data) crc = table[(crc ^ b) & 0xff] ^ (crc >> 8);
+  return ~crc;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  Pcg32 rng(41);
+  Bytes data(1024 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      auto s = std::span<const std::uint8_t>(data).subspan(offset, len);
+      ASSERT_EQ(crc32(s), bytewise_crc32(s))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitAtEveryOffsetMatchesOneShot) {
+  Pcg32 rng(43);
+  Bytes data(100);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::span<const std::uint8_t> all(data);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    Crc32 inc;
+    inc.update(all.first(split));
+    inc.update(all.subspan(split));
+    EXPECT_EQ(inc.value(), whole) << "split at " << split;
+  }
+}
+
+/// Floats whose bit patterns a lossy path would disturb: signed zero,
+/// infinities, a denormal and a NaN carrying a payload.
+std::vector<float> tricky_floats() {
+  return {-0.0f,
+          std::numeric_limits<float>::infinity(),
+          -std::numeric_limits<float>::infinity(),
+          std::numeric_limits<float>::denorm_min(),
+          std::bit_cast<float>(0x7fc12345u),
+          1.5f};
+}
+
+TEST(Bytes, F32sWritesTheBytesOfAnF32Loop) {
+  const std::vector<float> values = tricky_floats();
+  BinaryWriter loop;
+  for (float v : values) loop.f32(v);
+  BinaryWriter bulk;
+  bulk.f32s(values);
+  EXPECT_EQ(bulk.bytes(), loop.bytes());
+}
+
+TEST(Bytes, F32sRoundTripsBitExact) {
+  const std::vector<float> values = tricky_floats();
+  BinaryWriter w;
+  w.f32s(values);
+  Bytes data = std::move(w).take();
+  std::vector<float> back(values.size());
+  BinaryReader r{std::span<const std::uint8_t>(data)};
+  r.f32s(back);
+  EXPECT_TRUE(r.done());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+              std::bit_cast<std::uint32_t>(values[i]))
+        << "element " << i;
+  }
+}
+
+TEST(Bytes, F32sShortBlobThrowsAndLeavesDestinationUnchanged) {
+  BinaryWriter w;
+  w.f32s(tricky_floats());
+  Bytes data = std::move(w).take();
+  data.pop_back();
+  std::vector<float> out(tricky_floats().size(), 7.0f);
+  BinaryReader r{std::span<const std::uint8_t>(data)};
+  EXPECT_THROW(r.f32s(out), DecodeError);
+  for (float v : out) EXPECT_EQ(v, 7.0f);
+  EXPECT_EQ(r.position(), 0u);
+}
+
+TEST(Bytes, F32sEmptySpanIsANoOp) {
+  BinaryWriter w;
+  w.f32s(std::span<const float>());
+  EXPECT_EQ(w.size(), 0u);
+  BinaryReader r{std::span<const std::uint8_t>()};
+  r.f32s(std::span<float>());
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Base64, KnownVectors) {
