@@ -57,15 +57,20 @@ BENCHMARK(BM_SnapshotRestoreHeap)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SnapshotTypedArray(benchmark::State& state) {
-  // Feature-data path: one big Float32Array (decimal-text encoding).
-  jsvm::Interpreter interp;
-  const auto n = state.range(0);
+/// Feature-data realm: one Float32Array of `n` floats.
+void fill_feature(jsvm::Interpreter& interp, std::int64_t n) {
   interp.eval_program(
       "var feature = Float32Array(" + std::to_string(n) + ");\n"
       "for (var i = 0; i < feature.length; i++) {\n"
       "  feature[i] = i * 0.001 - 17.5;\n"
       "}\n");
+}
+
+void BM_SnapshotTypedArray(benchmark::State& state) {
+  // Feature-data path: one big Float32Array (decimal-text encoding).
+  jsvm::Interpreter interp;
+  const auto n = state.range(0);
+  fill_feature(interp, n);
   std::uint64_t text_bytes = 0;
   for (auto _ : state) {
     auto snap = jsvm::capture_snapshot(interp);
@@ -79,6 +84,30 @@ BENCHMARK(BM_SnapshotTypedArray)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Arg(802'816)  // GoogLeNet conv1 feature (64x112x112)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotRestoreTypedArray(benchmark::State& state) {
+  // Restore side of BM_SnapshotTypedArray: its decimal-text snapshot is one
+  // `__f32([...])` literal of n numbers.
+  jsvm::Interpreter interp;
+  fill_feature(interp, state.range(0));
+  auto snap = jsvm::capture_snapshot(interp);
+  for (auto _ : state) {
+    jsvm::Interpreter fresh;
+    jsvm::restore_snapshot(fresh, snap.program);
+    benchmark::DoNotOptimize(fresh.globals());
+  }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(snap.stats.total_bytes);
+  state.counters["MB/s"] = benchmark::Counter(
+      static_cast<double>(snap.stats.total_bytes) *
+          static_cast<double>(state.iterations()) / 1e6,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SnapshotRestoreTypedArray)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(802'816)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotTypedArrayBase64(benchmark::State& state) {

@@ -107,6 +107,9 @@ struct IdentifierExpr final : Expr {
 struct ArrayExpr final : Expr {
   ArrayExpr() : Expr(ExprKind::kArray) {}
   std::vector<ExprPtr> elements;
+  /// A literal of only (optionally negated) numbers is stored packed here
+  /// instead, with `elements` empty (see Lexer::scan_number_list).
+  std::vector<double> numbers;
 };
 
 struct ObjectExpr final : Expr {

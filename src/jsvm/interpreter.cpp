@@ -171,6 +171,10 @@ Value Interpreter::eval_expr(const Expr& expr, const EnvPtr& env) {
     case ExprKind::kArray: {
       const auto& e = static_cast<const ArrayExpr&>(expr);
       auto arr = std::make_shared<ArrayObj>();
+      if (!e.numbers.empty()) {
+        arr->elements.assign(e.numbers.begin(), e.numbers.end());
+        return arr;
+      }
       arr->elements.reserve(e.elements.size());
       for (const auto& el : e.elements) {
         arr->elements.push_back(eval_expr(*el, env));

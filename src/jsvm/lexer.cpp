@@ -1,24 +1,49 @@
 #include "src/jsvm/lexer.h"
 
-#include <cctype>
 #include <charconv>
-#include <unordered_map>
 
 namespace offload::jsvm {
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind>& keywords() {
-  static const std::unordered_map<std::string_view, TokenKind> map = {
-      {"var", TokenKind::kVar},         {"function", TokenKind::kFunction},
-      {"if", TokenKind::kIf},           {"else", TokenKind::kElse},
-      {"while", TokenKind::kWhile},     {"for", TokenKind::kFor},
-      {"return", TokenKind::kReturn},   {"break", TokenKind::kBreak},
-      {"continue", TokenKind::kContinue}, {"true", TokenKind::kTrue},
-      {"false", TokenKind::kFalse},     {"null", TokenKind::kNull},
-      {"undefined", TokenKind::kUndefined}, {"typeof", TokenKind::kTypeof},
-      {"this", TokenKind::kThis},
+// ASCII character classes. Nothing in the program calls setlocale, so these
+// give the "C" locale's answers without the <cctype> calls.
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool is_ident_start(char c) {
+  return is_alpha(c) || c == '_' || c == '$';
+}
+constexpr bool is_ident_part(char c) { return is_ident_start(c) || is_digit(c); }
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+
+/// Keyword kind of `word`, or kIdentifier; keyed on the first character.
+TokenKind keyword_kind(std::string_view word) {
+  auto is = [&](std::string_view kw, TokenKind kind) {
+    return word == kw ? kind : TokenKind::kIdentifier;
   };
-  return map;
+  switch (word[0]) {
+    case 'b': return is("break", TokenKind::kBreak);
+    case 'c': return is("continue", TokenKind::kContinue);
+    case 'e': return is("else", TokenKind::kElse);
+    case 'f':
+      if (word == "for") return TokenKind::kFor;
+      if (word == "false") return TokenKind::kFalse;
+      return is("function", TokenKind::kFunction);
+    case 'i': return is("if", TokenKind::kIf);
+    case 'n': return is("null", TokenKind::kNull);
+    case 'r': return is("return", TokenKind::kReturn);
+    case 't':
+      if (word == "true") return TokenKind::kTrue;
+      if (word == "this") return TokenKind::kThis;
+      return is("typeof", TokenKind::kTypeof);
+    case 'u': return is("undefined", TokenKind::kUndefined);
+    case 'v': return is("var", TokenKind::kVar);
+    case 'w': return is("while", TokenKind::kWhile);
+    default: return TokenKind::kIdentifier;
+  }
 }
 
 }  // namespace
@@ -92,21 +117,10 @@ void Lexer::fail(const std::string& message) const {
   throw ParseError(message, line_of(src_, pos_));
 }
 
-std::vector<Token> Lexer::tokenize() {
-  std::vector<Token> tokens;
-  while (true) {
-    Token t = next();
-    bool done = t.kind == TokenKind::kEof;
-    tokens.push_back(std::move(t));
-    if (done) break;
-  }
-  return tokens;
-}
-
 void Lexer::skip_trivia() {
   while (!eof()) {
     char c = peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++pos_;
     } else if (c == '/' && peek(1) == '/') {
       while (!eof() && peek() != '\n') ++pos_;
@@ -121,31 +135,63 @@ void Lexer::skip_trivia() {
   }
 }
 
-Token Lexer::lex_number() {
-  Token t;
-  t.kind = TokenKind::kNumber;
-  t.begin = pos_;
-  while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+/// Scans the number literal starting at pos_ (a digit) and parses it;
+/// false when from_chars rejects the slice (e.g. out of range).
+bool Lexer::read_number(double& value) {
+  const std::size_t begin = pos_;
+  while (is_digit(peek())) ++pos_;
+  if (peek() == '.' && is_digit(peek(1))) {
     ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    while (is_digit(peek())) ++pos_;
   }
   if (peek() == 'e' || peek() == 'E') {
     std::size_t save = pos_;
     ++pos_;
     if (peek() == '+' || peek() == '-') ++pos_;
-    if (std::isdigit(static_cast<unsigned char>(peek()))) {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    if (is_digit(peek())) {
+      while (is_digit(peek())) ++pos_;
     } else {
       pos_ = save;  // 'e' belongs to a following identifier
     }
   }
+  const char* last = src_.data() + pos_;
+  auto [ptr, ec] = std::from_chars(src_.data() + begin, last, value);
+  return ec == std::errc() && ptr == last;
+}
+
+Token Lexer::lex_number() {
+  Token t;
+  t.kind = TokenKind::kNumber;
+  t.begin = pos_;
+  if (!read_number(t.number)) fail("malformed number literal");
   t.end = pos_;
-  const char* first = src_.data() + t.begin;
-  const char* last = src_.data() + t.end;
-  auto [ptr, ec] = std::from_chars(first, last, t.number);
-  if (ec != std::errc() || ptr != last) fail("malformed number literal");
   return t;
+}
+
+bool Lexer::scan_number_list(std::vector<double>& out) {
+  const std::size_t start = pos_;
+  out.clear();
+  while (true) {
+    skip_trivia();
+    const bool negative = peek() == '-';
+    if (negative) {
+      ++pos_;
+      skip_trivia();
+    }
+    double value;
+    if (!is_digit(peek()) || !read_number(value)) break;
+    out.push_back(negative ? -value : value);
+    skip_trivia();
+    if (peek() == ']') {
+      ++pos_;
+      return true;
+    }
+    if (peek() != ',') break;
+    ++pos_;
+  }
+  pos_ = start;
+  out.clear();
+  return false;
 }
 
 Token Lexer::lex_string(char quote) {
@@ -153,27 +199,27 @@ Token Lexer::lex_string(char quote) {
   t.kind = TokenKind::kString;
   t.begin = pos_;
   ++pos_;  // opening quote
-  std::string out;
+  const std::size_t body = pos_;
+  bool escaped = false;  // once set, the text is built in decoded_
   while (true) {
     if (eof()) fail("unterminated string literal");
     char c = src_[pos_];
-    if (c == quote) {
-      ++pos_;
-      break;
-    }
+    if (c == quote) break;
     if (c == '\n') fail("newline in string literal");
     if (c == '\\') {
+      if (!escaped) decoded_.assign(src_.substr(body, pos_ - body));
+      escaped = true;
       ++pos_;
       if (eof()) fail("unterminated escape");
       char e = src_[pos_++];
       switch (e) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case '0': out.push_back('\0'); break;
-        case '\\': out.push_back('\\'); break;
-        case '\'': out.push_back('\''); break;
-        case '"': out.push_back('"'); break;
+        case 'n': decoded_.push_back('\n'); break;
+        case 't': decoded_.push_back('\t'); break;
+        case 'r': decoded_.push_back('\r'); break;
+        case '0': decoded_.push_back('\0'); break;
+        case '\\': decoded_.push_back('\\'); break;
+        case '\'': decoded_.push_back('\''); break;
+        case '"': decoded_.push_back('"'); break;
         case 'x': {
           if (pos_ + 2 > src_.size()) fail("bad \\x escape");
           int v = 0;
@@ -185,42 +231,31 @@ Token Lexer::lex_string(char quote) {
             else if (h >= 'A' && h <= 'F') v |= h - 'A' + 10;
             else fail("bad hex digit in \\x escape");
           }
-          out.push_back(static_cast<char>(v));
+          decoded_.push_back(static_cast<char>(v));
           break;
         }
         default:
           fail(std::string("unknown escape \\") + e);
       }
     } else {
-      out.push_back(c);
+      if (escaped) decoded_.push_back(c);
       ++pos_;
     }
   }
+  t.text = escaped ? std::string_view(decoded_)
+                   : src_.substr(body, pos_ - body);
+  ++pos_;  // closing quote
   t.end = pos_;
-  t.text = std::move(out);
   return t;
 }
 
 Token Lexer::lex_identifier() {
   Token t;
   t.begin = pos_;
-  while (!eof()) {
-    char c = peek();
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      ++pos_;
-    } else {
-      break;
-    }
-  }
+  while (is_ident_part(peek())) ++pos_;
   t.end = pos_;
-  std::string_view word = src_.substr(t.begin, t.end - t.begin);
-  auto it = keywords().find(word);
-  if (it != keywords().end()) {
-    t.kind = it->second;
-  } else {
-    t.kind = TokenKind::kIdentifier;
-    t.text = std::string(word);
-  }
+  t.text = src_.substr(t.begin, t.end - t.begin);
+  t.kind = keyword_kind(t.text);
   return t;
 }
 
@@ -234,11 +269,9 @@ Token Lexer::next() {
     return t;
   }
   char c = peek();
-  if (std::isdigit(static_cast<unsigned char>(c))) return lex_number();
+  if (is_digit(c)) return lex_number();
   if (c == '"' || c == '\'') return lex_string(c);
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-    return lex_identifier();
-  }
+  if (is_ident_start(c)) return lex_identifier();
 
   auto two = [&](TokenKind kind) {
     t.kind = kind;

@@ -7,8 +7,8 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view source, std::vector<Token> tokens)
-      : src_(source), tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view source)
+      : src_(source), lexer_(source), cur_(lexer_.next()) {}
 
   std::vector<StmtPtr> parse_statements_until_eof() {
     std::vector<StmtPtr> stmts;
@@ -452,6 +452,12 @@ class Parser {
       }
       case TokenKind::kLBracket: {
         auto e = make_expr<ArrayExpr>(t.begin);
+        if (lexer_.scan_number_list(e->numbers)) {
+          // The lexer consumed everything through the ']'.
+          prev_end_ = lexer_.offset();
+          cur_ = lexer_.next();
+          return e;
+        }
         advance();
         if (!at(TokenKind::kRBracket)) {
           while (true) {
@@ -509,12 +515,13 @@ class Parser {
     return e;
   }
 
-  const Token& peek() const { return tokens_[pos_]; }
-  bool at(TokenKind kind) const { return peek().kind == kind; }
+  /// The current token. Its text is valid only until the next advance().
+  const Token& peek() const { return cur_; }
+  bool at(TokenKind kind) const { return cur_.kind == kind; }
 
   void advance() {
-    prev_end_ = peek().end;
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+    prev_end_ = cur_.end;
+    cur_ = lexer_.next();
   }
 
   void expect(TokenKind kind) {
@@ -530,7 +537,7 @@ class Parser {
       fail(std::string("expected identifier, got ") +
            token_kind_name(peek().kind));
     }
-    std::string name = peek().text;
+    std::string name(peek().text);
     advance();
     return name;
   }
@@ -538,20 +545,16 @@ class Parser {
   /// Object keys may be identifiers or (reserved) words like "length".
   std::string expect_identifier_or_keyword() {
     const Token& t = peek();
-    if (t.kind == TokenKind::kIdentifier) {
-      std::string name = t.text;
-      advance();
-      return name;
-    }
-    // Accept keyword tokens as literal property names.
+    // Keyword tokens are accepted as literal property names too.
     switch (t.kind) {
+      case TokenKind::kIdentifier:
       case TokenKind::kVar: case TokenKind::kFunction: case TokenKind::kIf:
       case TokenKind::kElse: case TokenKind::kWhile: case TokenKind::kFor:
       case TokenKind::kReturn: case TokenKind::kBreak:
       case TokenKind::kContinue: case TokenKind::kTrue: case TokenKind::kFalse:
       case TokenKind::kNull: case TokenKind::kUndefined:
       case TokenKind::kTypeof: case TokenKind::kThis: {
-        std::string name = src_slice(t);
+        std::string name(t.text);
         advance();
         return name;
       }
@@ -569,9 +572,9 @@ class Parser {
   }
 
   std::string_view src_;
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-  std::size_t prev_end_ = 0;
+  Lexer lexer_;
+  Token cur_;
+  std::size_t prev_end_ = 0;  ///< end offset of the last consumed token
 };
 
 }  // namespace
@@ -580,8 +583,7 @@ ProgramPtr parse_program(std::string_view source, std::string origin) {
   auto program = std::make_shared<Program>();
   program->source = std::string(source);
   program->origin = std::move(origin);
-  Lexer lexer(program->source);
-  Parser parser(program->source, lexer.tokenize());
+  Parser parser(program->source);
   program->statements = parser.parse_statements_until_eof();
   return program;
 }
@@ -590,8 +592,7 @@ ProgramPtr parse_function_source(std::string_view source, std::string origin) {
   auto program = std::make_shared<Program>();
   program->source = std::string(source);
   program->origin = std::move(origin);
-  Lexer lexer(program->source);
-  Parser parser(program->source, lexer.tokenize());
+  Parser parser(program->source);
   auto fn = parser.parse_single_function();
   auto stmt = std::make_unique<ExprStmt>();
   stmt->begin = fn->begin;

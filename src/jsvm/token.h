@@ -4,8 +4,9 @@
 // slicing their original source text.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace offload::jsvm {
 
@@ -70,7 +71,9 @@ struct Token {
   std::size_t begin = 0;  ///< byte offset of first char
   std::size_t end = 0;    ///< one past last char
   double number = 0.0;    ///< for kNumber
-  std::string text;       ///< identifier name or decoded string literal
+  /// Identifier name or decoded string literal. Views the source or the
+  /// lexer's escape buffer, so it is valid only until the next token.
+  std::string_view text;
 };
 
 const char* token_kind_name(TokenKind kind);

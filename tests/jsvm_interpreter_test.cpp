@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/jsvm/lexer.h"
+#include "src/jsvm/parser.h"
 
 namespace offload::jsvm {
 namespace {
@@ -401,6 +405,14 @@ TEST(InterpreterError, ParseErrors) {
   EXPECT_THROW(interp.eval_program("var x = 'unterminated;"), ParseError);
   EXPECT_THROW(interp.eval_program("var x = 1 + ;"), ParseError);
   EXPECT_THROW(interp.eval_program("1 & 2;"), ParseError);
+  // Array literals that the packed number path rewinds on.
+  EXPECT_THROW(interp.eval_program("var a = [1,];"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [1 2];"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [1e];"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [1.];"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [-];"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [1, 2"), ParseError);
+  EXPECT_THROW(interp.eval_program("var a = [1, /* open"), ParseError);
 }
 
 TEST(InterpreterError, NumberCoercionIsStrict) {
@@ -418,6 +430,135 @@ TEST(InterpreterMisc, StringEscapes) {
   EXPECT_EQ(eval_string("\"q\\\"q\";"), "q\"q");
   EXPECT_EQ(eval_string("'tab\\t.';"), "tab\t.");
   EXPECT_EQ(eval_string("'\\x41';"), "A");
+}
+
+TEST(InterpreterMisc, EscapedStringsKeepTheirOwnText) {
+  // Each escaped literal is decoded into the lexer's one buffer; the parser
+  // must copy it before the next token overwrites it.
+  EXPECT_EQ(eval_string("'a\\x41' + 'b\\x42';"), "aAbB");
+  EXPECT_EQ(eval_string("['x\\ty', 'p\\nq', 'plain'].join('|');"),
+            "x\ty|p\nq|plain");
+  Interpreter interp;
+  Value v = interp.eval_program("var o = {'a\\x41': 1, 'b\\n': 2}; o;");
+  const auto& props = std::get<ObjectPtr>(v)->properties;
+  ASSERT_EQ(props.size(), 2u);
+  EXPECT_EQ(props[0].first, "aA");
+  EXPECT_EQ(props[1].first, "b\n");
+}
+
+TEST(InterpreterMisc, EscapedStringAsLastToken) {
+  Interpreter interp;
+  try {
+    interp.eval_program("var s;\ns = 'a\\x41'");
+    FAIL() << "missing ';' accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("expected ';'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(interp.eval_program("var s = 'a\\x4"), ParseError);
+  EXPECT_EQ(eval_string("'\\x41\\x42';"), "AB");
+}
+
+// ------------------------------------------- packed number-array literals
+
+/// The element values of the array `literal` evaluates to.
+std::vector<double> array_values(const std::string& literal) {
+  Interpreter interp;
+  Value v = interp.eval_program("var x = 2; " + literal + ";");
+  std::vector<double> out;
+  for (const Value& el : std::get<ArrayPtr>(v)->elements) {
+    out.push_back(std::get<double>(el));
+  }
+  return out;
+}
+
+/// Whether the parser stored `literal` as a packed number array.
+bool parsed_packed(const std::string& literal) {
+  ProgramPtr program = parse_program(literal + ";");
+  const auto& stmt = static_cast<const ExprStmt&>(*program->statements[0]);
+  const auto& array = static_cast<const ArrayExpr&>(*stmt.expr);
+  return !array.numbers.empty();
+}
+
+std::string join_elements(const std::vector<std::string>& elements,
+                          const std::string& separator) {
+  std::string out;
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (i) out += separator;
+    out += elements[i];
+  }
+  return out;
+}
+
+/// `[a, b, ...]` must take the packed path and give, bit for bit, what each
+/// element gives evaluated on its own (`check_each`) and what the ordinary
+/// element path gives for the same text (a trailing `x` forces it).
+void expect_packed_matches(const std::vector<std::string>& elements,
+                           const std::string& separator = ", ",
+                           bool check_each = true) {
+  const std::string body = join_elements(elements, separator);
+  const std::string packed = "[" + body + "]";
+  ASSERT_TRUE(parsed_packed(packed)) << packed;
+  const std::vector<double> values = array_values(packed);
+  ASSERT_EQ(values.size(), elements.size());
+  const std::vector<double> ordinary =
+      array_values("[" + body + separator + "x]");
+  ASSERT_EQ(ordinary.size(), elements.size() + 1);
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+              std::bit_cast<std::uint64_t>(ordinary[i]))
+        << "element " << i << ": " << elements[i];
+    if (!check_each) continue;
+    Interpreter interp;
+    double alone = std::get<double>(interp.eval_program(elements[i] + ";"));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+              std::bit_cast<std::uint64_t>(alone))
+        << "element " << i << ": " << elements[i];
+  }
+}
+
+TEST(InterpreterArray, PackedNumbersMatchOrdinaryPath) {
+  expect_packed_matches({"0", "7", "42", "1234567890123", "007"});
+  expect_packed_matches({"0.5", "3.14159", "1.0000001", "17.5", "0.1"});
+  expect_packed_matches({"1e-7", "2E+3", "1e308", "4.9e-324", "6.02e23"});
+  expect_packed_matches({"-0", "0", "- 5", "-17.5", "-1e-7", "-\n3"});
+  expect_packed_matches({"1", "-2", "3"}, " /* c */ , // line\n");
+  expect_packed_matches({"1", "2"}, "\n,\n\t");
+  EXPECT_EQ(array_values("[ /* lead */ 1 , 2 // tail\n ]"),
+            (std::vector<double>{1, 2}));
+}
+
+TEST(InterpreterArray, PackedNumbersAtScale) {
+  std::vector<std::string> elements;
+  for (int i = 0; i < 100'000; ++i) {
+    double v = i * 0.001 - 17.5;
+    std::string text = std::to_string(v);
+    if (i % 7 == 0) text += "e-3";
+    elements.push_back(text);
+  }
+  expect_packed_matches(elements, ",", /*check_each=*/false);
+}
+
+TEST(InterpreterArray, NonNumberElementsTakeTheOrdinaryPath) {
+  const std::vector<std::pair<std::string, std::vector<double>>> cases = {
+      {"[1, x]", {1, 2}},
+      {"[1+2, 3]", {3, 3}},
+      {"[-(1)]", {-1}},
+      {"[x, 1]", {2, 1}},
+      {"[1, 2, x]", {1, 2, 2}},
+      {"[--x]", {1}},
+  };
+  for (const auto& [literal, want] : cases) {
+    EXPECT_FALSE(parsed_packed(literal)) << literal;
+    EXPECT_EQ(array_values(literal), want) << literal;
+  }
+  EXPECT_FALSE(parsed_packed("[]"));
+  EXPECT_TRUE(array_values("[]").empty());
+  EXPECT_FALSE(parsed_packed("[1, [2]]"));
+  EXPECT_EQ(eval_number("var a = [1, [2]]; a[0] + a[1][0];"), 3);
+  EXPECT_EQ(eval_number("[1, 2, 3][2];"), 3);
+  EXPECT_EQ(eval_number("var a = [4, 5]; a[1] = 9; a[0] + a[1];"), 13);
 }
 
 TEST(InterpreterMisc, StatsCount) {

@@ -297,6 +297,64 @@ TEST(SnapshotProperty, ParserRejectsMutatedSnapshotsSafely) {
   EXPECT_GT(threw, 10);
 }
 
+/// Restores `program` into a fresh realm. Returns false if it was rejected
+/// with ParseError or JsError; any other exception fails the test.
+bool restores_or_rejects(const std::string& program) {
+  Interpreter b;
+  try {
+    restore_snapshot(b, program);
+    return true;
+  } catch (const ParseError&) {
+  } catch (const JsError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "escaped " << e.what() << " on: " << program;
+  }
+  return false;
+}
+
+TEST(SnapshotProperty, MutatedNumberArraysEndInValueOrTypedError) {
+  // A decimal-text Float32Array restores through the packed number-array
+  // path; truncations and byte flips drive its rewind onto the ordinary
+  // element path, which must then accept or reject exactly as usual.
+  Interpreter a;
+  a.eval_program(
+      "var t = Float32Array(48);\n"
+      "for (var i = 0; i < t.length; i++) { t[i] = (i - 20) * 0.37; }\n"
+      "t[3] = -0.0; t[5] = 1e-7; t[7] = 3.4e38; t[9] = -1.5e-40;\n"
+      "var box = {data: t, tag: 'f32'};");
+  const std::string program = capture_snapshot(a).program;
+  ASSERT_NE(program.find("__f32(["), std::string::npos);
+
+  int restored = 0;
+  for (std::size_t len = 0; len < program.size(); ++len) {
+    restored += restores_or_rejects(program.substr(0, len));
+  }
+  EXPECT_TRUE(restores_or_rejects(program));
+
+  const std::size_t first = program.find("__f32([");
+  const std::size_t last = program.find("])", first);
+  util::Pcg32 rng(20);
+  static const char junk[] = "-,]. eE+0x/*[(";
+  int rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string mutated = program;
+    // Most flips land inside the number list.
+    const bool in_list = trial % 4 != 0;
+    const std::size_t lo = in_list ? first : 0;
+    const std::size_t hi = in_list ? last + 2 : mutated.size();
+    const std::size_t pos =
+        lo + rng.next_below(static_cast<std::uint32_t>(hi - lo));
+    mutated[pos] = trial % 2 == 0
+                       ? junk[rng.next_below(sizeof(junk) - 1)]
+                       : static_cast<char>(rng.next_below(256));
+    rejected += !restores_or_rejects(mutated);
+  }
+  // Many prefixes and flips still form a valid program; both outcomes
+  // must occur.
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(rejected, 20);
+}
+
 TEST(SnapshotProperty, SpecialFloatsRoundTrip) {
   Interpreter a;
   a.eval_program(

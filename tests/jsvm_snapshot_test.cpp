@@ -122,6 +122,25 @@ TEST(Snapshot, ClosureStatePreserved) {
   EXPECT_EQ(b->eval_program("counter();"), Value(3.0));
 }
 
+TEST(Snapshot, ClosureEndingInNumberArrayRecapturesIdentically) {
+  // A packed number array is the last literal of each function body, so
+  // the function spans sliced into the snapshot must end exactly at '}'.
+  SnapshotResult first;
+  auto b = round_trip(
+      "function f() { return [1, -2]; }\n"
+      "var g = function() { return [3.5, - 4, 1e-7]; };\n"
+      "function outer() { var k = [0]; return function() { return k; }; }\n"
+      "var h = outer();",
+      {}, &first);
+  EXPECT_EQ(b->eval_program("f()[1] + g()[1];"), Value(-6.0));
+  EXPECT_EQ(b->eval_program("h()[0];"), Value(0.0));
+  SnapshotResult second = capture_snapshot(*b);
+  EXPECT_EQ(second.program, first.program);
+  Interpreter c;
+  restore_snapshot(c, second.program);
+  EXPECT_EQ(capture_snapshot(c).program, first.program);
+}
+
 TEST(Snapshot, TwoClosuresShareOneEnvironment) {
   auto b = round_trip(
       "function make() { var n = 10; return { "
