@@ -43,7 +43,6 @@ OffloadingRuntime::OffloadingRuntime(RuntimeConfig config,
         const serve::Scheduler& sched = fleet_->server(server).scheduler();
         s.queue_depth = sched.queue_depth();
         s.lanes = sched.lanes();
-        s.batch_wait_s = sched.recent_batch_wait_s();
         s.outstanding = fleet_->outstanding_for(server);
         // Jobs the edge relayed up-tier or cross-peer still occupy it
         // (their results route back through it); 0 without a topology,

@@ -88,12 +88,10 @@ std::vector<double> CutController::predict(const LinkSignals& signals,
   auto cands = partitioner_.evaluate(bw, config_.latency_s);
   // Queue-occupancy wait: every job already queued (or in flight from this
   // client's fleet peers) costs roughly one full-network server pass,
-  // spread across the scheduler's lanes, on top of the observed
-  // batch-formation wait.
+  // spread across the scheduler's lanes.
   const double service_s = server_cost_.predict_network(*net_);
   const double lanes = std::max(1, signals.lanes);
   const double queue_wait =
-      signals.batch_wait_s +
       static_cast<double>(signals.queue_depth +
                           static_cast<std::size_t>(
                               std::max(0, signals.outstanding)) +

@@ -7,9 +7,9 @@
 // estimate, and from there it re-selects the cut for every inference — and
 // re-cuts mid-flight when the supervisor reports a failed attempt — from
 // what the system actually observed: the measured upload bandwidth
-// (net::BandwidthEstimator), the target server's queue depth and
-// batch-formation wait (serve::Scheduler pull accessors), and the fleet's
-// per-server outstanding counts.
+// (net::BandwidthEstimator), the target server's queue depth and lane
+// count (serve::Scheduler pull accessors), and the fleet's per-server
+// outstanding counts.
 //
 // Two policies, selected by ControllerConfig::policy (set through
 // edge::ClientConfig::controller):
@@ -88,7 +88,6 @@ struct LinkSignals {
   double bandwidth_bps = 0;     ///< <= 0: the caller's estimator default
   std::size_t queue_depth = 0;  ///< serve::Scheduler::queue_depth()
   int lanes = 1;                ///< serve::Scheduler::lanes()
-  double batch_wait_s = 0;      ///< serve::Scheduler::recent_batch_wait_s()
   int outstanding = 0;          ///< fleet::EdgeFleet::outstanding_for(k)
   /// Jobs this server currently has escalated up-tier and still awaits
   /// results for (tier::Topology::outstanding_relays(k)). Each one is load

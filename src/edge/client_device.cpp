@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/jsvm/snapshot.h"
-#include "src/jsvm/snapshot_diff.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"

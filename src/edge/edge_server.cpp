@@ -423,7 +423,6 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
         migratable_.erase(*id_box);
         ServerExecutionRecord& rec = executions_[record_index];
         rec.queue_wait_s = t.queue_wait_s;
-        rec.batch_wait_s = t.batch_wait_s;
         if (obs::Obs* obs = config_.obs) {
           // Tile the lane-busy interval with the three server phases,
           // charging each the exact double from the execution record.

@@ -86,8 +86,6 @@ struct EscalationRequest {
 struct ServerExecutionRecord {
   sim::SimTime received_at;
   double queue_wait_s = 0;  ///< waited for earlier requests (contention)
-  double batch_wait_s = 0;  ///< lane idle before dispatch (zero: jobs
-                            ///< dispatch as soon as a lane frees)
   double restore_s = 0;   ///< parse+run the incoming snapshot
   double execute_s = 0;   ///< DNN execution on the server browser
   double capture_s = 0;   ///< producing the result snapshot

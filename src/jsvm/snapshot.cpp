@@ -1,25 +1,220 @@
 #include "src/jsvm/snapshot.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
-#include "src/jsvm/snapshot_text.h"
 #include "src/util/base64.h"
 
 namespace offload::jsvm {
 namespace {
 
-using detail::escape_string;
-using detail::float_to_text;
+/// Attached DOM nodes by depth-first position from body: the numbering
+/// that __domByIndex resolves on the restoring side.
+using DomIndex = std::unordered_map<const DomNode*, std::size_t>;
 
-/// Serializer state: one pass of discovery, then ordered emission.
+/// Dense ids for one kind of heap cell, in first-visit order.
+template <typename T>
+struct Ids {
+  std::unordered_map<const T*, std::size_t> id;
+  std::vector<std::shared_ptr<T>> list;
+
+  /// Number `p`; false if it already has an id.
+  bool add(const std::shared_ptr<T>& p) {
+    if (!id.try_emplace(p.get(), list.size()).second) return false;
+    list.push_back(p);
+    return true;
+  }
+
+  bool overlaps(const Ids& other) const {
+    const Ids& small = list.size() < other.list.size() ? *this : other;
+    const Ids& big = &small == this ? other : *this;
+    for (const auto& p : small.list) {
+      if (big.id.count(p.get())) return true;
+    }
+    return false;
+  }
+};
+
+/// The heap reachable from a set of roots — objects, arrays, typed arrays,
+/// functions, environments and DOM nodes — each numbered in first-visit
+/// order. The walk stops at the global environment and, when `attached` is
+/// given, at attached DOM nodes, which the restoring realm already holds.
+struct Heap {
+  Heap(const Interpreter& interp, const DomIndex* attached)
+      : global_env(interp.globals().get()), attached(attached) {}
+
+  void add(const Value& value) {
+    if (const auto* obj = std::get_if<ObjectPtr>(&value)) {
+      if (!objects.add(*obj)) return;
+      for (const auto& [k, v] : (*obj)->properties) add(v);
+    } else if (const auto* arr = std::get_if<ArrayPtr>(&value)) {
+      if (!arrays.add(*arr)) return;
+      for (const auto& v : (*arr)->elements) add(v);
+    } else if (const auto* ta = std::get_if<TypedArrayPtr>(&value)) {
+      typed_arrays.add(*ta);
+    } else if (const auto* fn = std::get_if<FunctionPtr>(&value)) {
+      if (functions.add(*fn)) add_env((*fn)->closure);
+    } else if (const auto* dom = std::get_if<DomNodePtr>(&value)) {
+      add_dom(*dom);
+    }
+    // Primitives, natives (by name) and host objects (by restore
+    // expression) need no discovery.
+  }
+
+  /// A DOM node, then its canvas, listeners and children.
+  void add_dom(const DomNodePtr& node) {
+    if (attached && attached->count(node.get())) return;
+    if (!dom_nodes.add(node)) return;
+    if (node->canvas_data) typed_arrays.add(node->canvas_data);
+    for (const auto& [type, handler] : node->listeners) add(handler);
+    for (const auto& child : node->children) add_dom(child);
+  }
+
+  void add_env(const EnvPtr& env) {
+    if (!env || env.get() == global_env || environments.id.count(env.get())) {
+      return;
+    }
+    add_env(env->parent());  // parents first → smaller ids
+    // The parent's slots can reach `env` through another closure over it;
+    // it is then numbered twice and the later id is the one referenced.
+    environments.id[env.get()] = environments.list.size();
+    environments.list.push_back(env);
+    for (const auto& [name, value] : env->slots()) add(value);
+  }
+
+  bool shares_with(const Heap& other) const {
+    return objects.overlaps(other.objects) || arrays.overlaps(other.arrays) ||
+           typed_arrays.overlaps(other.typed_arrays) ||
+           functions.overlaps(other.functions) ||
+           environments.overlaps(other.environments) ||
+           dom_nodes.overlaps(other.dom_nodes);
+  }
+
+  const Environment* global_env;
+  const DomIndex* attached;
+  Ids<Object> objects;
+  Ids<ArrayObj> arrays;
+  Ids<TypedArray> typed_arrays;
+  Ids<FunctionObj> functions;
+  Ids<Environment> environments;
+  Ids<DomNode> dom_nodes;
+};
+
+/// Serializer: one heap discovery, then ordered emission of shells before
+/// fills, so cycles and shared references rebuild with their identity.
+///
+/// A full capture rebuilds the realm from nothing. A differential capture
+/// rebuilds only the globals whose hash moved since a baseline fingerprint,
+/// on the realm that holds the baseline: attached DOM nodes are referenced
+/// through __domByIndex(k), detached ones are named __n, and attached
+/// nodes whose content changed get content updates.
 class Writer {
  public:
-  Writer(Interpreter& interp, const SnapshotOptions& options)
-      : interp_(interp), options_(options) {}
+  Writer(Interpreter& interp, const SnapshotOptions& options,
+         bool differential)
+      : interp_(interp),
+        options_(options),
+        heap_(interp, differential ? &attached_ : nullptr),
+        dom_prefix_(differential ? "__n" : "__d") {}
 
-  SnapshotResult write() {
-    discover_roots();
-    emit();
+  SnapshotResult full() {
+    // The DOM is always app state: discover the whole body tree first so
+    // tree order determines DOM ids deterministically.
+    heap_.add_dom(interp_.document().body());
+    for (const auto& [name, value] : interp_.globals()->slots()) {
+      if (interp_.is_ambient_binding(name, value)) continue;
+      globals_.emplace_back(name, value);
+      heap_.add(value);
+    }
+    if (options_.include_events) {
+      for (const auto& ev : interp_.event_queue()) {
+        heap_.add_dom(ev.target);
+        heap_.add(ev.detail);
+      }
+    }
+
+    put("(function() {\nvar __d0 = document.body;\n");
+    emit_heap();
+    // Attributes/text/canvas for every node (including body), then tree
+    // structure, then listeners.
+    const std::size_t n = heap_.dom_nodes.list.size();
+    for (std::size_t i = 0; i < n; ++i) emit_dom_content(i);
+    for (std::size_t i = 0; i < n; ++i) emit_dom_children(i);
+    for (std::size_t i = 0; i < n; ++i) emit_dom_listeners(i);
+    emit_globals_and_events();
+    return finish();
+  }
+
+  /// The diff against `baseline`, or nullopt when only a full snapshot is
+  /// correct: the DOM structure changed, or a changed global's subgraph
+  /// shares a cell with state the server keeps (rebuilding it would split
+  /// its identity).
+  std::optional<SnapshotResult> diff(const RealmFingerprint& baseline) {
+    const RealmFingerprint now = fingerprint_realm(interp_);
+    if (now.dom_structure != baseline.dom_structure ||
+        now.dom_content.size() != baseline.dom_content.size()) {
+      return std::nullopt;
+    }
+    index_attached(interp_.document().body());
+
+    // What the server keeps: globals whose hash matches the baseline, and
+    // every listener of the attached tree (with its environments).
+    Heap unchanged(interp_, &attached_);
+    for (const auto& [name, value] : interp_.globals()->slots()) {
+      if (interp_.is_ambient_binding(name, value)) continue;
+      const std::uint64_t* base_hash = baseline.find(name);
+      if (base_hash && *base_hash == *now.find(name)) {
+        unchanged.add(value);
+      } else {
+        globals_.emplace_back(name, value);
+        heap_.add(value);
+      }
+    }
+    for (const DomNodePtr& node : attached_list_) {
+      for (const auto& [type, handler] : node->listeners) {
+        unchanged.add(handler);
+      }
+    }
+    if (options_.include_events) {
+      for (const auto& ev : interp_.event_queue()) {
+        heap_.add(ev.detail);
+        heap_.add_dom(ev.target);
+      }
+    }
+    if (heap_.shares_with(unchanged)) return std::nullopt;
+
+    put("(function() {\n");
+    emit_heap();
+    for (std::size_t i = 0; i < heap_.dom_nodes.list.size(); ++i) {
+      emit_dom_content(i);
+      emit_dom_children(i);
+      emit_dom_listeners(i);
+    }
+    for (std::size_t i = 0; i < now.dom_content.size(); ++i) {
+      if (now.dom_content[i] != baseline.dom_content[i]) {
+        emit_content_update(i);
+      }
+    }
+    for (const auto& [name, h] : baseline.globals) {
+      if (!now.find(name)) put(name, " = undefined;\n");
+    }
+    emit_globals_and_events();
+    return finish();
+  }
+
+ private:
+  void index_attached(const DomNodePtr& node) {
+    attached_.emplace(node.get(), attached_.size());
+    attached_list_.push_back(node);
+    for (const auto& child : node->children) index_attached(child);
+  }
+
+  SnapshotResult finish() {
+    put("})();\n");
     SnapshotResult result;
     result.stats = stats_;
     result.stats.total_bytes = out_.size();
@@ -27,318 +222,302 @@ class Writer {
     return result;
   }
 
- private:
-  // ------------------------------------------------------------ discovery
-
-  void discover_roots() {
-    // The DOM is always app state: discover the whole body tree first so
-    // tree order determines DOM ids deterministically.
-    discover_dom_tree(interp_.document().body());
-    for (const auto& [name, value] : interp_.globals()->slots()) {
-      if (interp_.is_ambient_binding(name, value)) continue;
-      globals_.emplace_back(name, value);
-      discover_value(value);
-    }
-    if (options_.include_events) {
-      for (const auto& ev : interp_.event_queue()) {
-        discover_value(Value(ev.target));
-        discover_value(ev.detail);
-      }
-    }
-  }
-
-  void discover_dom_tree(const DomNodePtr& node) {
-    discover_dom_node(node);
-    for (const auto& child : node->children) discover_dom_tree(child);
-  }
-
-  void discover_dom_node(const DomNodePtr& node) {
-    if (dom_ids_.count(node.get())) return;
-    dom_ids_[node.get()] = dom_list_.size();
-    dom_list_.push_back(node);
-    if (node->canvas_data) discover_value(Value(node->canvas_data));
-    for (const auto& [type, handler] : node->listeners) {
-      discover_value(handler);
-    }
-    // Children are discovered by the caller (tree walk) or lazily when a
-    // detached node is reached through the heap.
-    for (const auto& child : node->children) discover_dom_node(child);
-  }
-
-  void discover_env(const EnvPtr& env) {
-    if (!env || env == interp_.globals()) return;
-    if (env_ids_.count(env.get())) return;
-    discover_env(env->parent());  // parents first → smaller ids
-    env_ids_[env.get()] = env_list_.size();
-    env_list_.push_back(env);
-    for (const auto& [name, value] : env->slots()) discover_value(value);
-  }
-
-  void discover_value(const Value& value) {
-    if (const auto* obj = std::get_if<ObjectPtr>(&value)) {
-      if (obj_ids_.count(obj->get())) return;
-      obj_ids_[obj->get()] = obj_list_.size();
-      obj_list_.push_back(*obj);
-      for (const auto& [k, v] : (*obj)->properties) discover_value(v);
-      return;
-    }
-    if (const auto* arr = std::get_if<ArrayPtr>(&value)) {
-      if (arr_ids_.count(arr->get())) return;
-      arr_ids_[arr->get()] = arr_list_.size();
-      arr_list_.push_back(*arr);
-      for (const auto& v : (*arr)->elements) discover_value(v);
-      return;
-    }
-    if (const auto* ta = std::get_if<TypedArrayPtr>(&value)) {
-      if (ta_ids_.count(ta->get())) return;
-      ta_ids_[ta->get()] = ta_list_.size();
-      ta_list_.push_back(*ta);
-      return;
-    }
-    if (const auto* fn = std::get_if<FunctionPtr>(&value)) {
-      if (fn_ids_.count(fn->get())) return;
-      fn_ids_[fn->get()] = fn_list_.size();
-      fn_list_.push_back(*fn);
-      discover_env((*fn)->closure);
-      return;
-    }
-    if (const auto* dom = std::get_if<DomNodePtr>(&value)) {
-      discover_dom_node(*dom);
-      return;
-    }
-    // Primitives, natives (by-name), host objects (by restore expression)
-    // need no discovery.
-  }
-
   // ------------------------------------------------------------- emission
 
-  void emit() {
-    out_ += "(function() {\n";
-    out_ += "var __d0 = document.body;\n";
-    emit_envs();
-    emit_typed_arrays();
-    emit_shells();
-    emit_functions();
-    emit_fills();
-    emit_dom();
-    emit_globals();
-    if (options_.include_events) emit_events();
-    out_ += "})();\n";
+  /// Parts of a statement for put(): text as is, a size_t in decimal, and
+  /// these wrappers.
+  struct Quoted {  ///< a double-quoted string literal
+    std::string_view s;
+  };
+  struct Expr {  ///< the expression that yields a value once rebuilt
+    const Value& v;
+  };
+  struct Env {  ///< an environment's name; null for the global one
+    const Environment* e;
+  };
+  struct Dom {  ///< a node's name, or __domByIndex(k) if attached
+    const DomNode* d;
+  };
+
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (put_part(parts), ...);
   }
 
-  void emit_envs() {
-    stats_.environments = env_list_.size();
-    for (std::size_t i = 0; i < env_list_.size(); ++i) {
-      const EnvPtr& env = env_list_[i];
-      std::string parent = "null";
-      if (env->parent() && env->parent() != interp_.globals()) {
-        parent = env_name(env->parent().get());
-      }
-      out_ += "var __e" + std::to_string(i) + " = __makeEnv(" + parent +
-              ");\n";
+  /// Environments, typed arrays, object/array/DOM shells, functions, then
+  /// the environment, object and array fills.
+  void emit_heap() {
+    const auto& envs = heap_.environments.list;
+    stats_.environments = envs.size();
+    for (std::size_t i = 0; i < envs.size(); ++i) {
+      put("var __e", i, " = __makeEnv(", Env{envs[i]->parent().get()},
+          ");\n");
     }
-  }
-
-  void emit_typed_arrays() {
-    stats_.typed_arrays = ta_list_.size();
-    for (std::size_t i = 0; i < ta_list_.size(); ++i) {
-      const TypedArrayPtr& ta = ta_list_[i];
-      std::string payload;
+    const auto& tas = heap_.typed_arrays.list;
+    stats_.typed_arrays = tas.size();
+    for (std::size_t i = 0; i < tas.size(); ++i) {
+      put("var __t", i, " = ");
+      const std::size_t start = out_.size();
       if (options_.base64_typed_arrays) {
-        payload = "__f32b64(" +
-                  escape_string(util::base64_encode(std::span(
-                      reinterpret_cast<const std::uint8_t*>(ta->data.data()),
-                      ta->data.size() * sizeof(float)))) +
-                  ")";
+        put("__f32b64(",
+            Quoted{util::base64_encode(std::span(
+                reinterpret_cast<const std::uint8_t*>(tas[i]->data.data()),
+                tas[i]->data.size() * sizeof(float)))},
+            ")");
       } else {
-        payload = "__f32([";
-        for (std::size_t j = 0; j < ta->data.size(); ++j) {
-          if (j) payload.push_back(',');
-          payload += float_to_text(ta->data[j]);
-        }
-        payload += "])";
+        put_floats(tas[i]->data);
       }
-      stats_.typed_array_bytes += payload.size();
-      out_ += "var __t" + std::to_string(i) + " = " + payload + ";\n";
+      stats_.typed_array_bytes += out_.size() - start;
+      put(";\n");
     }
-  }
+    const auto& objects = heap_.objects.list;
+    stats_.objects = objects.size();
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      put("var __o", i, " = {};\n");
+    }
+    const auto& arrays = heap_.arrays.list;
+    stats_.arrays = arrays.size();
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+      put("var __a", i, " = [];\n");
+    }
+    const auto& doms = heap_.dom_nodes.list;
+    stats_.dom_nodes = doms.size();
+    // A full capture's node 0 is body, which the restoring realm has.
+    for (std::size_t i = heap_.attached ? 0 : 1; i < doms.size(); ++i) {
+      put("var ", Dom{doms[i].get()}, " = document.createElement(",
+          Quoted{doms[i]->tag}, ");\n");
+    }
+    const auto& fns = heap_.functions.list;
+    stats_.functions = fns.size();
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      put("var __f", i, " = __closure(", Quoted{fns[i]->source()}, ", ",
+          Env{fns[i]->closure.get()}, ");\n");
+    }
 
-  void emit_shells() {
-    stats_.objects = obj_list_.size();
-    for (std::size_t i = 0; i < obj_list_.size(); ++i) {
-      out_ += "var __o" + std::to_string(i) + " = {};\n";
-    }
-    stats_.arrays = arr_list_.size();
-    for (std::size_t i = 0; i < arr_list_.size(); ++i) {
-      out_ += "var __a" + std::to_string(i) + " = [];\n";
-    }
-    stats_.dom_nodes = dom_list_.size();
-    for (std::size_t i = 1; i < dom_list_.size(); ++i) {  // 0 is body
-      out_ += "var __d" + std::to_string(i) + " = document.createElement(" +
-              escape_string(dom_list_[i]->tag) + ");\n";
-    }
-  }
-
-  void emit_functions() {
-    stats_.functions = fn_list_.size();
-    for (std::size_t i = 0; i < fn_list_.size(); ++i) {
-      const FunctionPtr& fn = fn_list_[i];
-      std::string env = "null";
-      if (fn->closure && fn->closure != interp_.globals()) {
-        env = env_name(fn->closure.get());
-      }
-      out_ += "var __f" + std::to_string(i) + " = __closure(" +
-              escape_string(fn->source()) + ", " + env + ");\n";
-    }
-  }
-
-  void emit_fills() {
-    for (std::size_t i = 0; i < env_list_.size(); ++i) {
-      for (const auto& [name, value] : env_list_[i]->slots()) {
-        out_ += "__envSlot(__e" + std::to_string(i) + ", " +
-                escape_string(name) + ", " + value_expr(value) + ");\n";
+    for (std::size_t i = 0; i < envs.size(); ++i) {
+      for (const auto& [name, value] : envs[i]->slots()) {
+        put("__envSlot(__e", i, ", ", Quoted{name}, ", ", Expr{value},
+            ");\n");
       }
     }
-    for (std::size_t i = 0; i < obj_list_.size(); ++i) {
-      for (const auto& [key, value] : obj_list_[i]->properties) {
-        out_ += "__o" + std::to_string(i) + "[" + escape_string(key) +
-                "] = " + value_expr(value) + ";\n";
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      for (const auto& [key, value] : objects[i]->properties) {
+        put("__o", i, "[", Quoted{key}, "] = ", Expr{value}, ";\n");
       }
     }
-    for (std::size_t i = 0; i < arr_list_.size(); ++i) {
-      const auto& elements = arr_list_[i]->elements;
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+      const auto& elements = arrays[i]->elements;
       for (std::size_t j = 0; j < elements.size(); ++j) {
-        out_ += "__a" + std::to_string(i) + "[" + std::to_string(j) +
-                "] = " + value_expr(elements[j]) + ";\n";
+        put("__a", i, "[", j, "] = ", Expr{elements[j]}, ";\n");
       }
     }
   }
 
-  void emit_dom() {
-    // Attributes/text/canvas for every node (including body), then tree
-    // structure, then listeners.
-    for (std::size_t i = 0; i < dom_list_.size(); ++i) {
-      const DomNodePtr& node = dom_list_[i];
-      const std::string name = "__d" + std::to_string(i);
-      if (!node->id.empty()) {
-        out_ += name + ".id = " + escape_string(node->id) + ";\n";
-      }
-      if (!node->text.empty()) {
-        out_ += name + ".textContent = " + escape_string(node->text) + ";\n";
-      }
-      for (const auto& [k, v] : node->attributes) {
-        out_ += name + ".setAttribute(" + escape_string(k) + ", " +
-                escape_string(v) + ");\n";
-      }
-      if (node->canvas_data) {
-        out_ += name + ".setImageData(" +
-                value_expr(Value(node->canvas_data)) + ");\n";
-      }
+  /// Id, text, attributes and canvas pixels of discovered DOM node `i`.
+  void emit_dom_content(std::size_t i) {
+    const DomNode* node = heap_.dom_nodes.list[i].get();
+    if (!node->id.empty()) put(Dom{node}, ".id = ", Quoted{node->id}, ";\n");
+    if (!node->text.empty()) {
+      put(Dom{node}, ".textContent = ", Quoted{node->text}, ";\n");
     }
-    for (std::size_t i = 0; i < dom_list_.size(); ++i) {
-      const DomNodePtr& node = dom_list_[i];
-      for (const auto& child : node->children) {
-        out_ += "__d" + std::to_string(i) + ".appendChild(" +
-                dom_name(child.get()) + ");\n";
-      }
-    }
-    for (std::size_t i = 0; i < dom_list_.size(); ++i) {
-      const DomNodePtr& node = dom_list_[i];
-      for (const auto& [type, handler] : node->listeners) {
-        out_ += "__d" + std::to_string(i) + ".addEventListener(" +
-                escape_string(type) + ", " + value_expr(handler) + ");\n";
-      }
+    emit_attributes(node);
+    if (node->canvas_data) {
+      put(Dom{node}, ".setImageData(__t",
+          heap_.typed_arrays.id.at(node->canvas_data.get()), ");\n");
     }
   }
 
-  void emit_globals() {
+  void emit_dom_children(std::size_t i) {
+    const DomNode* node = heap_.dom_nodes.list[i].get();
+    for (const auto& child : node->children) {
+      put(Dom{node}, ".appendChild(", Dom{child.get()}, ");\n");
+    }
+  }
+
+  void emit_dom_listeners(std::size_t i) {
+    const DomNode* node = heap_.dom_nodes.list[i].get();
+    for (const auto& [type, handler] : node->listeners) {
+      put(Dom{node}, ".addEventListener(", Quoted{type}, ", ", Expr{handler},
+          ");\n");
+    }
+  }
+
+  /// New text, attributes and pixels of attached node `k` in place. The
+  /// pixels are always decimal and count as feature data.
+  void emit_content_update(std::size_t k) {
+    const DomNode* node = attached_list_.at(k).get();
+    put(Dom{node}, ".textContent = ", Quoted{node->text}, ";\n");
+    emit_attributes(node);
+    if (node->canvas_data) {
+      put(Dom{node}, ".setImageData(");
+      const std::size_t start = out_.size();
+      put_floats(node->canvas_data->data);
+      stats_.typed_array_bytes += out_.size() - start;
+      put(");\n");
+    }
+  }
+
+  void emit_attributes(const DomNode* node) {
+    for (const auto& [k, v] : node->attributes) {
+      put(Dom{node}, ".setAttribute(", Quoted{k}, ", ", Quoted{v}, ");\n");
+    }
+  }
+
+  void emit_globals_and_events() {
     stats_.globals = globals_.size();
     for (const auto& [name, value] : globals_) {
-      out_ += name + " = " + value_expr(value) + ";\n";
+      put(name, " = ", Expr{value}, ";\n");
     }
-  }
-
-  void emit_events() {
+    if (!options_.include_events) return;
     for (const auto& ev : interp_.event_queue()) {
       ++stats_.events;
-      out_ += "__dispatchPending(" + dom_name(ev.target.get()) + ", " +
-              escape_string(ev.type) + ", " + value_expr(ev.detail) + ");\n";
+      put("__dispatchPending(", Dom{ev.target.get()}, ", ", Quoted{ev.type},
+          ", ", Expr{ev.detail}, ");\n");
     }
   }
 
-  // -------------------------------------------------------------- helpers
-
-  std::string env_name(const Environment* env) const {
-    return "__e" + std::to_string(env_ids_.at(env));
+  /// A decimal Float32Array literal, each float in its shortest form.
+  void put_floats(const std::vector<float>& data) {
+    put("__f32([");
+    for (std::size_t j = 0; j < data.size(); ++j) {
+      if (j) out_.push_back(',');
+      if (std::isfinite(data[j])) {
+        char buf[32];
+        auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), data[j]);
+        out_.append(buf, ptr);
+      } else {
+        put_number(data[j]);
+      }
+    }
+    put("])");
   }
-  std::string dom_name(const DomNode* node) const {
-    return "__d" + std::to_string(dom_ids_.at(node));
+
+  /// A double literal. MicroJS has no NaN or Infinity names, so non-finite
+  /// values are written as the divisions that produce them.
+  void put_number(double d) {
+    if (std::isnan(d)) {
+      put("0/0");
+    } else if (std::isinf(d)) {
+      put(d > 0 ? "1/0" : "-1/0");
+    } else {
+      out_ += number_to_string(d);
+    }
   }
 
-  std::string value_expr(const Value& value) const {
+  void put_part(std::string_view s) { out_ += s; }
+
+  void put_part(std::size_t n) {
+    char buf[24];
+    auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), n);
+    out_.append(buf, ptr);
+  }
+
+  void put_part(Quoted q) {
+    out_.reserve(out_.size() + q.s.size() + 2);
+    out_.push_back('"');
+    for (char c : q.s) {
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\t': out_ += "\\t"; break;
+        case '\r': out_ += "\\r"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\x%02x",
+                          static_cast<unsigned char>(c));
+            out_ += buf;
+          } else {
+            out_.push_back(c);
+          }
+      }
+    }
+    out_.push_back('"');
+  }
+
+  void put_part(Env env) {
+    if (!env.e || env.e == heap_.global_env) {
+      put("null");
+    } else {
+      put("__e", heap_.environments.id.at(env.e));
+    }
+  }
+
+  void put_part(Dom dom) {
+    if (heap_.attached) {
+      if (auto it = attached_.find(dom.d); it != attached_.end()) {
+        put("__domByIndex(", it->second, ")");
+        return;
+      }
+    }
+    put(dom_prefix_, heap_.dom_nodes.id.at(dom.d));
+  }
+
+  void put_part(Expr expr) {
     struct Visitor {
-      const Writer& w;
-      std::string operator()(const Undefined&) { return "undefined"; }
-      std::string operator()(const Null&) { return "null"; }
-      std::string operator()(bool b) { return b ? "true" : "false"; }
-      std::string operator()(double d) {
-        std::string s = number_to_string(d);
-        // Negative literals are fine as unary expressions.
-        return s;
+      Writer& w;
+      void operator()(const Undefined&) { w.put("undefined"); }
+      void operator()(const Null&) { w.put("null"); }
+      void operator()(bool b) { w.put(b ? "true" : "false"); }
+      void operator()(double d) { w.put_number(d); }
+      void operator()(const std::string& s) { w.put(Quoted{s}); }
+      void operator()(const ObjectPtr& o) {
+        w.put("__o", w.heap_.objects.id.at(o.get()));
       }
-      std::string operator()(const std::string& s) {
-        return escape_string(s);
+      void operator()(const ArrayPtr& a) {
+        w.put("__a", w.heap_.arrays.id.at(a.get()));
       }
-      std::string operator()(const ObjectPtr& o) {
-        return "__o" + std::to_string(w.obj_ids_.at(o.get()));
+      void operator()(const FunctionPtr& f) {
+        w.put("__f", w.heap_.functions.id.at(f.get()));
       }
-      std::string operator()(const ArrayPtr& a) {
-        return "__a" + std::to_string(w.arr_ids_.at(a.get()));
+      void operator()(const TypedArrayPtr& t) {
+        w.put("__t", w.heap_.typed_arrays.id.at(t.get()));
       }
-      std::string operator()(const FunctionPtr& f) {
-        return "__f" + std::to_string(w.fn_ids_.at(f.get()));
+      void operator()(const NativeFnPtr& f) {
+        w.put("__native(", Quoted{f->registry_name}, ")");
       }
-      std::string operator()(const TypedArrayPtr& t) {
-        return "__t" + std::to_string(w.ta_ids_.at(t.get()));
+      void operator()(const HostObjectPtr& h) {
+        w.put(h->restore_expression());
       }
-      std::string operator()(const NativeFnPtr& f) {
-        return "__native(" + escape_string(f->registry_name) + ")";
-      }
-      std::string operator()(const HostObjectPtr& h) {
-        return h->restore_expression();
-      }
-      std::string operator()(const DomNodePtr& d) {
-        return w.dom_name(d.get());
-      }
+      void operator()(const DomNodePtr& d) { w.put(Dom{d.get()}); }
     };
-    return std::visit(Visitor{*this}, value);
+    std::visit(Visitor{*this}, expr.v);
   }
 
   Interpreter& interp_;
   SnapshotOptions options_;
+  DomIndex attached_;
+  std::vector<DomNodePtr> attached_list_;
+  Heap heap_;
+  const char* dom_prefix_;
   SnapshotStats stats_;
   std::string out_;
-
+  /// The globals this program assigns, in slot order.
   std::vector<std::pair<std::string, Value>> globals_;
-  std::unordered_map<const Object*, std::size_t> obj_ids_;
-  std::vector<ObjectPtr> obj_list_;
-  std::unordered_map<const ArrayObj*, std::size_t> arr_ids_;
-  std::vector<ArrayPtr> arr_list_;
-  std::unordered_map<const TypedArray*, std::size_t> ta_ids_;
-  std::vector<TypedArrayPtr> ta_list_;
-  std::unordered_map<const FunctionObj*, std::size_t> fn_ids_;
-  std::vector<FunctionPtr> fn_list_;
-  std::unordered_map<const Environment*, std::size_t> env_ids_;
-  std::vector<EnvPtr> env_list_;
-  std::unordered_map<const DomNode*, std::size_t> dom_ids_;
-  std::vector<DomNodePtr> dom_list_;
 };
 
 }  // namespace
 
 SnapshotResult capture_snapshot(Interpreter& interp,
                                 const SnapshotOptions& options) {
-  return Writer(interp, options).write();
+  return Writer(interp, options, false).full();
+}
+
+DiffSnapshotResult capture_snapshot_diff(Interpreter& interp,
+                                         const RealmFingerprint& baseline,
+                                         const SnapshotOptions& options) {
+  DiffSnapshotResult result;
+  result.base_version = baseline.version;
+  std::optional<SnapshotResult> diff =
+      Writer(interp, options, true).diff(baseline);
+  if (!diff) {
+    diff = capture_snapshot(interp, options);
+    result.full_fallback = true;
+  }
+  result.program = std::move(diff->program);
+  result.stats = diff->stats;
+  return result;
 }
 
 void restore_snapshot(Interpreter& interp, const std::string& program) {

@@ -13,11 +13,26 @@
 //  - Ambient globals (console, Math, document, ...) are skipped.
 //  - Optional base64 typed-array encoding shrinks feature tensors ~3.4x
 //    versus decimal text (an extension; the paper serializes as text).
+//
+// Differential snapshots — the paper's Section VI future work, realized:
+// after the first offload, client and server share a common state (the
+// result snapshot). Subsequent offloads ship only the *changes* since that
+// common state; the server applies them to the session realm it kept. One
+// writer serves both: the diff is the same heap walk and emitter, rooted at
+// the changed globals and stopping at attached DOM nodes.
+//
+// The diff degrades to a full snapshot whenever correctness would be at
+// risk: when the DOM structure changed (nodes added/removed/re-tagged,
+// listeners changed) or when a changed global's heap subgraph shares
+// objects with an unchanged one (rebuilding the shared object would split
+// identities). Content-only DOM changes (text, attributes, canvas pixels)
+// diff per node via the __domByIndex intrinsic.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
 
 namespace offload::jsvm {
@@ -59,6 +74,22 @@ struct SnapshotResult {
 /// Capture the full execution state of `interp`.
 SnapshotResult capture_snapshot(Interpreter& interp,
                                 const SnapshotOptions& options = {});
+
+struct DiffSnapshotResult {
+  std::string program;  ///< apply to the realm holding the baseline state
+  SnapshotStats stats;
+  /// True when the writer had to fall back to a full snapshot (apply to a
+  /// fresh realm instead).
+  bool full_fallback = false;
+  /// The baseline this diff applies to (fingerprint version handshake).
+  std::uint64_t base_version = 0;
+};
+
+/// Capture the difference between the realm's current state and
+/// `baseline` (recorded with fingerprint_realm at the last common point).
+DiffSnapshotResult capture_snapshot_diff(Interpreter& interp,
+                                         const RealmFingerprint& baseline,
+                                         const SnapshotOptions& options = {});
 
 /// Restore = execute the snapshot program on a (fresh) realm. Provided for
 /// symmetry and for counting restore work.

@@ -157,7 +157,6 @@ void Scheduler::dispatch(int lane) {
                     t.batch_wait_s);
   }
   l.busy_until = end;
-  l.last_batch_wait_s = t.batch_wait_s;
   note_queue_depth();
   ++stats_.launches;
 

@@ -11,7 +11,6 @@
 // so results are deterministic at any OFFLOAD_THREADS.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -74,13 +73,6 @@ class Scheduler {
     }
     return n;
   }
-  /// Max over lanes of the most recent job's batch wait — the pull-side
-  /// analogue of the serve.batch_wait_ms histogram tail.
-  double recent_batch_wait_s() const {
-    double w = 0;
-    for (const Lane& l : lanes_) w = std::max(w, l.last_batch_wait_s);
-    return w;
-  }
   /// Whether a submission at this instant would pass admission control.
   /// Lets callers shed *before* doing per-request work (e.g. the edge
   /// server refuses a snapshot before restoring it).
@@ -112,8 +104,6 @@ class Scheduler {
 
   struct Lane {
     sim::SimTime busy_until;
-    /// Batch wait of this lane's most recent job.
-    double last_batch_wait_s = 0;
   };
 
   /// Refresh the queue-depth gauge after any pending_ mutation.

@@ -1,11 +1,9 @@
 // Tests for realm fingerprinting and differential snapshots (the paper's
 // Section VI future work): ship only the state that changed since the last
 // offload, applying it to the session realm the server kept.
-#include "src/jsvm/snapshot_diff.h"
+#include "src/jsvm/snapshot.h"
 
 #include <gtest/gtest.h>
-
-#include "src/jsvm/snapshot.h"
 
 namespace offload::jsvm {
 namespace {

@@ -5,12 +5,13 @@
 // distinct ones stay distinct).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <map>
 #include <set>
 
 #include "src/jsvm/lexer.h"
 #include "src/jsvm/snapshot.h"
-#include "src/jsvm/snapshot_diff.h"
 #include "src/util/rng.h"
 
 namespace offload::jsvm {
@@ -355,21 +356,57 @@ TEST(SnapshotProperty, MutatedNumberArraysEndInValueOrTypedError) {
   EXPECT_GT(rejected, 20);
 }
 
+/// Signed zero, extreme finite floats, NaN and both infinities in a
+/// Float32Array, a plain array, an object property and globals.
+constexpr const char* kSpecialFloats =
+    "var t = Float32Array(9); t[0] = 0; t[1] = -0.0; "
+    "t[2] = 1e38; t[3] = -1e-38; t[4] = 3.4028235e38; t[5] = 1.4e-45; "
+    "t[6] = 0 / 0; t[7] = 1 / 0; t[8] = -1 / 0; "
+    "var list = [0 / 0, 1 / 0, -1 / 0, -0.0]; "
+    "var obj = {nan: 0 / 0, inf: 1 / 0, ninf: -1 / 0}; "
+    "var gnan = 0 / 0; var ginf = 1 / 0; var gninf = -1 / 0;";
+
 TEST(SnapshotProperty, SpecialFloatsRoundTrip) {
   Interpreter a;
-  a.eval_program(
-      "var t = Float32Array(6); t[0] = 0; t[1] = -0.0; "
-      "t[2] = 1e38; t[3] = -1e-38; t[4] = 3.4028235e38; t[5] = 1.4e-45;");
+  a.eval_program(kSpecialFloats);
   auto ta = std::get<TypedArrayPtr>(*a.globals()->find("t"));
-  SnapshotResult snap = capture_snapshot(a);
-  Interpreter b;
-  restore_snapshot(b, snap.program);
-  auto tb = std::get<TypedArrayPtr>(*b.globals()->find("t"));
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(ta->data[i]),
-              std::bit_cast<std::uint32_t>(tb->data[i]))
-        << "slot " << i;
+  ASSERT_TRUE(std::isnan(ta->data[6]));
+  ASSERT_TRUE(std::isinf(ta->data[8]) && ta->data[8] < 0);
+  for (bool base64 : {false, true}) {
+    SnapshotOptions options;
+    options.base64_typed_arrays = base64;
+    SnapshotResult snap = capture_snapshot(a, options);
+    Interpreter b;
+    restore_snapshot(b, snap.program);
+    auto tb = std::get<TypedArrayPtr>(*b.globals()->find("t"));
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(ta->data[i]),
+                std::bit_cast<std::uint32_t>(tb->data[i]))
+          << "slot " << i << " base64=" << base64;
+    }
+    EXPECT_TRUE(globals_deep_equal(a, b)) << "base64=" << base64;
+    EXPECT_EQ(capture_snapshot(b, options).program, snap.program);
   }
+
+  // One diff sync ships the same values, and new canvas pixels, to a
+  // session realm.
+  Interpreter client;
+  client.eval_program(
+      "document.body.appendChild(document.createElement('canvas')); "
+      "document.body.firstChild.setImageData(Float32Array([1]));");
+  Interpreter server;
+  restore_snapshot(server, capture_snapshot(client).program);
+  const RealmFingerprint baseline = fingerprint_realm(client);
+  client.eval_program(kSpecialFloats);
+  client.eval_program(
+      "document.body.firstChild.setImageData("
+      "Float32Array([0 / 0, 1 / 0, -1 / 0]));");
+  DiffSnapshotResult diff = capture_snapshot_diff(client, baseline);
+  ASSERT_FALSE(diff.full_fallback);
+  server.eval_program(diff.program, "diff");
+  EXPECT_TRUE(globals_deep_equal(client, server));
+  EXPECT_EQ(fingerprint_realm(server).version,
+            fingerprint_realm(client).version);
 }
 
 TEST(SnapshotProperty, HostileStringsRoundTrip) {

@@ -2,12 +2,25 @@
 // restore it into a fresh realm, and verify the state — heap graph shape,
 // closures, DOM, queued events — survives the round trip. This is the
 // correctness core of the paper's mechanism.
+//
+// The writer goldens pin the exact bytes of a full and a differential
+// snapshot of one fixed realm. Regenerate them after an intentional change
+// to the snapshot format with
+//   OFFLOAD_UPDATE_GOLDEN=1 ctest -R SnapshotGolden
 #include "src/jsvm/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
+
+#ifndef SNAPSHOT_GOLDEN_DIR
+#error "SNAPSHOT_GOLDEN_DIR must point at the golden directory"
+#endif
 
 namespace offload::jsvm {
 namespace {
@@ -377,6 +390,150 @@ TEST_P(HeapRoundTrip, RestoredRealmFingerprintsEqual) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, HeapRoundTrip, ::testing::Values(100, 10000));
+
+// ------------------------------------------------------------ writer goldens
+
+/// One realm that reaches every branch of the snapshot writer: a closure
+/// env chain whose two function envs share a parent, a cyclic object, an
+/// array holding a script and a native function, a decimal typed array, an
+/// attached canvas with pixels and a listener, an attached text node, a
+/// queued event, and a detached subtree (children, text, a listener) that
+/// only a global reaches. Every number is finite.
+constexpr const char* kGoldenRealm =
+    "function outer(base) {\n"
+    "  var total = base;\n"
+    "  function mk(step) {\n"
+    "    return function() { total = total + step; return total; };\n"
+    "  }\n"
+    "  return {up: mk(1), down: mk(-1)};\n"
+    "}\n"
+    "var counter = outer(10);\n"
+    "var node = {name: 'n\\\"q\\n', weight: -2.5};\n"
+    "node.self = node;\n"
+    "node.list = [1, 'two', null, true, undefined, 0.1,\n"
+    "             function(x) { return x * 2; }, Math.floor];\n"
+    "var feat = Float32Array([0.5, -1.25, 3, 1e-7, 0]);\n"
+    "var cv = document.createElement('canvas');\n"
+    "cv.id = 'cv';\n"
+    "cv.setAttribute('width', '2');\n"
+    "document.body.appendChild(cv);\n"
+    "cv.setImageData(Float32Array([0.25, 0.75]));\n"
+    "cv.addEventListener('draw', function(e) { feat[0] = e.detail; });\n"
+    "var label = document.createElement('div');\n"
+    "label.textContent = 'waiting';\n"
+    "document.body.appendChild(label);\n"
+    "function makePanel(title) {\n"
+    "  var p = document.createElement('section');\n"
+    "  var h = document.createElement('h1');\n"
+    "  h.textContent = title;\n"
+    "  p.appendChild(h);\n"
+    "  p.appendChild(document.createElement('p'));\n"
+    "  p.addEventListener('toggle', function(e) { h.id = e.detail; });\n"
+    "  return p;\n"
+    "}\n"
+    "var panel = makePanel('Title');\n"
+    "var legacy = 3;\n"
+    "cv.dispatchEvent('draw', 2.5);\n";
+
+/// The client-side changes the differential golden ships: a changed
+/// closure env chain, a new global with a fresh detached subtree, a typed
+/// array and a reference to an attached node, and attached text and canvas
+/// content changes.
+constexpr const char* kGoldenChange =
+    "counter.up();\n"
+    "var fresh = {panel: makePanel('Fresh'), at: label,\n"
+    "             data: Float32Array([1.5, -2])};\n"
+    "label.textContent = 'done';\n"
+    "cv.setImageData(Float32Array([0.5, 0.125, 2]));\n";
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// The program followed by one comment line with its stats.
+std::string golden_text(const std::string& program,
+                        const SnapshotStats& s) {
+  std::ostringstream out;
+  out << program << "// bytes=" << s.total_bytes
+      << " typed_array_bytes=" << s.typed_array_bytes
+      << " objects=" << s.objects << " arrays=" << s.arrays
+      << " typed_arrays=" << s.typed_arrays << " functions=" << s.functions
+      << " environments=" << s.environments << " dom_nodes=" << s.dom_nodes
+      << " globals=" << s.globals << " events=" << s.events << "\n";
+  return out.str();
+}
+
+/// Compare `content` with the golden file byte for byte, or rewrite the
+/// golden when OFFLOAD_UPDATE_GOLDEN is set.
+void check_golden(const std::string& name, const std::string& content) {
+  const std::string path = std::string(SNAPSHOT_GOLDEN_DIR) + "/" + name;
+  const char* update = std::getenv("OFFLOAD_UPDATE_GOLDEN");
+  if (update != nullptr && *update != '\0' && *update != '0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write golden " << path;
+    out << content;
+    return;
+  }
+  const std::string expected = read_file(path);
+  ASSERT_FALSE(expected.empty()) << "golden " << path << " missing/empty";
+  std::istringstream got(content), want(expected);
+  std::string gline, wline;
+  for (int line = 1; std::getline(want, wline); ++line) {
+    ASSERT_TRUE(std::getline(got, gline)) << name << " ends at line " << line;
+    ASSERT_EQ(gline, wline) << "first divergence at " << name << ":" << line;
+  }
+  EXPECT_EQ(content, expected) << name << " differs in length";
+}
+
+TEST(SnapshotGolden, FullCaptureBytes) {
+  Interpreter a;
+  a.eval_program(kGoldenRealm);
+  ASSERT_EQ(a.event_queue().size(), 1u);
+  SnapshotResult text = capture_snapshot(a);
+  SnapshotOptions b64;
+  b64.base64_typed_arrays = true;
+  SnapshotResult packed = capture_snapshot(a, b64);
+  check_golden("snapshot_full.txt", golden_text(text.program, text.stats) +
+                                        golden_text(packed.program,
+                                                    packed.stats));
+
+  // Both encodings restore to the same realm.
+  for (const SnapshotResult* snap : {&text, &packed}) {
+    Interpreter b;
+    restore_snapshot(b, snap->program);
+    EXPECT_EQ(fingerprint_realm(b).version, fingerprint_realm(a).version);
+    EXPECT_EQ(capture_snapshot(b).program, text.program);
+  }
+}
+
+TEST(SnapshotGolden, DiffCaptureBytes) {
+  Interpreter client;
+  client.eval_program(kGoldenRealm);
+  Interpreter server;
+  restore_snapshot(server, capture_snapshot(client).program);
+  const RealmFingerprint baseline = fingerprint_realm(client);
+  client.eval_program(kGoldenChange);
+  // The host takes the app's `legacy` name over as an ambient binding, so
+  // the diff removes the app global.
+  client.set_global("legacy", Value(true));
+
+  DiffSnapshotResult diff = capture_snapshot_diff(client, baseline);
+  ASSERT_FALSE(diff.full_fallback);
+  EXPECT_EQ(diff.base_version, baseline.version);
+  check_golden("snapshot_diff.txt", golden_text(diff.program, diff.stats));
+
+  server.eval_program(diff.program, "diff");
+  EXPECT_EQ(server.eval_program("counter.up();"), Value(12.0));
+  EXPECT_EQ(server.eval_program("fresh.panel.firstChild.textContent;"),
+            Value(std::string("Fresh")));
+  EXPECT_TRUE(is_undefined(server.eval_program("legacy;")));
+  EXPECT_EQ(server.document().get_element_by_id("cv")->canvas_data->data,
+            (std::vector<float>{0.5f, 0.125f, 2.0f}));
+  EXPECT_EQ(server.event_queue().size(), 2u);
+}
 
 }  // namespace
 }  // namespace offload::jsvm
