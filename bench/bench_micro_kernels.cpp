@@ -148,19 +148,16 @@ struct Measurement {
 
 Measurement measure(const Workload& w, KernelBackend k) {
   nn::ScopedKernelBackend scoped(k);
-  // Time the batched entry on a prepared batch of 1, so the loop measures
-  // the kernels and not the single-sample view's input copy.
-  const Tensor input = w.input.reshaped(w.input.shape().batched(1));
-  const Tensor* ins[] = {&input};
+  const Tensor* ins[] = {&w.input};
   Measurement m;
-  Tensor out = w.layer->forward_batch(ins, 1);  // warm-up: packs, pages maps
+  Tensor out = w.layer->forward(ins);  // warm-up: packs, pages maps
   m.crc = util::crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(out.data().data()),
       out.data().size() * sizeof(float)));
   m.best_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    out = w.layer->forward_batch(ins, 1);
+    out = w.layer->forward(ins);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -12,8 +12,7 @@ class ReluLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kReLU; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
 };
 
 class SoftmaxLayer final : public Layer {
@@ -22,8 +21,7 @@ class SoftmaxLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kSoftmax; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
 };
 
 /// Dropout at inference time is the identity (Caffe scales at train time);
@@ -35,8 +33,7 @@ class DropoutLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kDropout; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
   std::string config_str() const override;
   double rate() const { return rate_; }
 
@@ -54,8 +51,7 @@ class InputLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kInput; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
   std::string config_str() const override;
   const Shape& shape() const { return shape_; }
   double scale() const { return scale_; }

@@ -33,11 +33,9 @@ class ConvLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kConv; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  /// Fused batch: one im2col over all samples, then one parallel GEMM over
-  /// every (sample, group, tile) task — far better thread utilization than
-  /// sample-at-a-time on small feature maps, same bits.
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  /// One parallel im2col, then one parallel GEMM over every (group, tile)
+  /// task.
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
 
   std::uint64_t param_count() const override;
   void init_params(util::Pcg32& rng) override;
@@ -47,7 +45,7 @@ class ConvLayer final : public Layer {
 
   const ConvConfig& config() const { return config_; }
   /// Mutable access invalidates every packed weight cache; they are rebuilt
-  /// lazily on the next forward_batch().
+  /// lazily on the next forward().
   Tensor& weights() {
     invalidate_packs();
     return weights_;

@@ -17,8 +17,7 @@ class FullyConnectedLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kFullyConnected; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
 
   std::uint64_t param_count() const override;
   void init_params(util::Pcg32& rng) override;

@@ -51,8 +51,6 @@ DeviceProfile DeviceProfile::embedded_client() {
   p.per_layer_overhead_s = 1.0e-3;
   p.snapshot_serialize_Bps = 25e6;
   p.snapshot_parse_Bps = 50e6;
-  // Small caches: weights are re-streamed for every sample, so fusing a
-  // batch barely helps beyond amortizing dispatch overhead.
   return p;
 }
 

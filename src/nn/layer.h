@@ -1,6 +1,6 @@
 // Layer abstraction for the CNN inference engine. Layers are stateless with
-// respect to activations: forward_batch() maps a batch of input tensors to
-// an output tensor. Parameters (conv filters, fc weights) live inside the
+// respect to activations: forward() maps one sample's input tensors to its
+// output tensor. Parameters (conv filters, fc weights) live inside the
 // layer and are (de)serialized through write_params/read_params — that is
 // what the model files of Section III.B.1 ("pre-sending the NN model")
 // carry.
@@ -51,18 +51,10 @@ class Layer {
   /// convention). Drives the device cost model.
   virtual std::uint64_t flops(std::span<const Shape> inputs) const = 0;
 
-  /// Batched forward, the one forward entry every layer implements: every
-  /// input tensor carries a leading batch dimension prepended to its
-  /// per-sample shape (a CHW input becomes {B, C, H, W}), and the output
-  /// does too. Kernels parallelize across the whole batch; each sample's
-  /// result is bit-identical at any batch size and thread count.
-  virtual Tensor forward_batch(std::span<const Tensor* const> inputs,
-                               std::int64_t batch) const = 0;
-
-  /// Single-sample forward as a batch-of-1 view: each input is viewed as
-  /// {1, dims...}, forward_batch runs with batch = 1, and the output drops
-  /// the leading dimension. There is no second per-sample code path.
-  Tensor forward(std::span<const Tensor* const> inputs) const;
+  /// The one forward entry every layer implements, over one sample's
+  /// tensors (CHW, or {N} for fc/softmax). Kernels parallelize within the
+  /// sample; the result is bit-identical at any thread count.
+  virtual Tensor forward(std::span<const Tensor* const> inputs) const = 0;
 
   virtual std::uint64_t param_count() const { return 0; }
   virtual void init_params(util::Pcg32& /*rng*/) {}

@@ -24,18 +24,6 @@ void require_rank3(const Shape& s, const char* what) {
   }
 }
 
-/// Per-sample shape of a batched tensor: validates the leading batch dim
-/// and strips it.
-Shape strip_batch(const Tensor& t, std::int64_t batch, const char* what) {
-  if (t.shape().rank() < 1 || t.shape()[0] != batch) {
-    throw std::invalid_argument(std::string(what) +
-                                ": expected leading batch dim " +
-                                std::to_string(batch) + ", got " +
-                                t.shape().str());
-  }
-  return t.shape().unbatched();
-}
-
 /// Caffe conv output size: floor((in + 2p - k) / s) + 1.
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t k, std::int64_t s,
                           std::int64_t p) {
@@ -89,20 +77,6 @@ void Layer::require_arity(std::span<const Shape> inputs, std::size_t n,
   }
 }
 
-Tensor Layer::forward(std::span<const Tensor* const> inputs) const {
-  std::vector<Tensor> views;
-  views.reserve(inputs.size());
-  for (const Tensor* t : inputs) {
-    views.push_back(t->reshaped(t->shape().batched(1)));
-  }
-  std::vector<const Tensor*> ptrs;
-  ptrs.reserve(views.size());
-  for (const Tensor& v : views) ptrs.push_back(&v);
-  Tensor out = forward_batch(ptrs, 1);
-  Shape per = out.shape().unbatched();
-  return std::move(out).reshaped(std::move(per));
-}
-
 // ---------------------------------------------------------------- InputLayer
 
 Shape InputLayer::output_shape(std::span<const Shape> inputs) const {
@@ -114,15 +88,13 @@ Shape InputLayer::output_shape(std::span<const Shape> inputs) const {
 
 std::uint64_t InputLayer::flops(std::span<const Shape>) const { return 0; }
 
-Tensor InputLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                 std::int64_t batch) const {
+Tensor InputLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) {
     throw std::invalid_argument("input layer: feed exactly one tensor");
   }
-  const Shape per = strip_batch(*inputs[0], batch, "input layer");
-  if (per != shape_) {
+  if (inputs[0]->shape() != shape_) {
     throw std::invalid_argument("input layer: expected " + shape_.str() +
-                                ", got " + per.str());
+                                ", got " + inputs[0]->shape().str());
   }
   Tensor out = *inputs[0];
   if (scale_ != 1.0) {
@@ -144,7 +116,7 @@ std::string InputLayer::config_str() const {
 
 // ----------------------------------------------------------------- ConvLayer
 //
-// forward_batch() = parallel im2col + packed, register-tiled GEMM. The GEMM
+// forward() = parallel im2col + packed, register-tiled GEMM. The GEMM
 // partitions the output matrix into kRowBlock x kColBlock macro-tiles that
 // run as independent parallel_for tasks (disjoint output ranges); each
 // macro-tile is computed by the active table's micro-kernel over
@@ -203,69 +175,50 @@ void im2col_rows(const float* src, std::int64_t H, std::int64_t W,
   }
 }
 
-/// Conv core: one im2col over all samples, then one parallel GEMM over
-/// every (sample, group, macro-tile) task. Each sample's tasks run the same
-/// micro-kernels at any batch size, so the batched output is bit-identical
-/// to B batch-of-1 forwards — but the thread pool sees B x the tiles, which
-/// keeps every core busy even on the small late-network feature maps.
+/// Conv core: one parallel im2col, then one parallel GEMM over every
+/// (group, macro-tile) task.
 void conv_forward(const KernelOps& ops, const float* panels, const float* src,
-                  float* out_data, const float* bias, std::int64_t batch,
-                  std::int64_t C, std::int64_t H, std::int64_t W,
-                  std::int64_t K, std::int64_t S, std::int64_t P,
-                  std::int64_t OH, std::int64_t OW, std::int64_t M,
-                  std::int64_t G) {
+                  float* out_data, const float* bias, std::int64_t C,
+                  std::int64_t H, std::int64_t W, std::int64_t K,
+                  std::int64_t S, std::int64_t P, std::int64_t OH,
+                  std::int64_t OW, std::int64_t M, std::int64_t G) {
   const std::int64_t N = OH * OW;
   const std::int64_t Mg = M / G;
   const std::int64_t Kd = (C / G) * K * K;
   const std::int64_t CKK = C * K * K;
-  const std::int64_t CHW = C * H * W;
   util::ScratchArena::Frame scratch(util::ScratchArena::local());
 
   // im2col: col[(c*K+kh)*K+kw][oh*OW+ow] = in[c][oh*S+kh-P][ow*S+kw-P].
   // Rows are independent, so they im2col in parallel; a 1x1/s1/p0 conv is
   // the identity im2col and reads the input directly (GoogLeNet is full of
   // those).
-  const float* col_base;
-  std::int64_t col_stride;  // floats between consecutive samples' columns
-  if (K == 1 && S == 1 && P == 0) {
-    col_base = src;
-    col_stride = CHW;
-  } else {
-    float* buf = scratch.floats(static_cast<std::size_t>(batch * CKK * N));
+  const float* col = src;
+  if (K != 1 || S != 1 || P != 0) {
+    float* buf = scratch.floats(static_cast<std::size_t>(CKK * N));
     auto fill = [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t t = lo; t < hi; ++t) {
-        const std::int64_t b = t / CKK;
-        const std::int64_t r = t % CKK;
-        im2col_rows(src + b * CHW, H, W, K, S, P, OH, OW, buf + b * CKK * N,
-                    r, r + 1);
-      }
+      im2col_rows(src, H, W, K, S, P, OH, OW, buf, lo, hi);
     };
-    util::parallel_for(0, batch * CKK, 1, fill);
-    col_base = buf;
-    col_stride = CKK * N;
+    util::parallel_for(0, CKK, 1, fill);
+    col = buf;
   }
 
   const std::int64_t mr = ops.gemm_mr;
   const std::int64_t tiles = (Mg + mr - 1) / mr;
   const std::int64_t row_blocks = (Mg + kRowBlock - 1) / kRowBlock;
   const std::int64_t col_blocks = (N + kColBlock - 1) / kColBlock;
-  const std::int64_t per_sample = G * row_blocks * col_blocks;
   auto run = [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / per_sample;
-      std::int64_t rem = t % per_sample;
-      const std::int64_t g = rem / (row_blocks * col_blocks);
-      rem %= row_blocks * col_blocks;
+      const std::int64_t g = t / (row_blocks * col_blocks);
+      const std::int64_t rem = t % (row_blocks * col_blocks);
       const std::int64_t rb = rem / col_blocks;
       const std::int64_t cb = rem % col_blocks;
-      ops.gemm_tile(panels + g * tiles * Kd * mr, Kd,
-                    col_base + b * col_stride + g * Kd * N, N, bias + g * Mg,
-                    out_data + (b * M + g * Mg) * N, Mg, rb * kRowBlock,
+      ops.gemm_tile(panels + g * tiles * Kd * mr, Kd, col + g * Kd * N, N,
+                    bias + g * Mg, out_data + g * Mg * N, Mg, rb * kRowBlock,
                     std::min(Mg, (rb + 1) * kRowBlock), cb * kColBlock,
                     std::min(N, (cb + 1) * kColBlock));
     }
   };
-  util::parallel_for(0, batch * per_sample, 1, run);
+  util::parallel_for(0, G * row_blocks * col_blocks, 1, run);
 }
 
 }  // namespace
@@ -351,15 +304,13 @@ void ConvLayer::invalidate_packs() {
   for (auto& p : packs_) p.valid.store(false, std::memory_order_release);
 }
 
-Tensor ConvLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                std::int64_t batch) const {
+Tensor ConvLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("conv: one input");
   const Tensor& in = *inputs[0];
-  const Shape per = strip_batch(in, batch, "conv");
-  check_input(per);
-  const std::int64_t C = per[0];
-  const std::int64_t H = per[1];
-  const std::int64_t W = per[2];
+  check_input(in.shape());
+  const std::int64_t C = in.shape()[0];
+  const std::int64_t H = in.shape()[1];
+  const std::int64_t W = in.shape()[2];
   const std::int64_t K = config_.kernel;
   const std::int64_t S = config_.stride;
   const std::int64_t P = config_.pad;
@@ -369,10 +320,10 @@ Tensor ConvLayer::forward_batch(std::span<const Tensor* const> inputs,
   const std::int64_t G = config_.groups;
 
   const KernelOps& ops = active_kernel_ops();
-  Tensor out(Shape{batch, M, OH, OW});
+  Tensor out(Shape{M, OH, OW});
   conv_forward(ops, ensure_packed(ops.gemm_mr), in.data().data(),
-               out.data().data(), bias_.data().data(), batch, C, H, W, K, S, P,
-               OH, OW, M, G);
+               out.data().data(), bias_.data().data(), C, H, W, K, S, P, OH,
+               OW, M, G);
   return out;
 }
 
@@ -451,20 +402,17 @@ std::uint64_t PoolLayer::flops(std::span<const Shape> inputs) const {
          static_cast<std::uint64_t>(config_.kernel * config_.kernel);
 }
 
-Tensor PoolLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                std::int64_t batch) const {
+Tensor PoolLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("pool: one input");
   const Tensor& in = *inputs[0];
-  Shape per = strip_batch(in, batch, "pool");
-  Shape shapes[1] = {per};
-  Shape out_per = output_shape(shapes);
-  const std::int64_t C = per[0];
-  const std::int64_t H = per[1];
-  const std::int64_t W = per[2];
-  const std::int64_t OH = out_per[1];
-  const std::int64_t OW = out_per[2];
-  Tensor out(out_per.batched(batch));
-  // All B*C planes are independent — one flat parallel_for across them.
+  const Shape shapes[1] = {in.shape()};
+  Tensor out(output_shape(shapes));
+  const std::int64_t C = in.shape()[0];
+  const std::int64_t H = in.shape()[1];
+  const std::int64_t W = in.shape()[2];
+  const std::int64_t OH = out.shape()[1];
+  const std::int64_t OW = out.shape()[2];
+  // All C planes are independent — one parallel_for across them.
   const KernelOps& ops = active_kernel_ops();
   const float* src = in.data().data();
   float* dst = out.data().data();
@@ -474,7 +422,7 @@ Tensor PoolLayer::forward_batch(std::span<const Tensor* const> inputs,
                      config_.kernel, config_.stride, config_.pad, average_);
     }
   };
-  util::parallel_for(0, batch * C, 1, pool_planes);
+  util::parallel_for(0, C, 1, pool_planes);
   return out;
 }
 
@@ -516,34 +464,29 @@ std::uint64_t FullyConnectedLayer::flops(std::span<const Shape> inputs) const {
          static_cast<std::uint64_t>(out_);
 }
 
-Tensor FullyConnectedLayer::forward_batch(
-    std::span<const Tensor* const> inputs, std::int64_t batch) const {
+Tensor FullyConnectedLayer::forward(
+    std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("fc: one input");
   const Tensor& in = *inputs[0];
-  if (in.shape().rank() < 1 || in.shape()[0] != batch ||
-      in.elements() != batch * in_) {
-    throw std::invalid_argument("fc " + name() +
-                                ": batched feature count mismatch");
-  }
-  Tensor out(Shape{batch, out_});
+  const Shape shapes[1] = {in.shape()};
+  Tensor out(output_shape(shapes));
   const float* w = weights_.data().data();
   const float* bias = bias_.data().data();
   const float* x = in.data().data();
   float* y = out.data().data();
-  // Parallel over blocks of kFcBlock output rows per sample (last block
-  // ragged). Per-row arithmetic is the DESIGN §11 mul-then-add chain at any
+  // Parallel over blocks of kFcBlock output rows (last block ragged).
+  // Per-row arithmetic is the DESIGN §11 mul-then-add chain at any
   // decomposition.
   constexpr std::int64_t kFcBlock = 8;
   const std::int64_t nblocks = (out_ + kFcBlock - 1) / kFcBlock;
   auto run = [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / nblocks;
-      const std::int64_t r0 = (t % nblocks) * kFcBlock;
-      detail::scalar_fc_rows(w, in_, x + b * in_, bias, y + b * out_, r0,
+      const std::int64_t r0 = t * kFcBlock;
+      detail::scalar_fc_rows(w, in_, x, bias, y, r0,
                              std::min(out_, r0 + kFcBlock));
     }
   };
-  util::parallel_for(0, batch * nblocks, 1, run);
+  util::parallel_for(0, nblocks, 1, run);
   return out;
 }
 
@@ -588,12 +531,10 @@ std::uint64_t ReluLayer::flops(std::span<const Shape> inputs) const {
   return static_cast<std::uint64_t>(inputs[0].elements());
 }
 
-Tensor ReluLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                std::int64_t batch) const {
+Tensor ReluLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("relu: one input");
-  strip_batch(*inputs[0], batch, "relu");
   // Elementwise: identical arithmetic no matter how the index space is
-  // chunked, so the flat batched range is trivially bit-exact.
+  // chunked, so any thread count is trivially bit-exact.
   Tensor out = *inputs[0];
   float* data = out.data().data();
   auto clamp = [&](std::int64_t lo, std::int64_t hi) {
@@ -613,25 +554,19 @@ std::uint64_t SoftmaxLayer::flops(std::span<const Shape> inputs) const {
   return 5ull * static_cast<std::uint64_t>(inputs[0].elements());
 }
 
-Tensor SoftmaxLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                   std::int64_t batch) const {
+Tensor SoftmaxLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("softmax: one input");
-  const auto n = static_cast<std::size_t>(
-      strip_batch(*inputs[0], batch, "softmax").elements());
   Tensor out = *inputs[0];
-  // One normalization per sample, never across the batch.
-  for (std::int64_t b = 0; b < batch; ++b) {
-    auto data = out.data().subspan(static_cast<std::size_t>(b) * n, n);
-    float m = -std::numeric_limits<float>::infinity();
-    for (float v : data) m = std::max(m, v);
-    double sum = 0.0;
-    for (auto& v : data) {
-      v = std::exp(v - m);
-      sum += v;
-    }
-    const float inv = static_cast<float>(1.0 / sum);
-    for (auto& v : data) v *= inv;
+  const auto data = out.data();
+  float m = -std::numeric_limits<float>::infinity();
+  for (float v : data) m = std::max(m, v);
+  double sum = 0.0;
+  for (auto& v : data) {
+    v = std::exp(v - m);
+    sum += v;
   }
+  const float inv = static_cast<float>(1.0 / sum);
+  for (auto& v : data) v *= inv;
   return out;
 }
 
@@ -647,10 +582,8 @@ std::uint64_t DropoutLayer::flops(std::span<const Shape> inputs) const {
   return 0;  // identity at inference time
 }
 
-Tensor DropoutLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                   std::int64_t batch) const {
+Tensor DropoutLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("dropout: one input");
-  strip_batch(*inputs[0], batch, "dropout");
   return *inputs[0];
 }
 
@@ -673,31 +606,25 @@ std::uint64_t LrnLayer::flops(std::span<const Shape> inputs) const {
          (2ull * static_cast<std::uint64_t>(config_.local_size) + 3ull);
 }
 
-Tensor LrnLayer::forward_batch(std::span<const Tensor* const> inputs,
-                               std::int64_t batch) const {
+Tensor LrnLayer::forward(std::span<const Tensor* const> inputs) const {
   if (inputs.size() != 1) throw std::invalid_argument("lrn: one input");
   const Tensor& in = *inputs[0];
-  const Shape per = strip_batch(in, batch, "lrn");
-  require_rank3(per, "lrn");
-  const std::int64_t C = per[0];
-  const std::int64_t H = per[1];
-  const std::int64_t W = per[2];
-  const std::int64_t plane = C * H * W;
+  require_rank3(in.shape(), "lrn");
+  const std::int64_t C = in.shape()[0];
+  const std::int64_t H = in.shape()[1];
+  const std::int64_t W = in.shape()[2];
   Tensor out(in.shape());
   const KernelOps& ops = active_kernel_ops();
   const float* src = in.data().data();
   float* dst = out.data().data();
-  // Flat task space over every (sample, row) pair; each task runs the
-  // per-row kernel on its own sample's planes.
+  // One task per row; each runs the per-row kernel across all channels.
   auto lrn_rows = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const std::int64_t b = t / H;
-      const std::int64_t h = t % H;
-      ops.lrn_row(src + b * plane, dst + b * plane, C, H, W, h,
-                  config_.local_size, config_.alpha, config_.beta, config_.k);
+    for (std::int64_t h = lo; h < hi; ++h) {
+      ops.lrn_row(src, dst, C, H, W, h, config_.local_size, config_.alpha,
+                  config_.beta, config_.k);
     }
   };
-  util::parallel_for(0, batch * H, 1, lrn_rows);
+  util::parallel_for(0, H, 1, lrn_rows);
   return out;
 }
 
@@ -734,30 +661,16 @@ std::uint64_t ConcatLayer::flops(std::span<const Shape> inputs) const {
   return n;  // one copy per element
 }
 
-Tensor ConcatLayer::forward_batch(std::span<const Tensor* const> inputs,
-                                  std::int64_t batch) const {
+Tensor ConcatLayer::forward(std::span<const Tensor* const> inputs) const {
   std::vector<Shape> shapes;
   shapes.reserve(inputs.size());
+  for (const Tensor* t : inputs) shapes.push_back(t->shape());
+  Tensor out(output_shape(shapes));
+  // Pure copies: the inputs land back to back in input order.
+  float* dst = out.data().data();
   for (const Tensor* t : inputs) {
-    shapes.push_back(strip_batch(*t, batch, "concat"));
+    dst = std::copy(t->data().begin(), t->data().end(), dst);
   }
-  const Shape per_out = output_shape(shapes);
-  Tensor out(per_out.batched(batch));
-  const std::int64_t out_stride = per_out.elements();
-  float* base = out.data().data();
-  // Pure copies: each sample's inputs land back to back in input order.
-  auto copy_samples = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t b = lo; b < hi; ++b) {
-      float* dst = base + b * out_stride;
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const std::int64_t stride = shapes[i].elements();
-        const float* src = inputs[i]->data().data() + b * stride;
-        std::copy(src, src + stride, dst);
-        dst += stride;
-      }
-    }
-  };
-  util::parallel_for(0, batch, 1, copy_samples);
   return out;
 }
 

@@ -21,8 +21,7 @@ class LrnLayer final : public Layer {
   LayerKind kind() const override { return LayerKind::kLRN; }
   Shape output_shape(std::span<const Shape> inputs) const override;
   std::uint64_t flops(std::span<const Shape> inputs) const override;
-  Tensor forward_batch(std::span<const Tensor* const> inputs,
-                       std::int64_t batch) const override;
+  Tensor forward(std::span<const Tensor* const> inputs) const override;
   std::string config_str() const override;
 
   const LrnConfig& config() const { return config_; }

@@ -97,32 +97,8 @@ const Network::Analysis& Network::analyze() const {
   return analysis_;
 }
 
-namespace {
-
-/// {1, dims...}: the batch-of-1 view a single sample runs through.
-Tensor as_batch_of_one(const Tensor& sample) {
-  return sample.reshaped(sample.shape().batched(1));
-}
-
-/// Drops the leading dim of a batch-of-1 result (moves, no copy).
-Tensor drop_batch_dim(Tensor batched) {
-  Shape per = batched.shape().unbatched();
-  return std::move(batched).reshaped(std::move(per));
-}
-
-std::int64_t leading_batch(const Tensor& t, const char* what) {
-  if (t.shape().rank() < 1 || t.shape()[0] < 1) {
-    throw std::invalid_argument(std::string(what) +
-                                ": input needs a leading batch dim");
-  }
-  return t.shape()[0];
-}
-
-}  // namespace
-
 Tensor Network::run_range(std::size_t begin, std::size_t end,
-                          std::vector<Tensor>& values,
-                          std::int64_t batch) const {
+                          std::vector<Tensor>& values) const {
   // Ambient metrics sink (installed by ScopedMetrics around the measured
   // run_events calls). Read once on the calling thread — never inside the
   // kernels' parallel regions.
@@ -138,37 +114,35 @@ Tensor Network::run_range(std::size_t begin, std::size_t end,
       }
       ins.push_back(&values[idx]);
     }
-    values[i] = node.layer->forward_batch(ins, batch);
+    values[i] = node.layer->forward(ins);
     if (metrics) {
       metrics->add("nn.layers_run");
-      metrics->add("nn.flops",
-                   analyze().flops[i] * static_cast<std::uint64_t>(batch));
+      metrics->add("nn.flops", analyze().flops[i]);
       metrics->add("nn.output_bytes", values[i].bytes());
     }
   }
   if (metrics) metrics->add("nn.forward_ranges");
-  return values[end - 1];
+  return std::move(values[end - 1]);
 }
 
-Tensor Network::run_front(const Tensor& input, std::size_t end,
-                          std::int64_t batch) const {
+Tensor Network::run_front(const Tensor& input, std::size_t end) const {
   std::vector<Tensor> values(nodes_.size());
   const Tensor* in[] = {&input};
-  values[0] = nodes_[0].layer->forward_batch(in, batch);
-  if (end == 1) return values[0];
-  return run_range(1, end, values, batch);
+  values[0] = nodes_[0].layer->forward(in);
+  if (end == 1) return std::move(values[0]);
+  return run_range(1, end, values);
 }
 
 Tensor Network::forward(const Tensor& input) const {
   if (nodes_.empty()) throw std::logic_error("Network::forward: empty graph");
-  return drop_batch_dim(run_front(as_batch_of_one(input), nodes_.size(), 1));
+  return run_front(input, nodes_.size());
 }
 
 Tensor Network::forward_front(const Tensor& input, std::size_t cut) const {
   if (cut >= nodes_.size()) {
     throw std::out_of_range("forward_front: cut out of range");
   }
-  return drop_batch_dim(run_front(as_batch_of_one(input), cut + 1, 1));
+  return run_front(input, cut + 1);
 }
 
 Tensor Network::forward_rear(const Tensor& feature, std::size_t cut) const {
@@ -181,22 +155,8 @@ Tensor Network::forward_rear(const Tensor& feature, std::size_t cut) const {
                                 analyze().shapes[cut].str());
   }
   std::vector<Tensor> values(nodes_.size());
-  values[cut] = as_batch_of_one(feature);
-  return drop_batch_dim(run_range(cut + 1, nodes_.size(), values, 1));
-}
-
-Tensor Network::forward_batch(const Tensor& input) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("Network::forward_batch: empty graph");
-  }
-  const std::int64_t batch = leading_batch(input, "Network::forward_batch");
-  Tensor out = run_front(input, nodes_.size(), batch);
-  // Counted only here, after the shared runner, so single-sample metrics
-  // snapshots (and their goldens) keep their lines.
-  if (obs::MetricsRegistry* metrics = obs::tls_metrics()) {
-    metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
-  }
-  return out;
+  values[cut] = feature;
+  return run_range(cut + 1, nodes_.size(), values);
 }
 
 std::vector<std::size_t> Network::cut_points() const {

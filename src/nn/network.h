@@ -58,19 +58,12 @@ class Network {
   const Analysis& analyze() const;
 
   /// Full forward pass. The input feeds node 0 (which must be kInput).
-  /// Single-sample entry points run as a batch-of-1 view over the batched
-  /// code path below.
   Tensor forward(const Tensor& input) const;
 
   /// Run nodes [0, cut] and return node `cut`'s output (the feature data).
   Tensor forward_front(const Tensor& input, std::size_t cut) const;
   /// Run nodes (cut, end) from a feature tensor produced at `cut`.
   Tensor forward_rear(const Tensor& feature, std::size_t cut) const;
-
-  /// Full forward over a batched input {B, dims...}; returns the batched
-  /// output of the last node. Bit-identical to forwarding each sample alone
-  /// and stacking the results, at any batch size and thread count.
-  Tensor forward_batch(const Tensor& input) const;
 
   /// Node indices that are valid offloading points: every edge into the
   /// downstream subgraph originates at that node. Always contains node 0
@@ -83,14 +76,12 @@ class Network {
     std::vector<std::size_t> inputs;
   };
 
-  /// Feed a batched input to node 0 and run nodes [1, end).
-  Tensor run_front(const Tensor& input, std::size_t end,
-                   std::int64_t batch) const;
-  /// Execute nodes [begin, end) over values that all carry a leading batch
-  /// dim of `batch`; `values` must hold outputs of all nodes < begin that
-  /// the range reads. Returns output of node end-1.
+  /// Feed the input to node 0 and run nodes [1, end).
+  Tensor run_front(const Tensor& input, std::size_t end) const;
+  /// Execute nodes [begin, end); `values` must hold outputs of all nodes
+  /// < begin that the range reads. Returns output of node end-1.
   Tensor run_range(std::size_t begin, std::size_t end,
-                   std::vector<Tensor>& values, std::int64_t batch) const;
+                   std::vector<Tensor>& values) const;
 
   std::string name_;
   std::vector<Node> nodes_;

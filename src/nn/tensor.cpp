@@ -24,21 +24,6 @@ std::string Shape::str() const {
   return out.empty() ? "scalar" : out;
 }
 
-Shape Shape::batched(std::int64_t batch) const {
-  std::vector<std::int64_t> dims;
-  dims.reserve(dims_.size() + 1);
-  dims.push_back(batch);
-  dims.insert(dims.end(), dims_.begin(), dims_.end());
-  return Shape(std::move(dims));
-}
-
-Shape Shape::unbatched() const {
-  if (dims_.empty()) {
-    throw std::invalid_argument("Shape::unbatched: no leading dim");
-  }
-  return Shape(std::vector<std::int64_t>(dims_.begin() + 1, dims_.end()));
-}
-
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_.elements()), 0.0f) {}
@@ -81,39 +66,6 @@ Tensor Tensor::reshaped(Shape new_shape) && {
     throw std::invalid_argument("Tensor::reshaped: element count mismatch");
   }
   return Tensor(std::move(new_shape), std::move(data_));
-}
-
-Tensor Tensor::stack(std::span<const Tensor> samples) {
-  if (samples.empty()) {
-    throw std::invalid_argument("Tensor::stack: no samples");
-  }
-  const Shape& per = samples[0].shape();
-  Tensor out(per.batched(static_cast<std::int64_t>(samples.size())));
-  const std::int64_t stride = per.elements();
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    if (samples[b].shape() != per) {
-      throw std::invalid_argument("Tensor::stack: sample shapes differ: " +
-                                  per.str() + " vs " +
-                                  samples[b].shape().str());
-    }
-    auto src = samples[b].data();
-    std::copy(src.begin(), src.end(),
-              out.data_.begin() + static_cast<std::int64_t>(b) * stride);
-  }
-  return out;
-}
-
-Tensor Tensor::sample(std::int64_t b) const {
-  if (shape_.rank() < 1 || b < 0 || b >= shape_[0]) {
-    throw std::out_of_range("Tensor::sample: index " + std::to_string(b) +
-                            " out of batch " + shape_.str());
-  }
-  Shape per = shape_.unbatched();
-  const std::int64_t stride = per.elements();
-  Tensor out(per);
-  std::copy(data_.begin() + b * stride, data_.begin() + (b + 1) * stride,
-            out.data_.begin());
-  return out;
 }
 
 std::int64_t Tensor::argmax() const {

@@ -1,8 +1,6 @@
 // Dense float32 tensor in CHW layout. This is the value type flowing
 // between DNN layers and — serialized as a typed array — inside snapshots.
-// A tensor either holds one sample (a CHW image is {C, H, W}) or, for the
-// serving runtime's fused batches, N samples with a leading batch
-// dimension ({N, C, H, W}); stack()/sample() convert between the two.
+// A tensor holds one sample: a CHW image is {C, H, W}, a feature vector {N}.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +31,6 @@ class Shape {
   std::int64_t dim(std::size_t i) const { return dims_.at(i); }
   std::int64_t operator[](std::size_t i) const { return dims_.at(i); }
   const std::vector<std::int64_t>& dims() const { return dims_; }
-
-  /// {batch, dims...}: this per-sample shape with a leading batch dim.
-  Shape batched(std::int64_t batch) const;
-  /// The shape without its leading (batch) dim; throws on rank 0.
-  Shape unbatched() const;
 
   /// Total element count (1 for rank-0).
   std::int64_t elements() const;
@@ -93,13 +86,6 @@ class Tensor {
   /// overload moves the storage instead of copying it.
   Tensor reshaped(Shape new_shape) const&;
   Tensor reshaped(Shape new_shape) &&;
-
-  /// Stack samples (all the same shape) into a batched tensor whose shape
-  /// is {N, dims...}.
-  static Tensor stack(std::span<const Tensor> samples);
-  /// Copy sample `b` out of a batched tensor (leading dim = batch count);
-  /// the result drops the batch dimension.
-  Tensor sample(std::int64_t b) const;
 
   /// Index of the maximum element (argmax over the flat data).
   std::int64_t argmax() const;

@@ -67,6 +67,7 @@ bool Scheduler::cancel(std::uint64_t id) {
     config_.obs->metrics.add(config_.obs_name + ".cancelled");
   }
   note_queue_depth();
+  arm_expiry();
   return true;
 }
 
@@ -108,15 +109,35 @@ void Scheduler::expire_overdue() {
   }
 }
 
+void Scheduler::arm_expiry() {
+  sim::SimTime earliest = sim::SimTime::max();
+  for (const Job& job : pending_) earliest = std::min(earliest, job.deadline);
+  if (earliest == expiry_at_) return;
+  sim_.cancel(expiry_timer_);
+  expiry_timer_ = {};
+  expiry_at_ = earliest;
+  if (earliest == sim::SimTime::max()) return;
+  // Strict expiry: the first instant past the deadline, never the past.
+  const sim::SimTime when =
+      std::max(earliest + sim::SimTime::nanos(1), sim_.now());
+  expiry_timer_ = sim_.schedule_at(when, [this] {
+    expiry_timer_ = {};
+    expiry_at_ = sim::SimTime::max();
+    expire_overdue();
+    arm_expiry();
+  });
+}
+
 void Scheduler::pump() {
   expire_overdue();
   while (!pending_.empty()) {
     auto idle = std::find_if(
         lanes_.begin(), lanes_.end(),
         [this](const Lane& l) { return l.busy_until <= sim_.now(); });
-    if (idle == lanes_.end()) return;
+    if (idle == lanes_.end()) break;
     dispatch(static_cast<int>(idle - lanes_.begin()));
   }
+  arm_expiry();
 }
 
 void Scheduler::dispatch(int lane) {

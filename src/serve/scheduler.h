@@ -7,8 +7,9 @@
 //
 // Event-driven over the discrete-event simulation: a job dispatches only
 // when a lane is idle at the current sim time; lane completions re-pump
-// the queue. All decisions depend only on sim time and admission order,
-// so results are deterministic at any OFFLOAD_THREADS.
+// the queue, and one timer expires queued jobs at their deadlines. All
+// decisions depend only on sim time and admission order, so results are
+// deterministic at any OFFLOAD_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,8 @@ class Scheduler {
   /// Opaque job: occupies a lane for exactly `busy_s`. `on_done` runs at
   /// the completion sim-time. A job with a finite `deadline` that is
   /// still queued once the deadline has passed is dropped instead, and
-  /// `on_expired` fires. `ctx` ties the job's spans into the submitting
-  /// request's trace.
+  /// `on_expired` fires at that instant. `ctx` ties the job's spans into
+  /// the submitting request's trace.
   SubmitResult submit_opaque(double busy_s, OpaqueDoneFn on_done,
                              sim::SimTime deadline = sim::SimTime::max(),
                              ExpiredFn on_expired = nullptr,
@@ -110,6 +111,9 @@ class Scheduler {
   void note_queue_depth();
   /// Drop queued jobs whose deadline has passed.
   void expire_overdue();
+  /// Keep the expiry timer just past the earliest finite queued deadline
+  /// (a job expires once `deadline < now`), or drop it when none is queued.
+  void arm_expiry();
   /// Dispatch queued jobs, oldest first, while a lane is idle.
   void pump();
   /// Take the oldest queued job out of pending_ and run it on `lane` now.
@@ -121,6 +125,8 @@ class Scheduler {
   std::deque<Job> pending_;  ///< admission order
   std::vector<Lane> lanes_;
   std::uint64_t next_id_ = 1;
+  sim::EventHandle expiry_timer_;
+  sim::SimTime expiry_at_ = sim::SimTime::max();  ///< deadline it serves
   Stats stats_;
 };
 

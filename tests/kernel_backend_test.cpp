@@ -5,8 +5,6 @@
 //     thread count — asserted over seeded fuzz cases spanning conv
 //     (grouped, strided, padded, odd channel counts), fc (ragged and
 //     vector-aligned dims), max/avg pool, LRN and ReLU;
-//   * batched execution is bit-exact to per-sample execution under both
-//     tables;
 //   * end to end: TinyCNN, GoogLeNet, AgeNet and GenderNet forwards under
 //     simd are bit-equal to scalar on seeded inputs.
 #include <gtest/gtest.h>
@@ -15,7 +13,6 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/nn/activation.h"
 #include "src/nn/conv.h"
@@ -50,13 +47,6 @@ Tensor run_layer(const offload::nn::Layer& layer, const Tensor& in,
   offload::nn::ScopedKernelBackend scoped(k);
   const Tensor* ins[] = {&in};
   return layer.forward(ins);
-}
-
-Tensor run_layer_batch(const offload::nn::Layer& layer, const Tensor& stacked,
-                       std::int64_t batch, KernelBackend k) {
-  offload::nn::ScopedKernelBackend scoped(k);
-  const Tensor* ins[] = {&stacked};
-  return layer.forward_batch(ins, batch);
 }
 
 std::int64_t draw(offload::util::Pcg32& rng, std::int64_t lo, std::int64_t hi) {
@@ -289,51 +279,6 @@ TEST(ReluFuzzTest, AllBackendsBitExact) {
   }
 }
 
-// --------------------------------------------------- batched == stacked
-
-TEST(BatchConsistencyTest, ConvBatchedMatchesPerSampleEveryBackend) {
-  PoolGuard guard;
-  offload::util::set_default_pool_threads(4);
-  ConvCase cc{10, 9, 11, 9, 3, 2, 1, 1};  // odd channels, strided, padded
-  offload::nn::ConvLayer layer("c", to_config(cc));
-  offload::util::Pcg32 prng(8100);
-  layer.init_params(prng);
-  std::vector<Tensor> samples;
-  for (int b = 0; b < 3; ++b) {
-    samples.push_back(Tensor::random_uniform({cc.C, cc.H, cc.W}, prng));
-  }
-  const Tensor stacked = Tensor::stack(samples);
-  for (KernelBackend k : {KernelBackend::kScalar, KernelBackend::kSimd}) {
-    SCOPED_TRACE(offload::nn::kernel_backend_name(k));
-    const Tensor batched = run_layer_batch(layer, stacked, 3, k);
-    for (int b = 0; b < 3; ++b) {
-      EXPECT_TRUE(bit_equal(batched.sample(b), run_layer(layer, samples[b], k)))
-          << "sample " << b;
-    }
-  }
-}
-
-TEST(BatchConsistencyTest, FcBatchedMatchesPerSampleEveryBackend) {
-  PoolGuard guard;
-  offload::util::set_default_pool_threads(4);
-  offload::nn::FullyConnectedLayer layer("fc", 77, 23);  // ragged both dims
-  offload::util::Pcg32 prng(8200);
-  layer.init_params(prng);
-  std::vector<Tensor> samples;
-  for (int b = 0; b < 3; ++b) {
-    samples.push_back(Tensor::random_uniform({std::int64_t{77}}, prng));
-  }
-  const Tensor stacked = Tensor::stack(samples);
-  for (KernelBackend k : {KernelBackend::kScalar, KernelBackend::kSimd}) {
-    SCOPED_TRACE(offload::nn::kernel_backend_name(k));
-    const Tensor batched = run_layer_batch(layer, stacked, 3, k);
-    for (int b = 0; b < 3; ++b) {
-      EXPECT_TRUE(bit_equal(batched.sample(b), run_layer(layer, samples[b], k)))
-          << "sample " << b;
-    }
-  }
-}
-
 // --------------------------------------------------- whole-network gates
 
 TEST(NetworkBackendTest, TinyCnnFp32BackendsBitExact) {
@@ -364,28 +309,6 @@ TEST(NetworkBackendTest, TinyCnnFp32BackendsBitExact) {
   EXPECT_TRUE(bit_equal(ref, simd1));
   EXPECT_TRUE(bit_equal(ref, scalar4));
   EXPECT_TRUE(bit_equal(ref, simd4));
-}
-
-TEST(NetworkBackendTest, TinyCnnBatchedMatchesPerSampleEveryBackend) {
-  PoolGuard guard;
-  offload::util::set_default_pool_threads(4);
-  auto net = offload::nn::build_tiny_cnn(17);
-  offload::util::Pcg32 rng(8400);
-  std::vector<Tensor> samples;
-  for (int b = 0; b < 2; ++b) {
-    samples.push_back(Tensor::random_uniform({3, 32, 32}, rng));
-  }
-  const Tensor stacked = Tensor::stack(samples);
-  for (KernelBackend k : {KernelBackend::kScalar, KernelBackend::kSimd}) {
-    SCOPED_TRACE(offload::nn::kernel_backend_name(k));
-    offload::nn::ScopedKernelBackend scoped(k);
-    const Tensor batched = net->forward_batch(stacked);
-    for (int b = 0; b < 2; ++b) {
-      EXPECT_TRUE(
-          bit_equal(batched.sample(b), net->forward(samples[b])))
-          << "sample " << b;
-    }
-  }
 }
 
 // Whole-model gate on the production table: a full forward of every

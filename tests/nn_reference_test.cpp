@@ -1,11 +1,11 @@
 // Property tests cross-checking the optimized layer kernels against naive
 // reference implementations over randomized configurations. Every layer has
-// one forward path (forward_batch; single samples run as a batch of 1), so
-// these naive loops are its correctness reference: the im2col convolution
-// and the pooling fast paths agree with the textbook quadruple-loop
-// versions, and fc, lrn, relu, softmax, concat and the input scale match
-// their references bit for bit, per sample of a random-size batch, where
-// the reduction order is the same (DESIGN §11).
+// one forward path (forward, over one sample), so these naive loops are its
+// correctness reference: the im2col convolution and the pooling fast paths
+// agree with the textbook quadruple-loop versions, and fc, lrn, relu,
+// softmax, concat and the input scale match their references bit for bit,
+// on each of 1-4 random samples, where the reduction order is the same
+// (DESIGN §11).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -184,19 +184,6 @@ Tensor reference_input_scale(const Tensor& in, double scale) {
   return out;
 }
 
-/// Stacks `inputs[k][b]` (sample b of graph input k) into one batched
-/// tensor per graph input and runs the layer's forward_batch over them.
-Tensor run_batched(const Layer& layer,
-                   const std::vector<std::vector<Tensor>>& inputs) {
-  std::vector<Tensor> stacked;
-  stacked.reserve(inputs.size());
-  for (const auto& samples : inputs) stacked.push_back(Tensor::stack(samples));
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : stacked) ptrs.push_back(&t);
-  return layer.forward_batch(
-      ptrs, static_cast<std::int64_t>(inputs.front().size()));
-}
-
 void expect_bitwise(const Tensor& fast, const Tensor& slow,
                     const std::string& what) {
   ASSERT_EQ(fast.shape(), slow.shape()) << what;
@@ -205,22 +192,24 @@ void expect_bitwise(const Tensor& fast, const Tensor& slow,
       << what << ": bits differ";
 }
 
-/// Checks every sample of a batched output against its own reference.
-void expect_samples_bitwise(const Tensor& batched,
+/// Forwards each sample alone (`inputs[k][b]` is sample b of graph input
+/// k) and checks it against its own reference.
+void expect_samples_bitwise(const Layer& layer,
+                            const std::vector<std::vector<Tensor>>& inputs,
                             const std::vector<Tensor>& references,
                             const std::string& what) {
-  ASSERT_EQ(batched.shape()[0],
-            static_cast<std::int64_t>(references.size())) << what;
   for (std::size_t b = 0; b < references.size(); ++b) {
-    expect_bitwise(batched.sample(static_cast<std::int64_t>(b)),
-                   references[b], what + " sample " + std::to_string(b));
+    std::vector<const Tensor*> ins;
+    for (const auto& samples : inputs) ins.push_back(&samples.at(b));
+    expect_bitwise(layer.forward(ins), references[b],
+                   what + " sample " + std::to_string(b));
   }
 }
 
-std::vector<Tensor> random_batch(const Shape& shape, std::int64_t batch,
-                                 util::Pcg32& rng, float lo, float hi) {
+std::vector<Tensor> random_samples(const Shape& shape, std::int64_t count,
+                                   util::Pcg32& rng, float lo, float hi) {
   std::vector<Tensor> samples;
-  for (std::int64_t b = 0; b < batch; ++b) {
+  for (std::int64_t b = 0; b < count; ++b) {
     samples.push_back(Tensor::random_uniform(shape, rng, lo, hi));
   }
   return samples;
@@ -309,15 +298,15 @@ TEST_P(FcReference, MatchesNaiveLoopBitwise) {
   const Shape in_shape{1 + rng.next_below(8), 1 + rng.next_below(5),
                        1 + rng.next_below(5)};
   const std::int64_t out = 1 + rng.next_below(70);
-  const std::int64_t batch = 1 + rng.next_below(3);
+  const std::int64_t count = 1 + rng.next_below(3);
   FullyConnectedLayer fc("fc", in_shape.elements(), out);
   fc.init_params(rng);
-  auto samples = random_batch(in_shape, batch, rng, -2.0f, 2.0f);
+  auto samples = random_samples(in_shape, count, rng, -2.0f, 2.0f);
   std::vector<Tensor> refs;
   for (const Tensor& x : samples) {
     refs.push_back(reference_fc(x, fc.weights(), fc.bias()));
   }
-  expect_samples_bitwise(run_batched(fc, {samples}), refs,
+  expect_samples_bitwise(fc, {samples}, refs,
                          "fc seed=" + std::to_string(GetParam()) + " in=" +
                              in_shape.str() + " out=" + std::to_string(out));
 }
@@ -337,12 +326,12 @@ TEST_P(LrnReference, MatchesNaiveLoopBitwise) {
   cfg.k = rng.uniform(1.0, 2.0);
   const Shape shape{1 + rng.next_below(12), 1 + rng.next_below(9),
                     1 + rng.next_below(9)};
-  const std::int64_t batch = 1 + rng.next_below(3);
+  const std::int64_t count = 1 + rng.next_below(3);
   LrnLayer lrn("lrn", cfg);
-  auto samples = random_batch(shape, batch, rng, -4.0f, 4.0f);
+  auto samples = random_samples(shape, count, rng, -4.0f, 4.0f);
   std::vector<Tensor> refs;
   for (const Tensor& x : samples) refs.push_back(reference_lrn(x, cfg));
-  expect_samples_bitwise(run_batched(lrn, {samples}), refs,
+  expect_samples_bitwise(lrn, {samples}, refs,
                          "lrn seed=" + std::to_string(GetParam()) + " n=" +
                              std::to_string(cfg.local_size) + " " +
                              shape.str());
@@ -360,12 +349,12 @@ TEST_P(ReluReference, MatchesNaiveLoopBitwise) {
   // parallel chunks.
   const Shape shape{1 + rng.next_below(32), 1 + rng.next_below(50),
                     1 + rng.next_below(50)};
-  const std::int64_t batch = 1 + rng.next_below(3);
+  const std::int64_t count = 1 + rng.next_below(3);
   ReluLayer relu("relu");
-  auto samples = random_batch(shape, batch, rng, -1.0f, 1.0f);
+  auto samples = random_samples(shape, count, rng, -1.0f, 1.0f);
   std::vector<Tensor> refs;
   for (const Tensor& x : samples) refs.push_back(reference_relu(x));
-  expect_samples_bitwise(run_batched(relu, {samples}), refs,
+  expect_samples_bitwise(relu, {samples}, refs,
                          "relu seed=" + std::to_string(GetParam()));
 }
 
@@ -377,12 +366,12 @@ class SoftmaxReference : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SoftmaxReference, NormalizesEachSampleLikeNaiveLoop) {
   util::Pcg32 rng(GetParam(), 0x736f66746dULL);
   const Shape shape{1 + rng.next_below(1000)};
-  const std::int64_t batch = 1 + rng.next_below(4);
+  const std::int64_t count = 1 + rng.next_below(4);
   SoftmaxLayer softmax("prob");
-  auto samples = random_batch(shape, batch, rng, -20.0f, 20.0f);
+  auto samples = random_samples(shape, count, rng, -20.0f, 20.0f);
   std::vector<Tensor> refs;
   for (const Tensor& x : samples) refs.push_back(reference_softmax(x));
-  expect_samples_bitwise(run_batched(softmax, {samples}), refs,
+  expect_samples_bitwise(softmax, {samples}, refs,
                          "softmax seed=" + std::to_string(GetParam()));
 }
 
@@ -396,22 +385,22 @@ TEST_P(ConcatReference, MatchesNaiveLoopBitwise) {
   const std::int64_t H = 1 + rng.next_below(9);
   const std::int64_t W = 1 + rng.next_below(9);
   const std::uint32_t parts = 2 + rng.next_below(3);
-  const std::int64_t batch = 1 + rng.next_below(3);
+  const std::int64_t count = 1 + rng.next_below(3);
   ConcatLayer concat("cat");
   std::vector<std::vector<Tensor>> inputs;  // [part][sample]
   for (std::uint32_t k = 0; k < parts; ++k) {
     const Shape shape{1 + rng.next_below(6), H, W};
-    inputs.push_back(random_batch(shape, batch, rng, -1.0f, 1.0f));
+    inputs.push_back(random_samples(shape, count, rng, -1.0f, 1.0f));
   }
   std::vector<Tensor> refs;
-  for (std::int64_t b = 0; b < batch; ++b) {
+  for (std::int64_t b = 0; b < count; ++b) {
     std::vector<Tensor> sample_parts;
     for (const auto& part : inputs) {
       sample_parts.push_back(part[static_cast<std::size_t>(b)]);
     }
     refs.push_back(reference_concat(sample_parts));
   }
-  expect_samples_bitwise(run_batched(concat, inputs), refs,
+  expect_samples_bitwise(concat, inputs, refs,
                          "concat seed=" + std::to_string(GetParam()));
 }
 
@@ -428,14 +417,14 @@ TEST_P(InputScaleReference, ScalesEverySampleLikeNaiveLoop) {
   const double scale = GetParam() == 1   ? 1.0
                        : GetParam() == 2 ? 1.0 / 255.0
                                          : rng.uniform(-3.0, 3.0);
-  const std::int64_t batch = 1 + rng.next_below(3);
+  const std::int64_t count = 1 + rng.next_below(3);
   InputLayer input("data", shape, scale);
-  auto samples = random_batch(shape, batch, rng, 0.0f, 255.0f);
+  auto samples = random_samples(shape, count, rng, 0.0f, 255.0f);
   std::vector<Tensor> refs;
   for (const Tensor& x : samples) {
     refs.push_back(reference_input_scale(x, scale));
   }
-  expect_samples_bitwise(run_batched(input, {samples}), refs,
+  expect_samples_bitwise(input, {samples}, refs,
                          "input seed=" + std::to_string(GetParam()));
 }
 
@@ -444,9 +433,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, InputScaleReference,
 
 TEST(InputScaleReference, RejectsWrongSampleShape) {
   InputLayer input("data", Shape{3, 4, 4}, 0.5);
-  Tensor wrong = Tensor::zeros(Shape{2, 3, 4, 5});
-  const Tensor* ins[] = {&wrong};
-  EXPECT_THROW(input.forward_batch(ins, 2), std::invalid_argument);
+  Tensor rank4 = Tensor::zeros(Shape{1, 3, 4, 4});
+  const Tensor* ins[] = {&rank4};
+  EXPECT_THROW(input.forward(ins), std::invalid_argument);
   Tensor single = Tensor::zeros(Shape{3, 4, 5});
   const Tensor* one[] = {&single};
   EXPECT_THROW(input.forward(one), std::invalid_argument);

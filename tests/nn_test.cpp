@@ -343,6 +343,23 @@ TEST(Network, ForwardRearRejectsBadFeature) {
   EXPECT_THROW(net->forward_rear(bad, net->size() - 1), std::out_of_range);
 }
 
+TEST(Network, SampleShapeMismatchThrows) {
+  auto net = build_tiny_cnn(21);
+  // A wrong-shaped sample, and the right sample behind a leading dim of 1.
+  EXPECT_THROW(net->forward(Tensor::zeros(Shape{3, 32, 31})),
+               std::invalid_argument);
+  EXPECT_THROW(net->forward(Tensor::zeros(Shape{1, 3, 32, 32})),
+               std::invalid_argument);
+  // A restored feature with the cut's element count but another shape.
+  const Shape& cut_shape = net->analyze().shapes[2];
+  Tensor feature = Tensor::zeros(cut_shape);
+  EXPECT_THROW(net->forward_rear(
+                   feature.reshaped(Shape{1, cut_shape[0], cut_shape[1],
+                                          cut_shape[2]}),
+                   2),
+               std::invalid_argument);
+}
+
 // ----------------------------------------------------------------- models
 
 TEST(Models, GoogLeNetMatchesPaperSizes) {

@@ -71,6 +71,58 @@ TEST(SchedulerTest, DeadlinesNeverReorderTheQueue) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(sched.stats().expired, 0u);
+  // Dispatch dropped the expiry timer: nothing fires after the last job.
+  EXPECT_EQ(sim.now(), sim::SimTime::seconds(1.3));
+}
+
+TEST(SchedulerTest, QueuedJobExpiresAtItsDeadline) {
+  // A 1 s job holds the lane; the job queued behind it has a 0.5 s
+  // deadline. It expires as soon as the deadline has passed, not when the
+  // lane frees at 1 s.
+  sim::Simulation sim;
+  Scheduler sched(sim, {});
+
+  sched.submit_opaque(1.0, [](const RequestTiming&) {});
+  bool ran = false;
+  sim::SimTime expired_at = sim::SimTime::max();
+  sched.submit_opaque(
+      0.1, [&ran](const RequestTiming&) { ran = true; },
+      sim::SimTime::seconds(0.5),
+      [&](const RequestTiming& t) {
+        expired_at = sim.now();
+        EXPECT_DOUBLE_EQ(t.queue_wait_s, expired_at.to_seconds());
+      });
+  sim.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(expired_at, sim::SimTime::seconds(0.5) + sim::SimTime::nanos(1));
+  EXPECT_EQ(sched.stats().expired, 1u);
+  EXPECT_EQ(sched.queue_depth(), 0u);
+}
+
+TEST(SchedulerTest, CancelRearmsTheExpiryTimer) {
+  // Cancelling the queued job with the earliest deadline moves the timer
+  // to the next one; cancelling the last drops it.
+  sim::Simulation sim;
+  Scheduler sched(sim, {});
+
+  sched.submit_opaque(1.0, [](const RequestTiming&) {});
+  std::vector<sim::SimTime> expired;
+  auto on_expired = [&](const RequestTiming&) { expired.push_back(sim.now()); };
+  const SubmitResult early =
+      sched.submit_opaque(0.1, nullptr, sim::SimTime::seconds(0.2),
+                          on_expired);
+  sched.submit_opaque(0.1, nullptr, sim::SimTime::seconds(0.4), on_expired);
+  const SubmitResult last =
+      sched.submit_opaque(0.1, nullptr, sim::SimTime::seconds(0.6),
+                          on_expired);
+  EXPECT_TRUE(sched.cancel(early.id));
+  sim.run_until(sim::SimTime::seconds(0.5));
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0], sim::SimTime::seconds(0.4) + sim::SimTime::nanos(1));
+  EXPECT_TRUE(sched.cancel(last.id));
+  sim.run();
+  EXPECT_EQ(expired.size(), 1u);
+  EXPECT_EQ(sim.now(), sim::SimTime::seconds(1));  // only the 1 s job's end
 }
 
 TEST(SchedulerTest, SubmissionAtCompletionInstantKeepsTheQueueWait) {
