@@ -935,6 +935,7 @@ void ClientDevice::on_message(const net::Message& message) {
       {"overloaded", &ClientDevice::on_shed},
       {"expired:", &ClientDevice::on_shed},
       {"model_missing:", &ClientDevice::on_model_missing},
+      {"rejected:", &ClientDevice::on_rejected},
       {"send_files:", &ClientDevice::on_send_files},
       {"corrupt_payload:", &ClientDevice::on_corrupt_payload},
       {"not_installed", &ClientDevice::on_not_installed},
@@ -1174,6 +1175,15 @@ void ClientDevice::on_model_missing(const net::Message&) {
   OFFLOAD_LOG_WARN << "client: server has no model for '" << bundle_.name
                    << "', falling back locally";
   fall_back_locally("server lost the model");
+}
+
+void ClientDevice::on_rejected(const net::Message&) {
+  if (!awaiting_result_) return;
+  // The server could not decode, parse or run our snapshot. A retry would
+  // fail the same way, so finish this inference locally.
+  OFFLOAD_LOG_WARN << "client: server rejected the snapshot for '"
+                   << bundle_.name << "', falling back locally";
+  fall_back_locally("server rejected the snapshot");
 }
 
 void ClientDevice::on_send_files(const net::Message& message) {

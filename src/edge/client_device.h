@@ -233,6 +233,8 @@ class ClientDevice {
   /// "overloaded:" and "expired:": the server shed the request.
   void on_shed(const net::Message& message);
   void on_model_missing(const net::Message& message);
+  /// "rejected:": the snapshot failed to decode, parse or run on the server.
+  void on_rejected(const net::Message& message);
   void on_send_files(const net::Message& message);
   void on_corrupt_payload(const net::Message& message);
   void on_not_installed(const net::Message& message);

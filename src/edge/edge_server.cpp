@@ -2,6 +2,7 @@
 
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
+#include "src/jsvm/lexer.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -252,8 +253,31 @@ bool EdgeServer::try_escalate(net::Endpoint& from, const std::string& app,
   return true;
 }
 
+void EdgeServer::reject_snapshot(net::Endpoint& from,
+                                 const net::Message& message) {
+  // The payload or its program does not parse, or the script failed. The
+  // client's realm still holds the event, so it runs the inference itself.
+  ++stats_.snapshots_rejected;
+  count("snapshots_rejected");
+  if (config_.obs) {
+    config_.obs->trace.marker(message.ctx.trace, message.ctx.root, "rejected",
+                              config_.obs_name, sim_.now());
+  }
+  OFFLOAD_LOG_WARN << "edge server: snapshot for '" << message.name
+                   << "' failed to decode, parse or run, rejecting";
+  send_control(from, "rejected:" + message.name);
+}
+
 void EdgeServer::handle_snapshot(net::Endpoint& from,
                                  const net::Message& message) {
+  // The CRC only shows the bytes arrived as sent; a sender can still send
+  // a truncated or malformed payload.
+  SnapshotPayload payload;
+  try {
+    payload = SnapshotPayload::decode(std::span(message.payload));
+  } catch (const util::DecodeError&) {
+    return reject_snapshot(from, message);
+  }
   if (!scheduler_->would_admit()) {
     // Overloaded. First offer the job up-tier: the topology (when
     // attached) executes it on the cloud and replies through this
@@ -281,8 +305,6 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
     send_control(from, "overloaded:" + message.name);
     return;
   }
-
-  SnapshotPayload payload = SnapshotPayload::decode(std::span(message.payload));
 
   ServerExecutionRecord record;
   record.received_at = sim_.now();
@@ -359,7 +381,11 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
       send_control(from, "model_missing:" + message.name);
       return;
     }
-    throw;  // genuine script failure: surface it
+    browser_.reset();
+    return reject_snapshot(from, message);
+  } catch (const jsvm::ParseError&) {
+    browser_.reset();
+    return reject_snapshot(from, message);
   }
   record.execute_s = browser_->consume_compute_seconds();
 

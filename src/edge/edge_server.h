@@ -186,6 +186,7 @@ class EdgeServer {
     int stalled_messages = 0;     ///< arrivals deferred by a stall
     int corrupt_rejected = 0;     ///< payload CRC mismatches rejected
     int model_missing_replies = 0;
+    int snapshots_rejected = 0;   ///< failed to decode, parse or run
     int jobs_expired = 0;         ///< queue-deadline cancellations
     int snapshots_escalated = 0;  ///< jobs handed up-tier instead of shed
     int jobs_migrated = 0;        ///< queued jobs withdrawn via steal_job()
@@ -218,6 +219,9 @@ class EdgeServer {
   void handle_snapshot(net::Endpoint& from, const net::Message& message);
   void handle_overlay(net::Endpoint& from, const net::Message& message);
   void refuse(net::Endpoint& from, const net::Message& message);
+  /// Reply "rejected:<app>" to a snapshot that failed to decode, parse or
+  /// run.
+  void reject_snapshot(net::Endpoint& from, const net::Message& message);
   /// Offer a would-be-shed/expired job to the escalation handler. True =
   /// the handler took it (stats and marker recorded); the caller must not
   /// shed or reply.

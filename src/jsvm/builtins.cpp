@@ -111,7 +111,7 @@ TypedArrayPtr make_f32(const Value& arg) {
 
 void Interpreter::install_builtins() {
   // ------------------------------------------------------------- console
-  auto console = std::make_shared<Object>();
+  auto console = make_object();
   console->set("log",
                register_native("console.log", [](Interpreter& interp,
                                                  const Value&,
@@ -129,7 +129,7 @@ void Interpreter::install_builtins() {
   set_global("console", console);
 
   // ---------------------------------------------------------------- Math
-  auto math = std::make_shared<Object>();
+  auto math = make_object();
   auto unary_math = [&](const char* name, double (*fn)(double)) {
     math->set(name, register_native(std::string("Math.") + name,
                                     [fn](Interpreter&, const Value&,
@@ -210,7 +210,8 @@ void Interpreter::install_builtins() {
     }
     return out;
   });
-  register_native("Array.slice", [](Interpreter&, const Value& this_value,
+  register_native("Array.slice", [](Interpreter& interp,
+                                    const Value& this_value,
                                     std::span<Value> args) -> Value {
     const ArrayPtr& arr = this_array(this_value, "slice");
     auto size = static_cast<std::int64_t>(arr->elements.size());
@@ -223,7 +224,7 @@ void Interpreter::install_builtins() {
         args.empty() ? 0 : clamp(to_number(args[0]));
     std::int64_t to =
         args.size() < 2 ? size : clamp(to_number(args[1]));
-    auto out = std::make_shared<ArrayObj>();
+    auto out = interp.make_array();
     for (std::int64_t i = from; i < to; ++i) {
       out->elements.push_back(arr->elements[static_cast<std::size_t>(i)]);
     }
@@ -260,11 +261,12 @@ void Interpreter::install_builtins() {
     return s.substr(static_cast<std::size_t>(from),
                     static_cast<std::size_t>(to - from));
   });
-  register_native("String.split", [](Interpreter&, const Value& this_value,
+  register_native("String.split", [](Interpreter& interp,
+                                     const Value& this_value,
                                      std::span<Value> args) -> Value {
     const std::string& s = this_string(this_value, "split");
     std::string sep = to_display_string(arg_or_undefined(args, 0));
-    auto out = std::make_shared<ArrayObj>();
+    auto out = interp.make_array();
     if (sep.empty()) {
       for (char c : s) out->elements.emplace_back(std::string(1, c));
       return out;
@@ -465,7 +467,7 @@ void Interpreter::install_builtins() {
                EnvPtr parent =
                    env_from_value(arg_or_undefined(args, 0), interp);
                return std::make_shared<EnvHost>(
-                   std::make_shared<Environment>(std::move(parent)));
+                   interp.make_env(std::move(parent)));
              }));
   set_global("__envSlot",
              register_native("__envSlot", [](Interpreter& interp, const Value&,

@@ -14,9 +14,12 @@
 
 namespace offload::jsvm {
 
-class Environment : public std::enable_shared_from_this<Environment> {
+class Environment final : public HeapCell {
  public:
   explicit Environment(EnvPtr parent = nullptr) : parent_(std::move(parent)) {}
+  /// As ~Object (defined with it in value.cpp): a chain of closures, each
+  /// holding the next in a slot, frees in a loop.
+  ~Environment();
 
   const EnvPtr& parent() const { return parent_; }
 
@@ -47,6 +50,7 @@ class Environment : public std::enable_shared_from_this<Environment> {
   static constexpr std::size_t kLinearScanMax = 8;
 
   void index_slot(std::size_t slot);
+  void drain(HeapSink& sink) override;
 
   EnvPtr parent_;
   std::vector<std::pair<std::string, Value>> slots_;

@@ -13,7 +13,7 @@ constexpr int kMaxCallDepth = 512;
 }
 
 Interpreter::Interpreter() {
-  globals_ = std::make_shared<Environment>();
+  globals_ = make_env(nullptr);
   this_stack_.push_back(Undefined{});
   install_builtins();
 }
@@ -79,7 +79,7 @@ Interpreter::Completion Interpreter::exec_stmt(const Stmt& stmt,
     }
     case StmtKind::kBlock: {
       const auto& s = static_cast<const BlockStmt&>(stmt);
-      auto scope = std::make_shared<Environment>(env);
+      auto scope = make_env(env);
       return exec_block(s, scope);
     }
     case StmtKind::kIf: {
@@ -101,7 +101,7 @@ Interpreter::Completion Interpreter::exec_stmt(const Stmt& stmt,
     }
     case StmtKind::kFor: {
       const auto& s = static_cast<const ForStmt&>(stmt);
-      auto scope = std::make_shared<Environment>(env);
+      auto scope = make_env(env);
       if (s.init) {
         Completion c = exec_stmt(*s.init, scope);
         if (c.flow != Flow::kNormal) return c;
@@ -170,7 +170,7 @@ Value Interpreter::eval_expr(const Expr& expr, const EnvPtr& env) {
     }
     case ExprKind::kArray: {
       const auto& e = static_cast<const ArrayExpr&>(expr);
-      auto arr = std::make_shared<ArrayObj>();
+      auto arr = make_array();
       if (!e.numbers.empty()) {
         arr->elements.assign(e.numbers.begin(), e.numbers.end());
         return arr;
@@ -183,7 +183,7 @@ Value Interpreter::eval_expr(const Expr& expr, const EnvPtr& env) {
     }
     case ExprKind::kObject: {
       const auto& e = static_cast<const ObjectExpr&>(expr);
-      auto obj = std::make_shared<Object>();
+      auto obj = make_object();
       for (const auto& [key, val] : e.properties) {
         obj->set(key, eval_expr(*val, env));
       }
@@ -408,7 +408,7 @@ Value Interpreter::call_function(const FunctionPtr& fn, const Value& this_value,
     throw JsError("maximum call depth exceeded");
   }
   ++call_depth_;
-  auto scope = std::make_shared<Environment>(fn->closure);
+  auto scope = make_env(fn->closure);
   for (std::size_t i = 0; i < fn->decl->params.size(); ++i) {
     scope->declare(fn->decl->params[i],
                    i < args.size() ? args[i] : Value(Undefined{}));
@@ -444,7 +444,7 @@ void Interpreter::enqueue_event(DomNodePtr target, std::string type,
 
 void Interpreter::run_handlers(const PendingEvent& event) {
   ++stats_.events;
-  auto event_obj = std::make_shared<Object>();
+  auto event_obj = make_object();
   event_obj->set("type", event.type);
   event_obj->set("target", event.target);
   event_obj->set("detail", event.detail);

@@ -42,6 +42,10 @@ struct PendingEvent {
   Value detail;
 };
 
+/// One realm: a global scope, a document and an event queue, plus the
+/// Heap that owns every object, array and environment the realm makes.
+/// Destroying the interpreter frees all of them, cycles included; a value
+/// that outlives its realm keeps its identity but reads as empty.
 class Interpreter {
  public:
   Interpreter();
@@ -87,6 +91,14 @@ class Interpreter {
 
   Document& document() { return document_; }
   const EnvPtr& globals() const { return globals_; }
+
+  /// Cells owned by this realm (see Heap). Natives and hosts make their
+  /// objects, arrays and environments here, never with make_shared.
+  ObjectPtr make_object() { return heap_.make<Object>(); }
+  ArrayPtr make_array() { return heap_.make<ArrayObj>(); }
+  EnvPtr make_env(EnvPtr parent) {
+    return heap_.make<Environment>(std::move(parent));
+  }
 
   using NativeImpl = std::function<Value(Interpreter&, const Value&,
                                          std::span<Value>)>;
@@ -160,6 +172,9 @@ class Interpreter {
   Stats stats_;
   std::vector<std::string> console_output_;
   util::Pcg32 rng_{0xbadc0ffee0ddf00dULL};
+  /// Declared last, so destroyed first: every cell is emptied before the
+  /// members above drop their references into the heap.
+  Heap heap_;
 };
 
 }  // namespace offload::jsvm

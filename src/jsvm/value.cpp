@@ -4,25 +4,43 @@
 #include <charconv>
 #include <cmath>
 
+#include "src/jsvm/env.h"
+
 namespace offload::jsvm {
 namespace {
 
-/// The queue of the outermost object or array destructor running on this
-/// thread; destructors it triggers queue their children there instead of
+/// The queue of the outermost cell destructor running on this thread;
+/// destructors it triggers queue their children there instead of
 /// recursing. A raw pointer, so it outlives every static Value.
 thread_local std::vector<Value>* t_pending_release = nullptr;
 
-template <class Children, class ValueOf>
-void release_children(Children& children, ValueOf value_of) {
+/// Queue `ptr` if dropping it frees what it points to; otherwise drop it
+/// in place, which only decrements a count.
+template <class Ptr>
+void release(Ptr& ptr, std::vector<Value>& pending) {
+  if (ptr.use_count() == 1) {
+    pending.emplace_back(std::move(ptr));
+  } else {
+    ptr.reset();
+  }
+}
+
+void release(Value& v, std::vector<Value>& pending) {
+  std::visit(
+      [&](auto& x) {
+        if constexpr (requires { x.use_count(); }) release(x, pending);
+      },
+      v);
+}
+
+/// Runs `queue_children(pending)` to take a dying cell's references, then,
+/// in the outermost such call only, frees the queue in a loop: freeing one
+/// queued cell queues its own children instead of recursing into them.
+template <class QueueChildren>
+void release_children(QueueChildren queue_children) {
   std::vector<Value> own;
   std::vector<Value>& pending = t_pending_release ? *t_pending_release : own;
-  for (auto& child : children) {
-    Value& v = value_of(child);
-    if (std::holds_alternative<ObjectPtr>(v) ||
-        std::holds_alternative<ArrayPtr>(v)) {
-      pending.push_back(std::move(v));
-    }
-  }
+  queue_children(pending);
   if (&pending != &own) return;
   t_pending_release = &own;
   while (!own.empty()) {
@@ -33,14 +51,77 @@ void release_children(Children& children, ValueOf value_of) {
   t_pending_release = nullptr;
 }
 
+void unlink(HeapLink& link) {
+  link.prev->next = link.next;
+  link.next->prev = link.prev;
+  link.prev = link.next = nullptr;
+}
+
 }  // namespace
 
+HeapCell::~HeapCell() {
+  if (prev) unlink(*this);
+}
+
+void Heap::link(HeapCell& cell) {
+  HeapLink& l = cell;
+  l.prev = head_.prev;
+  l.next = &head_;
+  head_.prev->next = &l;
+  head_.prev = &l;
+}
+
+Heap::~Heap() {
+  HeapSink sink;
+  while (head_.next != &head_) {
+    auto& cell = static_cast<HeapCell&>(*head_.next);
+    unlink(cell);
+    cell.drain(sink);
+  }
+  // `sink` dies here. Every cell it frees was drained above and holds
+  // nothing, and cells that outlive the realm stay as empty shells.
+}
+
 Object::~Object() {
-  release_children(properties, [](auto& p) -> Value& { return p.second; });
+  release_children([&](std::vector<Value>& pending) {
+    for (auto& [key, v] : properties) release(v, pending);
+  });
+}
+
+void Object::drain(HeapSink& sink) {
+  sink.named.push_back(std::move(properties));
+  properties.clear();
 }
 
 ArrayObj::~ArrayObj() {
-  release_children(elements, [](Value& v) -> Value& { return v; });
+  release_children([&](std::vector<Value>& pending) {
+    for (Value& v : elements) release(v, pending);
+  });
+}
+
+void ArrayObj::drain(HeapSink& sink) {
+  sink.elements.push_back(std::move(elements));
+  elements.clear();
+}
+
+Environment::~Environment() {
+  release_children([&](std::vector<Value>& pending) {
+    for (auto& [name, v] : slots_) release(v, pending);
+  });
+}
+
+void Environment::drain(HeapSink& sink) {
+  sink.named.push_back(std::move(slots_));
+  slots_.clear();
+  index_.clear();
+  sink.parents.push_back(std::move(parent_));
+}
+
+DomNode::~DomNode() {
+  release_children([&](std::vector<Value>& pending) {
+    for (DomNodePtr& child : children) release(child, pending);
+    for (auto& [type, handler] : listeners) release(handler, pending);
+  });
 }
 
 Value* Object::find(std::string_view key) {

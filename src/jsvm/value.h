@@ -2,7 +2,9 @@
 // typed arrays, DOM nodes, host objects) are shared_ptr-backed so the heap
 // graph — including cycles — has real identity, which the snapshot writer
 // must preserve (two references to one object stay one object after
-// restore).
+// restore). Reference counting alone cannot free a cycle, so the cells
+// every cycle passes through (objects, arrays, environments) are owned by
+// the realm that made them: its Heap frees them all when the realm dies.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -56,13 +59,76 @@ class JsError : public std::runtime_error {
   explicit JsError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The links of a cell in its realm's Heap list.
+struct HeapLink {
+  HeapLink* prev = nullptr;
+  HeapLink* next = nullptr;
+};
+
+/// Where realm teardown moves the references its cells hold: whole
+/// containers, so emptying a cell costs O(1) whatever it holds.
+struct HeapSink {
+  std::vector<std::vector<std::pair<std::string, Value>>> named;
+  std::vector<std::vector<Value>> elements;
+  std::vector<EnvPtr> parents;
+};
+
+/// A cell that can hold references back into the heap graph: Object,
+/// ArrayObj or Environment. Every reference cycle in a realm passes
+/// through one of them (a closure's environment, an object or array that
+/// holds itself, a DOM listener whose environment holds its node). A cell
+/// made by Heap::make is linked into that heap until it dies or the heap
+/// tears down; one made any other way (a test's, a stack environment)
+/// belongs to no heap.
+class HeapCell : private HeapLink {
+ public:
+  HeapCell(const HeapCell&) = delete;
+  HeapCell& operator=(const HeapCell&) = delete;
+
+ protected:
+  HeapCell() = default;
+  ~HeapCell();
+
+ private:
+  friend class Heap;
+  /// Move every reference this cell holds into `sink`, leaving it empty.
+  virtual void drain(HeapSink& sink) = 0;
+};
+
+/// The cells one realm made. Destroying the heap frees every cell the
+/// realm made, garbage cycles included: it first moves each cell's
+/// contents into one sink, so no cell points at another any more, and
+/// only then lets the sink go. Each cell dies already empty, so the
+/// release never recurses, however long a chain it ends. The cost is
+/// linear in the live cells.
+class Heap {
+ public:
+  Heap() { head_.prev = head_.next = &head_; }
+  ~Heap();
+  Heap(const Heap&) = delete;
+  Heap& operator=(const Heap&) = delete;
+
+  template <class Cell, class... Args>
+  std::shared_ptr<Cell> make(Args&&... args) {
+    auto cell = std::make_shared<Cell>(std::forward<Args>(args)...);
+    link(*cell);
+    return cell;
+  }
+
+ private:
+  void link(HeapCell& cell);
+
+  HeapLink head_;  ///< sentinel of a circular list
+};
+
 /// Plain object: ordered property list (insertion order is preserved and
 /// determines snapshot output order, keeping snapshots deterministic).
-struct Object {
+struct Object final : HeapCell {
   std::vector<std::pair<std::string, Value>> properties;
 
-  /// Frees child objects and arrays in a loop, not one nested destructor
-  /// call per link, so dropping a long chain cannot overflow the stack.
+  /// Frees the cells only this object held in a loop, not one nested
+  /// destructor call per link, so dropping a long chain of objects,
+  /// arrays, closures or DOM nodes cannot overflow the stack.
   ~Object();
 
   Value* find(std::string_view key);
@@ -71,13 +137,19 @@ struct Object {
   Value get(std::string_view key) const;
   void set(std::string_view key, Value value);
   bool erase(std::string_view key);
+
+ private:
+  void drain(HeapSink& sink) override;
 };
 
-struct ArrayObj {
+struct ArrayObj final : HeapCell {
   std::vector<Value> elements;
 
   /// As ~Object.
   ~ArrayObj();
+
+ private:
+  void drain(HeapSink& sink) override;
 };
 
 /// Float32Array: the value type for images, feature tensors, and model
@@ -143,6 +215,9 @@ struct DomNode : std::enable_shared_from_this<DomNode> {
   /// For <canvas> elements: the pixel buffer returned by getImageData().
   /// Part of the app state, so snapshots serialize it.
   TypedArrayPtr canvas_data;
+
+  /// As ~Object: a deep tree or a long listener chain frees in a loop.
+  ~DomNode();
 
   void append_child(const DomNodePtr& child);
   bool remove_child(const DomNodePtr& child);

@@ -79,11 +79,16 @@ const Network::Analysis& Network::analyze() const {
   if (analyzed_) return analysis_;
   Analysis a;
   a.shapes.reserve(nodes_.size());
+  a.last_reader.resize(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
     std::vector<Shape> in_shapes;
     in_shapes.reserve(node.inputs.size());
-    for (auto idx : node.inputs) in_shapes.push_back(a.shapes.at(idx));
+    a.last_reader[i] = i;
+    for (auto idx : node.inputs) {
+      in_shapes.push_back(a.shapes.at(idx));
+      a.last_reader[idx] = i;
+    }
     Shape out = node.layer->output_shape(in_shapes);
     std::uint64_t fl = node.layer->flops(in_shapes);
     a.shapes.push_back(out);
@@ -103,6 +108,7 @@ Tensor Network::run_range(std::size_t begin, std::size_t end,
   // run_events calls). Read once on the calling thread — never inside the
   // kernels' parallel regions.
   obs::MetricsRegistry* metrics = obs::tls_metrics();
+  const std::vector<std::size_t>& last_reader = analyze().last_reader;
   for (std::size_t i = begin; i < end; ++i) {
     const Node& node = nodes_[i];
     std::vector<const Tensor*> ins;
@@ -119,6 +125,9 @@ Tensor Network::run_range(std::size_t begin, std::size_t end,
       metrics->add("nn.layers_run");
       metrics->add("nn.flops", analyze().flops[i]);
       metrics->add("nn.output_bytes", values[i].bytes());
+    }
+    for (auto idx : node.inputs) {
+      if (last_reader[idx] == i) values[idx] = Tensor();
     }
   }
   if (metrics) metrics->add("nn.forward_ranges");

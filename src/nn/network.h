@@ -48,11 +48,14 @@ class Network {
   std::uint64_t param_count_in_range(std::size_t begin, std::size_t end) const;
 
   /// Static per-node analysis (no tensor traffic): output shapes, FLOPs,
-  /// output byte sizes. Cached after the first call.
+  /// output byte sizes, and the last node reading each output (the node
+  /// itself when none does), after which a forward frees that output.
+  /// Cached after the first call.
   struct Analysis {
     std::vector<Shape> shapes;
     std::vector<std::uint64_t> flops;
     std::vector<std::uint64_t> output_bytes;
+    std::vector<std::size_t> last_reader;
     std::uint64_t total_flops = 0;
   };
   const Analysis& analyze() const;
@@ -79,7 +82,8 @@ class Network {
   /// Feed the input to node 0 and run nodes [1, end).
   Tensor run_front(const Tensor& input, std::size_t end) const;
   /// Execute nodes [begin, end); `values` must hold outputs of all nodes
-  /// < begin that the range reads. Returns output of node end-1.
+  /// < begin that the range reads. Each value is freed once its last
+  /// reader has run. Returns output of node end-1.
   Tensor run_range(std::size_t begin, std::size_t end,
                    std::vector<Tensor>& values) const;
 

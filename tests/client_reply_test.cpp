@@ -103,6 +103,9 @@ void run_cell(const Cell& cell, const std::string& local_text) {
   EXPECT_EQ(client.timeline().local_fallback, cell.expect.local_fallback);
   EXPECT_EQ(client.timeline().server_index, cell.server);
   EXPECT_EQ(spare.server->executions().size(), cell.server == 1 ? 1u : 0u);
+  // A local finish never reached the real server behind the proxy.
+  EXPECT_EQ(primary.server->executions().size(),
+            cell.expect.offloaded && cell.server == 0 ? 1u : 0u);
   EXPECT_EQ(client.result_text(), local_text);
   // Only a supervised give-up counts (and marks) a supervisor fallback.
   EXPECT_EQ(client.supervisor_stats().local_fallbacks,
@@ -129,6 +132,9 @@ TEST(ClientReplyTable, EveryReplyFinishesExactlyOnce) {
       // Either way: recapture a full snapshot and resend it.
       {"need_full:", false, kRemote},
       {"need_full:", true, kRemote},
+      // The snapshot failed to parse or run: no retry, run it here.
+      {"rejected:", false, kLocal},
+      {"rejected:", true, kLocal},
   };
   for (const Cell& cell : cells) run_cell(cell, local_text);
 }

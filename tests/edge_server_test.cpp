@@ -39,16 +39,28 @@ struct Harness {
 
   /// Send a snapshot of a realm that re-runs `source` via a pending event.
   void send_snapshot(const std::string& app, const std::string& source) {
-    jsvm::Interpreter scratch;
-    scratch.eval_program(source);
-    jsvm::SnapshotResult snap = jsvm::capture_snapshot(scratch);
+    send_program(app, capture(source));
+  }
+
+  /// Send `program` as the snapshot of `app`, as is.
+  void send_program(const std::string& app, std::string program) {
     SnapshotPayload payload;
-    payload.program = std::move(snap.program);
+    payload.program = std::move(program);
+    send_payload(app, payload.encode());
+  }
+
+  void send_payload(const std::string& app, util::Bytes payload) {
     net::Message msg;
     msg.type = net::MessageType::kSnapshot;
     msg.name = app;
-    msg.payload = payload.encode();
+    msg.payload = std::move(payload);
     channel->a().send(std::move(msg));
+  }
+
+  static std::string capture(const std::string& source) {
+    jsvm::Interpreter scratch;
+    scratch.eval_program(source);
+    return jsvm::capture_snapshot(scratch).program;
   }
 };
 
@@ -131,6 +143,85 @@ TEST(EdgeServerTest, SessionKeptPerAppNotLeakedPerOffload) {
   EXPECT_EQ(jsvm::to_number(
                 h.server->last_browser()->interp().eval_program("y;")),
             9);
+}
+
+TEST(EdgeServerTest, ReplacedRealmReleasesItsNetwork) {
+  Harness h;
+  auto net = nn::build_tiny_cnn(17);
+  // The global scope holds the model and a function closing over the
+  // global scope: a cycle that keeps the realm alive unless it is torn
+  // down.
+  const std::string program =
+      "var m = __loadModel(\"tinycnn\"); "
+      "function layers() { return m.numLayers; } var n = layers();";
+  h.send_model(*net);
+  h.sim.run();
+  h.send_program("tinycnn", program);
+  h.sim.run();
+  std::weak_ptr<nn::Network> first = h.server->model_store().instantiate(
+      "tinycnn");
+  // A re-sent model drops the store's cached network; the second offload
+  // replaces the first session realm.
+  h.send_model(*net);
+  h.sim.run();
+  h.send_program("tinycnn", program);
+  h.sim.run();
+  EXPECT_EQ(h.server->stats().snapshots_executed, 2);
+  std::weak_ptr<nn::Network> second = h.server->model_store().instantiate(
+      "tinycnn");
+  EXPECT_TRUE(first.expired());
+  EXPECT_FALSE(second.expired());
+  EXPECT_EQ(jsvm::to_number(
+                h.server->last_browser()->interp().eval_program("n;")),
+            static_cast<double>(net->size()));
+}
+
+TEST(EdgeServerTest, FailedSnapshotsRejectedThenServedBitExact) {
+  auto net = nn::build_tiny_cnn(17);
+  const std::string good = Harness::capture(
+      "var x = 2; var b = document.createElement('b'); "
+      "document.body.appendChild(b); "
+      "b.addEventListener('go', function() { x = x * 21; }); "
+      "b.dispatchEvent('go');");
+  auto serve_good = [&](Harness& h) {
+    h.send_program("tinycnn", good);
+    h.sim.run();
+    EXPECT_EQ(h.client_inbox.back().type, net::MessageType::kResultSnapshot);
+    return h.client_inbox.back().payload;
+  };
+  Harness fresh;
+  fresh.send_model(*net);
+  fresh.sim.run();
+  const util::Bytes expected = serve_good(fresh);
+
+  Harness h;
+  h.send_model(*net);
+  h.sim.run();
+  h.client_inbox.clear();
+  // A payload cut short does not decode; a program cut in half does not
+  // parse; a well-formed one whose script fails throws a JsError. The
+  // model is stored, so none of them is a missing model.
+  SnapshotPayload whole;
+  whole.program = good;
+  util::Bytes cut = whole.encode();
+  cut.resize(cut.size() / 2);
+  h.send_payload("tinycnn", std::move(cut));
+  h.sim.run();
+  h.send_program("tinycnn", good.substr(0, good.size() / 2));
+  h.sim.run();
+  h.send_program("tinycnn", "var y = undefinedName + 1;");
+  h.sim.run();
+  ASSERT_EQ(h.client_inbox.size(), 3u);
+  for (const auto& m : h.client_inbox) {
+    EXPECT_EQ(m.type, net::MessageType::kControl);
+    EXPECT_EQ(m.name, "rejected:tinycnn");
+  }
+  EXPECT_EQ(h.server->stats().snapshots_rejected, 3);
+  EXPECT_EQ(h.server->stats().snapshots_executed, 0);
+
+  EXPECT_EQ(serve_good(h), expected);
+  EXPECT_EQ(h.client_inbox.size(), 4u);
+  EXPECT_EQ(h.server->stats().snapshots_executed, 1);
 }
 
 TEST(EdgeServerTest, DifferentialAgainstUnknownBaselineRefused) {

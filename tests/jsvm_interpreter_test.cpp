@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 
 #include "src/jsvm/lexer.h"
 #include "src/jsvm/parser.h"
@@ -651,6 +653,160 @@ TEST_P(EnvironmentTest, AssignToUnboundNameIsImplicitGlobal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EnvironmentTest, ::testing::Values(3, 40));
+
+/// Installs watch(v) in a realm: it keeps a weak reference to v's cell, so
+/// a test can check that the cell was freed.
+struct Watcher {
+  std::vector<std::weak_ptr<const void>> cells;
+
+  void install(Interpreter& interp) {
+    interp.set_global(
+        "watch",
+        interp.register_native("watch", [this](Interpreter&, const Value&,
+                                               std::span<Value> args) {
+          watch(args[0]);
+          return Value(Undefined{});
+        }));
+  }
+  void watch(const Value& v) {
+    std::visit(
+        [this](const auto& x) {
+          if constexpr (requires { x.use_count(); }) cells.emplace_back(x);
+        },
+        v);
+  }
+  std::size_t alive() const {
+    return static_cast<std::size_t>(
+        std::count_if(cells.begin(), cells.end(),
+                      [](const auto& w) { return !w.expired(); }));
+  }
+};
+
+TEST(RealmTeardown, SelfReferentialObjectAndArrayAreFreed) {
+  Watcher w;
+  {
+    Interpreter interp;
+    w.install(interp);
+    interp.eval_program(
+        "var o = {}; o.self = o; var a = [1]; a.push(a); watch(o); watch(a);");
+  }
+  ASSERT_EQ(w.cells.size(), 2u);
+  EXPECT_EQ(w.alive(), 0u);
+}
+
+TEST(RealmTeardown, EnvironmentClosureCycleIsFreed) {
+  Watcher w;
+  std::weak_ptr<Environment> global;
+  std::weak_ptr<Environment> inner;
+  {
+    Interpreter interp;
+    w.install(interp);
+    // f closes over the global scope, which holds f; g closes over mk's
+    // call scope, which holds g through `self`.
+    interp.eval_program(
+        "function f() { return 1; } "
+        "function mk() { var self = function() { return self; }; "
+        "  return self; } "
+        "var g = mk(); watch(f); watch(g);");
+    global = interp.globals();
+    inner = std::get<FunctionPtr>(*interp.globals()->find("g"))->closure;
+  }
+  ASSERT_EQ(w.cells.size(), 2u);
+  EXPECT_EQ(w.alive(), 0u);
+  EXPECT_TRUE(global.expired());
+  EXPECT_TRUE(inner.expired());
+}
+
+TEST(RealmTeardown, DomListenerCycleIsFreed) {
+  Watcher w;
+  {
+    Interpreter interp;
+    w.install(interp);
+    // An attached node and a detached one, each with a listener whose
+    // scope holds the node.
+    interp.eval_program(
+        "var b = document.createElement('b'); document.body.appendChild(b); "
+        "b.addEventListener('go', function() { b.textContent = 'x'; }); "
+        "function detached() { var d = document.createElement('d'); "
+        "  d.addEventListener('go', function() { return d; }); watch(d); } "
+        "detached(); watch(b);");
+  }
+  ASSERT_EQ(w.cells.size(), 2u);
+  EXPECT_EQ(w.alive(), 0u);
+}
+
+TEST(RealmTeardown, GarbageCycleDroppedInsideHandlerIsFreed) {
+  Watcher w;
+  {
+    Interpreter interp;
+    w.install(interp);
+    // Once the handler returns nothing reaches o or its closure, but they
+    // still hold each other.
+    interp.eval_program(
+        "var b = document.createElement('b'); document.body.appendChild(b); "
+        "b.addEventListener('go', function(e) { "
+        "  var o = {}; o.f = function() { return o; }; "
+        "  watch(o); watch(o.f); watch(e); }); "
+        "b.dispatchEvent('go');");
+    interp.run_events();
+    ASSERT_EQ(w.cells.size(), 3u);
+  }
+  EXPECT_EQ(w.alive(), 0u);
+}
+
+constexpr int kDeepChain = 100000;
+
+TEST(RealmTeardown, DeepClosureChainFreesWithoutOverflow) {
+  Watcher w;
+  const std::string build =
+      "function mk(g) { return function() { return g; }; } "
+      "var f = null; var i = 0; "
+      "for (i = 0; i < " + std::to_string(kDeepChain) + "; i++) { "
+      "  f = mk(f); if (i == 0) { watch(f); } }";
+  {
+    Interpreter interp;
+    w.install(interp);
+    interp.eval_program(build);
+    // Dropped while the realm runs: each closure frees the next in turn.
+    interp.eval_program("f = null;");
+    EXPECT_EQ(w.alive(), 0u);
+    interp.eval_program(build);
+  }
+  ASSERT_EQ(w.cells.size(), 2u);
+  EXPECT_EQ(w.alive(), 0u);
+}
+
+TEST(RealmTeardown, DeepObjectChainFreesWithoutOverflow) {
+  Watcher w;
+  {
+    Interpreter interp;
+    w.install(interp);
+    interp.eval_program(
+        "var head = {}; watch(head); var i = 0; "
+        "for (i = 0; i < " + std::to_string(kDeepChain) + "; i++) { "
+        "  head = {next: head}; } head.next.loop = head;");
+  }
+  ASSERT_EQ(w.cells.size(), 1u);
+  EXPECT_EQ(w.alive(), 0u);
+}
+
+TEST(RealmTeardown, DeepDomChainFreesWithoutOverflow) {
+  Watcher w;
+  {
+    Interpreter interp;
+    w.install(interp);
+    interp.eval_program(
+        "var root = document.createElement('div'); var cur = root; "
+        "var i = 0; "
+        "for (i = 0; i < " + std::to_string(kDeepChain) + "; i++) { "
+        "  var c = document.createElement('div'); cur.appendChild(c); "
+        "  cur = c; } "
+        "cur.addEventListener('go', function() { return root; }); "
+        "document.body.appendChild(root); watch(cur);");
+  }
+  ASSERT_EQ(w.cells.size(), 1u);
+  EXPECT_EQ(w.alive(), 0u);
+}
 
 }  // namespace
 }  // namespace offload::jsvm

@@ -19,8 +19,9 @@ namespace {
 
 // ----------------------------------------------------------- random graphs
 
-/// Builds a random value graph directly in a realm. Kept small per case;
-/// the sweep runs many seeds.
+/// Builds a random value graph directly in a realm, its objects and arrays
+/// made by the realm so it frees them, cycles included. Kept small per
+/// case; the sweep runs many seeds.
 class GraphGenerator {
  public:
   GraphGenerator(Interpreter& interp, std::uint64_t seed)
@@ -89,7 +90,7 @@ class GraphGenerator {
         return ta;
       }
       case 6: {
-        auto obj = std::make_shared<Object>();
+        auto obj = interp_.make_object();
         std::size_t props = rng_.next_below(4);
         for (std::size_t i = 0; i < props; ++i) {
           obj->set("p" + std::to_string(i), make_value(depth - 1));
@@ -97,7 +98,7 @@ class GraphGenerator {
         return obj;
       }
       case 7: {
-        auto arr = std::make_shared<ArrayObj>();
+        auto arr = interp_.make_array();
         std::size_t n = rng_.next_below(5);
         for (std::size_t i = 0; i < n; ++i) {
           arr->elements.push_back(make_value(depth - 1));
