@@ -47,7 +47,7 @@ int main() {
     vmsynth::VmImage base = vmsynth::make_base_image();
     std::vector<std::pair<std::string, util::Bytes>> model_blobs;
     for (auto& f : nn::model_files(*net)) {
-      model_blobs.emplace_back(f.name, std::move(f.content));
+      model_blobs.emplace_back(f.name, *f.content);
     }
     vmsynth::VmImage customized = vmsynth::make_customized_image(
         base, vmsynth::SystemBundleSizes{}, model_blobs);

@@ -43,7 +43,7 @@ struct RuntimeConfig {
     std::size_t spares = 0;
     fleet::BalancerConfig balancer;
     /// Content-addressed model pre-send: offer digests first, upload only
-    /// the files the server's blob cache is missing.
+    /// the files the server's model store is missing.
     bool dedup = false;
   };
   FleetOptions fleet;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/jsvm/snapshot.h"
-#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 #include "src/vmsynth/overlay.h"
@@ -26,6 +25,17 @@ ClientDevice::ClientDevice(sim::Simulation& sim, net::Endpoint& endpoint,
   // The client owns the full, trained model locally.
   obs_ = config_.obs;
   local_store_->store_files(nn::model_files(*bundle_.network));
+  // What a pre-send ships, built once: the stored bundle, or its rear
+  // weights only when the front stays on the device. An adaptive
+  // controller may re-cut shallower than the click-time cut, so it needs
+  // the full weights.
+  send_files_ = local_store_->files();
+  if (!controller_active() && config_.presend_rear_only &&
+      config_.partition_cut != SIZE_MAX) {
+    send_files_.back() =
+        nn::model_files_rear_only(*bundle_.network, config_.partition_cut)
+            .back();
+  }
   browser_ = std::make_unique<BrowserHost>(config_.profile, local_store_);
   browser_->add_image("input", bundle_.input_image);
   if (supervising()) backoff_.emplace(config_.supervisor);
@@ -44,17 +54,6 @@ std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
         });
   }
   return servers_.size() - 1;
-}
-
-std::vector<nn::ModelFile> ClientDevice::files_to_send() const {
-  // An adaptive controller may re-cut shallower than the click-time cut,
-  // so the server needs the full weights.
-  if (!controller_active() && config_.presend_rear_only &&
-      config_.partition_cut != SIZE_MAX) {
-    return nn::model_files_rear_only(*bundle_.network, config_.partition_cut);
-  }
-  // The full bundle, as the constructor serialized it into the local store.
-  return local_store_->files();
 }
 
 void ClientDevice::open_presend_span(net::Message& msg, const char* kind,
@@ -78,18 +77,17 @@ void ClientDevice::send_model_files(bool count_as_presend) {
   msg.name = bundle_.name;
   if (config_.dedup_presend) {
     // Content-addressed pre-send: ship digests, not bodies. The server
-    // answers "have:<app>" (an ACK) when its blob cache covers the bundle,
+    // answers "have:<app>" (an ACK) when its model store covers the bundle,
     // or "send_files:<app>" naming the files it needs uploaded in full.
     ModelOfferPayload payload;
-    for (const auto& f : files_to_send()) {
-      payload.files.push_back(
-          {f.name, util::fnv1a(std::span(f.content)), f.size()});
+    for (const nn::ModelFile& f : send_files_) {
+      payload.files.push_back({f.name, local_store_->digest(f), f.size()});
     }
     msg.type = net::MessageType::kModelOffer;
     msg.payload = payload.encode();
   } else {
     ModelFilesPayload payload;
-    payload.files = files_to_send();
+    payload.files = send_files_;
     msg.type = net::MessageType::kModelFiles;
     msg.payload = payload.encode();
   }
@@ -114,10 +112,10 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   // files it asked for. The ACK still arrives through the normal
   // post-store path, so the pre-send span stays open until then.
   ModelFilesPayload payload;
-  for (auto& f : files_to_send()) {
+  for (const nn::ModelFile& f : send_files_) {
     for (const auto& name : request.names) {
       if (f.name == name) {
-        payload.files.push_back(std::move(f));
+        payload.files.push_back(f);
         break;
       }
     }
@@ -139,8 +137,8 @@ void ClientDevice::send_overlay() {
   // files, so installation doubles as pre-sending.
   vmsynth::VmImage base = vmsynth::make_base_image();
   std::vector<std::pair<std::string, util::Bytes>> model_files;
-  for (auto& f : files_to_send()) {
-    model_files.emplace_back(f.name, std::move(f.content));
+  for (const nn::ModelFile& f : send_files_) {
+    model_files.emplace_back(f.name, *f.content);
   }
   vmsynth::VmImage customized = vmsynth::make_customized_image(
       base, config_.overlay_sizes, model_files);
@@ -1187,7 +1185,7 @@ void ClientDevice::on_rejected(const net::Message&) {
 }
 
 void ClientDevice::on_send_files(const net::Message& message) {
-  // The server's blob cache missed part (or all) of our offer; it wants
+  // The server's model store missed part (or all) of our offer; it wants
   // those files uploaded in full.
   if (payload_intact(message)) {
     send_requested_files(FileListPayload::decode(std::span(message.payload)));

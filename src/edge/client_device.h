@@ -276,7 +276,6 @@ class ClientDevice {
   /// First (non-retry) send of the held in-flight snapshot: used when a
   /// dedup pre-send resolves and the snapshot that waited on it goes out.
   void dispatch_inflight_snapshot();
-  std::vector<nn::ModelFile> files_to_send() const;
 
   // --- Partition controller (all no-ops under the static policy) ---
   /// The controller governs this client: adaptive policy, offloading
@@ -372,6 +371,9 @@ class ClientDevice {
   ClientConfig config_;
   AppBundle bundle_;
   std::shared_ptr<ModelStore> local_store_;
+  /// The files a pre-send ships (see the constructor); they share the
+  /// local store's buffers, except rear-only weights.
+  std::vector<nn::ModelFile> send_files_;
   std::unique_ptr<BrowserHost> browser_;
   ClientTimeline timeline_;
   std::vector<ClientTimeline> history_;

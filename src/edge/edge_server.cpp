@@ -45,7 +45,6 @@ void EdgeServer::schedule_crash(sim::SimTime at, sim::SimTime downtime) {
     // fire, so it retires instead of being destroyed; the epoch bump makes
     // them no-ops.
     store_->clear();
-    blob_store_.clear();
     sessions_.clear();
     migratable_.clear();
     browser_.reset();
@@ -149,13 +148,7 @@ void EdgeServer::handle_model_files(net::Endpoint& from,
                                     const net::Message& message) {
   ModelFilesPayload payload = ModelFilesPayload::decode(
       std::span(message.payload));
-  std::uint64_t bytes = 0;
-  for (auto& f : payload.files) {
-    bytes += f.size();
-    // Every uploaded file also lands in the content-addressed cache, so a
-    // later client offering the same digests skips the body entirely.
-    blob_store_.put(f.content);
-  }
+  const std::uint64_t bytes = nn::total_size(payload.files);
   store_->store_files(std::move(payload.files));
   ++stats_.models_stored;
   count("models_stored");
@@ -185,7 +178,8 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
   FileListPayload missing;
   for (const auto& entry : offer.files) {
     bool corrupt = false;
-    const util::Bytes* blob = blob_store_.find(entry.digest, &corrupt);
+    std::shared_ptr<const util::Bytes> blob =
+        store_->find_blob(entry.digest, &corrupt);
     if (corrupt) {
       // The cached copy rotted since it was stored; it was just evicted.
       // Falling through to "missing" forces a clean re-upload rather than
@@ -201,7 +195,7 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
         config_.obs->metrics.add(config_.obs_name + ".dedup_bytes_saved",
                                  entry.bytes);
       }
-      cached.push_back({entry.name, *blob});
+      cached.emplace_back(entry.name, std::move(blob));
     } else {
       ++stats_.dedup_miss_files;
       count("dedup_misses");
@@ -224,8 +218,8 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
     from.send(std::move(ack));
     return;
   }
-  // Ask for just the files we lack; handle_model_files stores them (and
-  // their blobs) and sends the normal post-store ACK.
+  // Ask for just the files we lack; handle_model_files stores (and so
+  // indexes) them and sends the normal post-store ACK.
   send_control(from, "send_files:" + message.name, missing.encode());
 }
 

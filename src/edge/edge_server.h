@@ -1,6 +1,7 @@
 // The generic edge server. It runs the offloading server program: accepts
-// pre-sent model files (ACKing them), executes incoming snapshots on its
-// browser, and returns result snapshots. If the offloading system is not
+// pre-sent model files (ACKing them) into its one model store, answers
+// digest offers from that store's dedup index, executes incoming snapshots
+// on its browser, and returns result snapshots. If the offloading system is not
 // installed, it can be installed on demand by a VM overlay (VM synthesis,
 // Section III.B.3).
 //
@@ -166,11 +167,11 @@ class EdgeServer {
   bool acks() const { return config_.ack_snapshots; }
   /// Crash counter; work captured under an older epoch must stay silent.
   std::uint64_t boot_epoch() const { return boot_epoch_; }
+  /// The pre-sent model files, and the dedup index over every file any
+  /// client uploaded since the last crash. Non-const for digest lookups
+  /// (the tier offers from it) and the corrupt_blob() test hook.
+  ModelStore& model_store() { return *store_; }
   const ModelStore& model_store() const { return *store_; }
-  /// Content-addressed cache of every model file any client uploaded since
-  /// the last crash. Non-const so tests can corrupt_blob().
-  BlobStore& blob_store() { return blob_store_; }
-  const BlobStore& blob_store() const { return blob_store_; }
 
   struct Stats {
     int models_stored = 0;
@@ -243,7 +244,6 @@ class EdgeServer {
   /// (and are suppressed by the epoch check), so they must stay alive.
   std::vector<std::unique_ptr<serve::Scheduler>> retired_schedulers_;
   std::shared_ptr<ModelStore> store_;
-  BlobStore blob_store_;
   std::unique_ptr<BrowserHost> browser_;
   BrowserHost* last_browser_ = nullptr;
   /// Session kept from the last offload of each app: the realm plus the

@@ -1,5 +1,6 @@
 #include "src/edge/model_store.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/util/crc32.h"
@@ -9,6 +10,7 @@ namespace offload::edge {
 
 void ModelStore::store_file(nn::ModelFile file) {
   cache_.clear();
+  index(file.content);
   for (auto& f : files_) {
     if (f.name == file.name) {
       f = std::move(file);
@@ -24,6 +26,7 @@ void ModelStore::store_files(std::vector<nn::ModelFile> files) {
 
 void ModelStore::clear() {
   files_.clear();
+  blobs_.clear();
   cache_.clear();
 }
 
@@ -58,14 +61,14 @@ std::shared_ptr<nn::Network> ModelStore::instantiate(
                              "' (model not pre-sent?)");
   }
   auto net = std::shared_ptr<nn::Network>(
-      nn::parse_description(util::to_string(std::span(desc->content))));
+      nn::parse_description(util::to_string(desc->bytes())));
   bool any_weights = false;
   if (const nn::ModelFile* w = find(app + ".weights")) {
-    nn::load_weights(*net, std::span(w->content));
+    nn::load_weights(*net, w->bytes());
     any_weights = true;
   }
   if (const nn::ModelFile* w = find(app + ".rear.weights")) {
-    nn::load_weights(*net, std::span(w->content));
+    nn::load_weights(*net, w->bytes());
     any_weights = true;
   }
   if (!any_weights) {
@@ -75,62 +78,61 @@ std::shared_ptr<nn::Network> ModelStore::instantiate(
   return net;
 }
 
-void BlobStore::resolve() const {
-  for (auto& blob : pending_) {
-    const std::uint64_t digest = util::fnv1a(std::span(blob.content));
-    blobs_[digest] = std::move(blob);
+ModelStore::Blob& ModelStore::index(
+    const std::shared_ptr<const util::Bytes>& bytes) {
+  for (Blob& blob : blobs_) {
+    if (blob.bytes == bytes) return blob;
   }
-  pending_.clear();
+  const std::uint32_t crc = util::crc32(*bytes);
+  for (Blob& blob : blobs_) {
+    if (blob.crc == crc && *blob.bytes == *bytes) {
+      blob.bytes = bytes;
+      return blob;
+    }
+  }
+  return blobs_.emplace_back(Blob{bytes, crc, std::nullopt});
 }
 
-void BlobStore::put(util::Bytes content) {
-  resolve();
-  Blob blob;
-  blob.crc = util::crc32(std::span(content));
-  blob.content = std::move(content);
-  pending_.push_back(std::move(blob));
+std::vector<ModelStore::Blob>::iterator ModelStore::lookup(
+    std::uint64_t digest) {
+  for (Blob& blob : blobs_) {
+    if (!blob.digest) blob.digest = util::fnv1a(*blob.bytes);
+  }
+  return std::find_if(blobs_.begin(), blobs_.end(),
+                      [&](const Blob& blob) { return blob.digest == digest; });
 }
 
-const util::Bytes* BlobStore::find(std::uint64_t digest, bool* corrupt) {
-  resolve();
+std::uint64_t ModelStore::digest(const nn::ModelFile& file) {
+  Blob& blob = index(file.content);
+  if (!blob.digest) blob.digest = util::fnv1a(*blob.bytes);
+  return *blob.digest;
+}
+
+std::shared_ptr<const util::Bytes> ModelStore::find_blob(std::uint64_t digest,
+                                                         bool* corrupt) {
   if (corrupt) *corrupt = false;
-  auto it = blobs_.find(digest);
+  auto it = lookup(digest);
   if (it == blobs_.end()) return nullptr;
-  if (util::crc32(std::span(it->second.content)) != it->second.crc) {
+  if (util::crc32(*it->bytes) != it->crc) {
     blobs_.erase(it);
     if (corrupt) *corrupt = true;
     return nullptr;
   }
-  return &it->second.content;
+  return it->bytes;
 }
 
-bool BlobStore::contains(std::uint64_t digest) const {
-  resolve();
-  return blobs_.find(digest) != blobs_.end();
-}
-
-void BlobStore::clear() {
-  blobs_.clear();
-  pending_.clear();
-}
-
-std::size_t BlobStore::blob_count() const {
-  resolve();
-  return blobs_.size();
-}
-
-std::uint64_t BlobStore::total_bytes() const {
-  resolve();
+std::uint64_t ModelStore::blob_bytes() const {
   std::uint64_t n = 0;
-  for (const auto& [digest, blob] : blobs_) n += blob.content.size();
+  for (const Blob& blob : blobs_) n += blob.bytes->size();
   return n;
 }
 
-bool BlobStore::corrupt_blob(std::uint64_t digest) {
-  resolve();
-  auto it = blobs_.find(digest);
-  if (it == blobs_.end() || it->second.content.empty()) return false;
-  it->second.content[0] ^= 0x5a;
+bool ModelStore::corrupt_blob(std::uint64_t digest) {
+  auto it = lookup(digest);
+  if (it == blobs_.end() || it->bytes->empty()) return false;
+  util::Bytes damaged = *it->bytes;
+  damaged[0] ^= 0x5a;
+  it->bytes = std::make_shared<const util::Bytes>(std::move(damaged));
   return true;
 }
 

@@ -2,9 +2,12 @@
 // model files at app start; the edge server stores them and ACKs. When a
 // snapshot later calls __loadModel("<app>"), the store instantiates the
 // network from the stored description + weights.
+// It is also the host's dedup cache: named files and the dedup index below
+// share one immutable buffer per file.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,12 +19,13 @@ namespace offload::edge {
 
 class ModelStore {
  public:
-  /// Add or replace a file. Invalidates any cached network built from it.
+  /// Add or replace a file, and index its buffer. Invalidates any cached
+  /// network built from it.
   void store_file(nn::ModelFile file);
   void store_files(std::vector<nn::ModelFile> files);
 
-  /// Drop every stored file and cached network (a server crash loses the
-  /// store; clients must pre-send again).
+  /// Drop every stored file, index entry and cached network (a server
+  /// crash loses the store; clients must pre-send again).
   void clear();
 
   bool has_file(const std::string& name) const;
@@ -43,55 +47,45 @@ class ModelStore {
   /// if required files are missing.
   std::shared_ptr<nn::Network> instantiate(const std::string& app) const;
 
- private:
-  std::vector<nn::ModelFile> files_;
-  mutable std::unordered_map<std::string, std::shared_ptr<nn::Network>> cache_;
-};
+  // --- Dedup index. One entry per distinct content stored since the last
+  // clear(): an entry outlives the replacement of its file by name. Each
+  // records its buffer's CRC at insert; the fnv1a digest is taken on the
+  // first digest lookup, so a host that never offers never hashes.
 
-/// Content-addressed blob cache for pre-sent model files, keyed by the
-/// fnv1a digest of their content (the digest a client offers). Shared by
-/// every client of one server; survives until a crash wipes it. Each blob's
-/// CRC is recorded at insert time and re-verified on lookup, so silent disk
-/// corruption downgrades to a cache miss (the client re-uploads) instead of
-/// serving a bad network.
-///
-/// Only digest offers read the cache, so put() defers the digest: a blob
-/// is hashed by the next call of any other member (or the next put), which
-/// files every pending blob under its digest first.
-class BlobStore {
- public:
-  /// Cache `content` under its fnv1a digest (replacing an equal digest).
-  void put(util::Bytes content);
+  /// The fnv1a digest of `file`'s content (what a kModelOffer carries),
+  /// indexing its buffer first if no stored file shares it.
+  std::uint64_t digest(const nn::ModelFile& file);
 
-  /// The cached bytes, or nullptr when absent. A blob whose bytes no
-  /// longer match their recorded CRC is evicted and reported through
-  /// `corrupt` (when non-null) — callers must treat it as a miss.
-  const util::Bytes* find(std::uint64_t digest, bool* corrupt = nullptr);
+  /// The indexed buffer whose content has fnv1a `digest`, or nullptr. A
+  /// buffer that no longer matches its recorded CRC is evicted and reported
+  /// through `corrupt` (when non-null): callers treat it as a miss, so the
+  /// client re-uploads instead of the server instantiating a bad network.
+  std::shared_ptr<const util::Bytes> find_blob(std::uint64_t digest,
+                                               bool* corrupt = nullptr);
 
-  bool contains(std::uint64_t digest) const;
+  std::size_t blob_count() const { return blobs_.size(); }
+  std::uint64_t blob_bytes() const;
 
-  /// Drop everything, pending blobs included (a crash loses the cache with
-  /// the process).
-  void clear();
-
-  std::size_t blob_count() const;
-  std::uint64_t total_bytes() const;
-
-  /// Fault/test hook: flip one byte of a cached blob so the next find()
-  /// detects the CRC mismatch. Returns false if the digest is not cached.
+  /// Fault/test hook: rot the entry for `digest` so the next find_blob()
+  /// fails its CRC check. The entry is pointed at a damaged private copy;
+  /// stored files keep the intact buffer. False if `digest` is not indexed.
   bool corrupt_blob(std::uint64_t digest);
 
  private:
   struct Blob {
-    util::Bytes content;
+    std::shared_ptr<const util::Bytes> bytes;
     std::uint32_t crc = 0;
+    std::optional<std::uint64_t> digest;  ///< set on the first lookup
   };
-  /// File every pending blob under its digest.
-  void resolve() const;
+  /// The entry for `bytes`' content, added if new. Identical content is one
+  /// entry, holding the newest buffer.
+  Blob& index(const std::shared_ptr<const util::Bytes>& bytes);
+  /// The entry whose content has `digest`, digesting every entry first.
+  std::vector<Blob>::iterator lookup(std::uint64_t digest);
 
-  mutable std::unordered_map<std::uint64_t, Blob> blobs_;
-  /// Put but not yet digested.
-  mutable std::vector<Blob> pending_;
+  std::vector<nn::ModelFile> files_;
+  std::vector<Blob> blobs_;
+  mutable std::unordered_map<std::string, std::shared_ptr<nn::Network>> cache_;
 };
 
 }  // namespace offload::edge

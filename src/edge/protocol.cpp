@@ -37,14 +37,14 @@ util::Bytes ModelFilesPayload::encode() const {
   std::size_t size = util::varint_size(files.size());
   for (const auto& f : files) {
     size += util::varint_size(f.name.size()) + f.name.size() +
-            util::varint_size(f.content.size()) + f.content.size();
+            util::varint_size(f.size()) + f.size();
   }
   util::BinaryWriter w;
   w.reserve(size);
   w.varint(files.size());
   for (const auto& f : files) {
     w.str(f.name);
-    w.blob(std::span(f.content));
+    w.blob(f.bytes());
   }
   return std::move(w).take();
 }
@@ -56,10 +56,8 @@ ModelFilesPayload ModelFilesPayload::decode(
   const std::size_t count = read_count(r, "ModelFilesPayload");
   out.files.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    nn::ModelFile f;
-    f.name = r.str();
-    f.content = r.blob();
-    out.files.push_back(std::move(f));
+    std::string name = r.str();
+    out.files.emplace_back(std::move(name), r.blob());
   }
   return out;
 }

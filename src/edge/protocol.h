@@ -28,7 +28,8 @@ bool payload_intact(const net::Message& message);
 /// corruption is rejected instead of silently accepted.
 void verify_payload(const net::Message& message);
 
-/// Body of a kModelFiles message: the pre-sent model file bundle.
+/// Body of a kModelFiles message: the pre-sent model file bundle. Decoding
+/// makes one buffer per file; copying the payload shares the buffers.
 struct ModelFilesPayload {
   std::vector<nn::ModelFile> files;
 
@@ -37,9 +38,10 @@ struct ModelFilesPayload {
 };
 
 /// Body of a kModelOffer message: per-file content digests of a pre-send.
-/// A server that already caches a blob under the same digest (uploaded by
-/// any client since its last crash) skips that file's body entirely — the
-/// Nth client's warmup shrinks from the model size to digest size.
+/// A server whose model store already indexes content with the same digest
+/// (uploaded by any client since its last crash) skips that file's body
+/// entirely — the Nth client's warmup shrinks from the model size to
+/// digest size. The sender takes the digests from its own store.
 struct ModelOfferPayload {
   struct Entry {
     std::string name;           ///< model file name, e.g. "tinycnn.weights"

@@ -6,7 +6,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <functional>
 
 #include "src/jsvm/interpreter.h"
 #include "src/jsvm/parser.h"
@@ -505,17 +504,9 @@ void Interpreter::install_builtins() {
         auto want = static_cast<std::int64_t>(
             to_number(arg_or_undefined(args, 0)));
         std::int64_t counter = 0;
-        DomNodePtr found;
-        std::function<void(const DomNodePtr&)> dfs =
-            [&](const DomNodePtr& node) {
-              if (found) return;
-              if (counter++ == want) {
-                found = node;
-                return;
-              }
-              for (const auto& child : node->children) dfs(child);
-            };
-        dfs(interp.document().body());
+        DomNodePtr found = find_pre_order(
+            interp.document().body(),
+            [&](const DomNodePtr&) { return counter++ == want; });
         if (!found) {
           throw JsError("__domByIndex: no node at index " +
                         std::to_string(want));

@@ -1,7 +1,5 @@
 #include "src/jsvm/dom.h"
 
-#include <functional>
-
 namespace offload::jsvm {
 
 Document::Document() {
@@ -19,15 +17,8 @@ DomNodePtr Document::create_element(std::string tag) {
 }
 
 DomNodePtr Document::get_element_by_id(std::string_view id) const {
-  std::function<DomNodePtr(const DomNodePtr&)> dfs =
-      [&](const DomNodePtr& node) -> DomNodePtr {
-    if (node->id == id) return node;
-    for (const auto& child : node->children) {
-      if (DomNodePtr found = dfs(child)) return found;
-    }
-    return nullptr;
-  };
-  return dfs(root_);
+  return find_pre_order(root_,
+                        [&](const DomNodePtr& node) { return node->id == id; });
 }
 
 void Document::clear() {
@@ -36,25 +27,6 @@ void Document::clear() {
   body_->text.clear();
   body_->attributes.clear();
   body_->id.clear();
-}
-
-std::string Document::to_html() const {
-  std::string out;
-  std::function<void(const DomNodePtr&, int)> walk = [&](const DomNodePtr& n,
-                                                         int depth) {
-    out.append(static_cast<std::size_t>(depth) * 2, ' ');
-    out += "<" + n->tag;
-    if (!n->id.empty()) out += " id=\"" + n->id + "\"";
-    for (const auto& [k, v] : n->attributes) {
-      out += " " + k + "=\"" + v + "\"";
-    }
-    out += ">";
-    if (!n->text.empty()) out += n->text;
-    out += "\n";
-    for (const auto& child : n->children) walk(child, depth + 1);
-  };
-  walk(root_, 0);
-  return out;
 }
 
 }  // namespace offload::jsvm

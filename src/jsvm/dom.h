@@ -6,6 +6,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/jsvm/value.h"
 
@@ -27,12 +28,38 @@ class Document {
   /// Remove all body children and listeners (fresh page).
   void clear();
 
-  /// Render the tree as indented HTML-ish text (for tests and examples).
-  std::string to_html() const;
-
  private:
   DomNodePtr root_;
   DomNodePtr body_;
 };
+
+/// Walk `root`'s tree in depth-first pre-order; `visit(node)` returns false
+/// to skip the node's subtree. An explicit stack keeps the call depth
+/// constant at any tree depth. The tree must not change during the walk.
+template <typename Visit>
+void walk_pre_order(const DomNodePtr& root, Visit&& visit) {
+  std::vector<const DomNodePtr*> stack{&root};
+  while (!stack.empty()) {
+    const DomNodePtr& node = *stack.back();
+    stack.pop_back();
+    if (!visit(node)) continue;
+    for (auto it = node->children.rbegin(); it != node->children.rend();
+         ++it) {
+      stack.push_back(&*it);
+    }
+  }
+}
+
+/// The first node in pre-order from `root` that satisfies `pred`, or
+/// nullptr.
+template <typename Pred>
+DomNodePtr find_pre_order(const DomNodePtr& root, Pred&& pred) {
+  DomNodePtr found;
+  walk_pre_order(root, [&](const DomNodePtr& node) {
+    if (!found && pred(node)) found = node;
+    return !found;
+  });
+  return found;
+}
 
 }  // namespace offload::jsvm

@@ -139,38 +139,40 @@ class Hasher {
   std::uint64_t next_ordinal_ = 0;
 };
 
-void index_dom(const DomNodePtr& node, DomIndexMap& map) {
-  map.emplace(node.get(), map.size());
-  for (const auto& child : node->children) index_dom(child, map);
+void index_dom(const DomNodePtr& body, DomIndexMap& map) {
+  walk_pre_order(body, [&](const DomNodePtr& node) {
+    map.emplace(node.get(), map.size());
+    return true;
+  });
 }
 
-void walk_dom(const DomNodePtr& node, Hasher& structure,
+void walk_dom(const DomNodePtr& body, Hasher& structure,
               std::vector<std::uint64_t>& content) {
-  structure.mix_str(node->tag);
-  structure.mix_str(node->id);
-  structure.mix_u64(node->children.size());
-  structure.mix_u64(node->listeners.size());
-  for (const auto& [type, handler] : node->listeners) {
-    structure.mix_str(type);
-    structure.mix_value(handler);
-  }
-  std::uint64_t ch = util::kFnvOffset;
-  ch = util::fnv1a(node->text, ch);
-  for (const auto& [k, v] : node->attributes) {
-    ch = util::fnv1a(k, ch);
-    ch = util::fnv1a(v, ch);
-  }
-  if (node->canvas_data) {
-    ch = util::fnv1a(
-        std::span(reinterpret_cast<const std::uint8_t*>(
-                      node->canvas_data->data.data()),
-                  node->canvas_data->data.size() * sizeof(float)),
-        ch);
-  }
-  content.push_back(ch);
-  for (const auto& child : node->children) {
-    walk_dom(child, structure, content);
-  }
+  walk_pre_order(body, [&](const DomNodePtr& node) {
+    structure.mix_str(node->tag);
+    structure.mix_str(node->id);
+    structure.mix_u64(node->children.size());
+    structure.mix_u64(node->listeners.size());
+    for (const auto& [type, handler] : node->listeners) {
+      structure.mix_str(type);
+      structure.mix_value(handler);
+    }
+    std::uint64_t ch = util::kFnvOffset;
+    ch = util::fnv1a(node->text, ch);
+    for (const auto& [k, v] : node->attributes) {
+      ch = util::fnv1a(k, ch);
+      ch = util::fnv1a(v, ch);
+    }
+    if (node->canvas_data) {
+      ch = util::fnv1a(
+          std::span(reinterpret_cast<const std::uint8_t*>(
+                        node->canvas_data->data.data()),
+                    node->canvas_data->data.size() * sizeof(float)),
+          ch);
+    }
+    content.push_back(ch);
+    return true;
+  });
 }
 
 }  // namespace

@@ -65,13 +65,16 @@ struct Heap {
     // expression) need no discovery.
   }
 
-  /// A DOM node, then its canvas, listeners and children.
-  void add_dom(const DomNodePtr& node) {
-    if (attached && attached->count(node.get())) return;
-    if (!dom_nodes.add(node)) return;
-    if (node->canvas_data) typed_arrays.add(node->canvas_data);
-    for (const auto& [type, handler] : node->listeners) add(handler);
-    for (const auto& child : node->children) add_dom(child);
+  /// A DOM node's subtree in pre-order, each node followed by its canvas
+  /// and listeners. A node already numbered or attached skips its subtree.
+  void add_dom(const DomNodePtr& root) {
+    walk_pre_order(root, [&](const DomNodePtr& node) {
+      if (attached && attached->count(node.get())) return false;
+      if (!dom_nodes.add(node)) return false;
+      if (node->canvas_data) typed_arrays.add(node->canvas_data);
+      for (const auto& [type, handler] : node->listeners) add(handler);
+      return true;
+    });
   }
 
   void add_env(const EnvPtr& env) {
@@ -130,11 +133,9 @@ class Writer {
       globals_.emplace_back(name, value);
       heap_.add(value);
     }
-    if (options_.include_events) {
-      for (const auto& ev : interp_.event_queue()) {
-        heap_.add_dom(ev.target);
-        heap_.add(ev.detail);
-      }
+    for (const auto& ev : interp_.event_queue()) {
+      heap_.add_dom(ev.target);
+      heap_.add(ev.detail);
     }
 
     put("(function() {\nvar __d0 = document.body;\n");
@@ -179,11 +180,9 @@ class Writer {
         unchanged.add(handler);
       }
     }
-    if (options_.include_events) {
-      for (const auto& ev : interp_.event_queue()) {
-        heap_.add(ev.detail);
-        heap_.add_dom(ev.target);
-      }
+    for (const auto& ev : interp_.event_queue()) {
+      heap_.add(ev.detail);
+      heap_.add_dom(ev.target);
     }
     if (heap_.shares_with(unchanged)) return std::nullopt;
 
@@ -207,10 +206,12 @@ class Writer {
   }
 
  private:
-  void index_attached(const DomNodePtr& node) {
-    attached_.emplace(node.get(), attached_.size());
-    attached_list_.push_back(node);
-    for (const auto& child : node->children) index_attached(child);
+  void index_attached(const DomNodePtr& body) {
+    walk_pre_order(body, [&](const DomNodePtr& node) {
+      attached_.emplace(node.get(), attached_.size());
+      attached_list_.push_back(node);
+      return true;
+    });
   }
 
   SnapshotResult finish() {
@@ -368,7 +369,6 @@ class Writer {
     for (const auto& [name, value] : globals_) {
       put(name, " = ", Expr{value}, ";\n");
     }
-    if (!options_.include_events) return;
     for (const auto& ev : interp_.event_queue()) {
       ++stats_.events;
       put("__dispatchPending(", Dom{ev.target.get()}, ", ", Quoted{ev.type},

@@ -42,9 +42,6 @@ struct SnapshotOptions {
   /// number lists (__f32). Off by default: the paper's snapshot sizes
   /// (14.7 MB for a raw 3.2 MB conv output) come from decimal text.
   bool base64_typed_arrays = false;
-  /// Serialize queued events (re-dispatched on restore). Always on in the
-  /// offloading protocol; tests switch it off to snapshot quiescent state.
-  bool include_events = true;
 };
 
 struct SnapshotStats {

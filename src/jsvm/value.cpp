@@ -161,6 +161,15 @@ bool Object::erase(std::string_view key) {
 
 void DomNode::append_child(const DomNodePtr& child) {
   if (!child) throw JsError("appendChild: null child");
+  // Tree walks assume a tree: refuse an ancestor (the DOM's
+  // HierarchyRequestError). A leaf is no one's ancestor, so chains build fast.
+  if (!child->children.empty() || child.get() == this) {
+    for (const DomNode* n = this; n; n = n->parent.lock().get()) {
+      if (n == child.get()) {
+        throw JsError("appendChild: the child contains the parent");
+      }
+    }
+  }
   if (auto old = child->parent.lock()) old->remove_child(child);
   child->parent = weak_from_this();
   children.push_back(child);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/nn/network.h"
@@ -18,12 +19,20 @@
 
 namespace offload::nn {
 
-/// A named file blob as moved by the offloading protocol.
+/// A named file as moved by the offloading protocol. Its bytes are one
+/// immutable buffer: copying a ModelFile shares the buffer, never the bytes.
 struct ModelFile {
-  std::string name;
-  util::Bytes content;
+  ModelFile(std::string name, util::Bytes bytes)
+      : ModelFile(std::move(name),
+                  std::make_shared<const util::Bytes>(std::move(bytes))) {}
+  ModelFile(std::string name, std::shared_ptr<const util::Bytes> content)
+      : name(std::move(name)), content(std::move(content)) {}
 
-  std::uint64_t size() const { return content.size(); }
+  std::string name;
+  std::shared_ptr<const util::Bytes> content;
+
+  std::span<const std::uint8_t> bytes() const { return *content; }
+  std::uint64_t size() const { return content->size(); }
 };
 
 /// Serialize the layer graph (no parameters) as a text description.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/edge/protocol.h"
-#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -165,13 +164,12 @@ void Topology::start_relay(std::size_t origin, edge::EscalationRequest req,
 
 void Topology::send_offer(Relay& r) {
   // Content-addressed model push: digests first, bodies only for what the
-  // executor's blob cache is missing. Repeat escalations of an app are
+  // executor's model store is missing. Repeat escalations of an app are
   // digest-sized after the first.
+  edge::ModelStore& store = fleet_.server(r.origin).model_store();
   edge::ModelOfferPayload offer;
-  for (const nn::ModelFile* f :
-       app_files(fleet_.server(r.origin).model_store(), r.app)) {
-    offer.files.push_back(
-        {f->name, util::fnv1a(std::span(f->content)), f->size()});
+  for (const nn::ModelFile* f : app_files(store, r.app)) {
+    offer.files.push_back({f->name, store.digest(*f), f->size()});
   }
   net::Message msg;
   msg.type = net::MessageType::kModelOffer;

@@ -264,7 +264,7 @@ TEST(EdgeServerTest, OverlayInstallsAndExtractsModels) {
   vmsynth::VmImage base = vmsynth::make_base_image();
   std::vector<std::pair<std::string, util::Bytes>> model_files;
   for (auto& f : nn::model_files(*net)) {
-    model_files.emplace_back(f.name, std::move(f.content));
+    model_files.emplace_back(f.name, *f.content);
   }
   vmsynth::SystemBundleSizes sizes;
   sizes.browser_bytes = 200'000;

@@ -81,51 +81,92 @@ std::uint64_t digest_of(const util::Bytes& content) {
   return util::fnv1a(std::span(content));
 }
 
-TEST(BlobStoreTest, CountsAndContainsRightAfterPut) {
-  BlobStore blobs;
+TEST(ModelStoreDedup, CountsAndFindsRightAfterStore) {
+  ModelStore store;
   const util::Bytes a{1, 2, 3};
   const util::Bytes b{4, 5, 6, 7};
-  blobs.put(a);
-  blobs.put(b);
-  // No find() yet: the counting members see pending blobs too.
-  EXPECT_TRUE(blobs.contains(digest_of(a)));
-  EXPECT_TRUE(blobs.contains(digest_of(b)));
-  EXPECT_FALSE(blobs.contains(digest_of(util::Bytes{9})));
-  EXPECT_EQ(blobs.blob_count(), 2u);
-  EXPECT_EQ(blobs.total_bytes(), 7u);
-  const util::Bytes* found = blobs.find(digest_of(b));
+  store.store_file({"a", a});
+  store.store_file({"b", b});
+  // No digest lookup yet: the index already counts both buffers.
+  EXPECT_EQ(store.blob_count(), 2u);
+  EXPECT_EQ(store.blob_bytes(), 7u);
+  EXPECT_NE(store.find_blob(digest_of(a)), nullptr);
+  EXPECT_EQ(store.find_blob(digest_of(util::Bytes{9})), nullptr);
+  const std::shared_ptr<const util::Bytes> found =
+      store.find_blob(digest_of(b));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, b);
 }
 
-TEST(BlobStoreTest, IdenticalContentIsOneBlob) {
-  BlobStore blobs;
+TEST(ModelStoreDedup, IdenticalContentIsOneEntry) {
+  ModelStore store;
   const util::Bytes a{1, 2, 3};
-  blobs.put(a);
-  blobs.put(a);
-  EXPECT_EQ(blobs.blob_count(), 1u);
-  EXPECT_EQ(blobs.total_bytes(), 3u);
+  store.store_file({"x", a});
+  store.store_file({"y", a});
+  EXPECT_EQ(store.file_count(), 2u);
+  EXPECT_EQ(store.blob_count(), 1u);
+  EXPECT_EQ(store.blob_bytes(), 3u);
 }
 
-TEST(BlobStoreTest, CorruptingAnUndigestedBlobIsCaughtByFind) {
-  BlobStore blobs;
+TEST(ModelStoreDedup, CorruptionBeforeTheFirstDigestIsCaught) {
+  ModelStore store;
   const util::Bytes a{1, 2, 3};
-  blobs.put(a);
-  ASSERT_TRUE(blobs.corrupt_blob(digest_of(a)));
+  store.store_file({"a", a});
+  ASSERT_TRUE(store.corrupt_blob(digest_of(a)));
+  // The named file keeps the intact buffer; only the index entry rotted.
+  EXPECT_EQ(*store.find("a")->content, a);
   bool corrupt = false;
-  EXPECT_EQ(blobs.find(digest_of(a), &corrupt), nullptr);
+  EXPECT_EQ(store.find_blob(digest_of(a), &corrupt), nullptr);
   EXPECT_TRUE(corrupt);
-  EXPECT_EQ(blobs.blob_count(), 0u);
+  EXPECT_EQ(store.blob_count(), 0u);
 }
 
-TEST(BlobStoreTest, ClearDropsPendingBlobs) {
-  BlobStore blobs;
+TEST(ModelStoreDedup, ClearDropsUndigestedEntries) {
+  ModelStore store;
   const util::Bytes a{1, 2, 3};
-  blobs.put(a);
-  blobs.clear();
-  EXPECT_EQ(blobs.blob_count(), 0u);
-  EXPECT_EQ(blobs.total_bytes(), 0u);
-  EXPECT_EQ(blobs.find(digest_of(a)), nullptr);
+  store.store_file({"a", a});
+  store.clear();
+  EXPECT_EQ(store.blob_count(), 0u);
+  EXPECT_EQ(store.blob_bytes(), 0u);
+  EXPECT_EQ(store.find_blob(digest_of(a)), nullptr);
+}
+
+TEST(ModelStoreDedup, UploadAndIndexShareOneBuffer) {
+  auto net = nn::build_tiny_cnn(17);
+  ModelFilesPayload sent;
+  sent.files = nn::model_files(*net);
+  // Copying a payload shares each file's buffer.
+  const ModelFilesPayload copy = sent;
+  ASSERT_EQ(copy.files.size(), sent.files.size());
+  for (std::size_t i = 0; i < sent.files.size(); ++i) {
+    EXPECT_EQ(copy.files[i].content, sent.files[i].content);
+  }
+
+  // A received upload is stored and indexed as one buffer per file.
+  const util::Bytes wire = sent.encode();
+  ModelStore store;
+  store.store_files(ModelFilesPayload::decode(std::span(wire)).files);
+  for (const nn::ModelFile& f : sent.files) {
+    const nn::ModelFile* named = store.find(f.name);
+    ASSERT_NE(named, nullptr);
+    EXPECT_EQ(store.find_blob(digest_of(*f.content)), named->content);
+  }
+}
+
+TEST(ModelStoreDedup, ReplacedFileStaysOfferable) {
+  ModelStore store;
+  const util::Bytes old_bytes{1, 2, 3};
+  store.store_file({"m.weights", old_bytes});
+  store.store_file({"m.weights", util::Bytes{7, 8}});
+  EXPECT_EQ(store.file_count(), 1u);
+  EXPECT_EQ(*store.find("m.weights")->content, (util::Bytes{7, 8}));
+  // The replaced content is still served by digest until a crash.
+  const std::shared_ptr<const util::Bytes> blob =
+      store.find_blob(digest_of(old_bytes));
+  ASSERT_NE(blob, nullptr);
+  EXPECT_EQ(*blob, old_bytes);
+  store.clear();
+  EXPECT_EQ(store.find_blob(digest_of(old_bytes)), nullptr);
 }
 
 TEST(BrowserHostTest, InferenceMatchesDirectExecution) {
@@ -261,7 +302,7 @@ TEST(ProtocolTest, ModelFilesPayloadRoundTrip) {
   ModelFilesPayload d = ModelFilesPayload::decode(std::span(wire));
   ASSERT_EQ(d.files.size(), 2u);
   EXPECT_EQ(d.files[1].name, "m.weights");
-  EXPECT_EQ(d.files[1].content, (util::Bytes{3, 4, 5}));
+  EXPECT_EQ(*d.files[1].content, (util::Bytes{3, 4, 5}));
 }
 
 /// A list payload that is nothing but a huge entry count. A client can

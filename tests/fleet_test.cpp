@@ -65,7 +65,7 @@ std::vector<std::uint64_t> model_digests() {
   edge::AppBundle bundle = core::make_benchmark_app(tiny_model(), false);
   std::vector<std::uint64_t> digests;
   for (const nn::ModelFile& f : nn::model_files(*bundle.network)) {
-    digests.push_back(util::fnv1a(std::span(f.content)));
+    digests.push_back(util::fnv1a(f.bytes()));
   }
   return digests;
 }
@@ -110,12 +110,12 @@ TEST(FleetDedup, CrashWipesTheBlobCache) {
   Harness h(1, "hash", true);
   edge::ClientDevice& first = h.add_client("client1");
   h.run_one_inference(first);
-  EXPECT_GT(h.fleet->server(0).blob_store().blob_count(), 0u);
+  EXPECT_GT(h.fleet->server(0).model_store().blob_count(), 0u);
 
   h.fleet->server(0).schedule_crash(h.sim.now() + sim::SimTime::millis(1),
                                     sim::SimTime::millis(500));
   h.sim.run();
-  EXPECT_EQ(h.fleet->server(0).blob_store().blob_count(), 0u);
+  EXPECT_EQ(h.fleet->server(0).model_store().blob_count(), 0u);
 
   // The next client offers into an empty cache: zero hits, full upload.
   edge::ClientDevice& second = h.add_client("client2");
@@ -133,8 +133,8 @@ TEST(FleetDedup, CorruptedBlobIsEvictedAndReuploaded) {
   h.run_one_inference(first);
 
   const std::vector<std::uint64_t> digests = model_digests();
-  edge::BlobStore& blobs = h.fleet->server(0).blob_store();
-  ASSERT_TRUE(blobs.corrupt_blob(digests.front()));
+  edge::ModelStore& store = h.fleet->server(0).model_store();
+  ASSERT_TRUE(store.corrupt_blob(digests.front()));
 
   edge::ClientDevice& second = h.add_client("client2");
   h.run_one_inference(second);
@@ -145,9 +145,8 @@ TEST(FleetDedup, CorruptedBlobIsEvictedAndReuploaded) {
   EXPECT_EQ(stats.dedup_hit_files, static_cast<int>(digests.size()) - 1);
   EXPECT_EQ(stats.dedup_miss_files, static_cast<int>(digests.size()) + 1);
   // The re-upload repopulated the cache with a clean copy.
-  EXPECT_TRUE(blobs.contains(digests.front()));
   bool corrupt = false;
-  EXPECT_NE(blobs.find(digests.front(), &corrupt), nullptr);
+  EXPECT_NE(store.find_blob(digests.front(), &corrupt), nullptr);
   EXPECT_FALSE(corrupt);
   EXPECT_TRUE(second.timeline().offloaded);
   EXPECT_EQ(second.result_text(), first.result_text());
@@ -181,13 +180,11 @@ TEST(FleetDedup, CrashDuringPresendFailsOverWithDigestSizedReoffer) {
   EdgeFleet::ClientLink link = fleet.connect_client("client");
 
   // Warm the replacement the way an earlier tenant would have: every model
-  // blob except the first is already cached on server 1.
+  // file except the first is already stored (and so indexed) on server 1.
   edge::AppBundle warm = core::make_benchmark_app(tiny_model(), false);
   const std::vector<nn::ModelFile> files = nn::model_files(*warm.network);
   ASSERT_GE(files.size(), 2u);
-  for (std::size_t i = 1; i < files.size(); ++i) {
-    fleet.server(1).blob_store().put(files[i].content);
-  }
+  fleet.server(1).model_store().store_files({files.begin() + 1, files.end()});
 
   edge::ClientConfig client_config;
   client_config.obs = &obs;
@@ -258,8 +255,8 @@ TEST(FleetBalance, BlobCachesArePerServer) {
   Harness h(2, "least_outstanding", true);
   edge::ClientDevice& first = h.add_client("client1");
   h.run_one_inference(first);
-  const bool s0_warm = h.fleet->server(0).blob_store().blob_count() > 0;
-  const bool s1_warm = h.fleet->server(1).blob_store().blob_count() > 0;
+  const bool s0_warm = h.fleet->server(0).model_store().blob_count() > 0;
+  const bool s1_warm = h.fleet->server(1).model_store().blob_count() > 0;
   EXPECT_NE(s0_warm, s1_warm) << "exactly one server should hold the model";
 }
 

@@ -267,5 +267,29 @@ TEST(DiffSnapshot, NoChangesProducesNearEmptyDiff) {
   pair.expect_in_sync();
 }
 
+TEST(DiffSnapshot, DeepDomCapturesFingerprintsAndRestores) {
+  // 10^5 nested divs: every body-tree walk (capture, diff, fingerprint,
+  // __domByIndex, getElementById) must run in constant call depth.
+  Pair pair(
+      "var node = document.body;"
+      "for (var i = 0; i < 100000; i++) {"
+      "  var d = document.createElement('div'); node.appendChild(d); node = d;"
+      "}"
+      "node.id = 'deepest';");
+  pair.expect_in_sync();
+  pair.client.eval_program("node.textContent = 'bottom';");
+  DiffSnapshotResult diff = pair.sync();
+  EXPECT_FALSE(diff.full_fallback);
+  EXPECT_NE(diff.program.find("__domByIndex(100000)"), std::string::npos);
+  pair.expect_in_sync();
+  DomNodePtr deepest = pair.server->document().get_element_by_id("deepest");
+  ASSERT_NE(deepest, nullptr);
+  EXPECT_EQ(deepest->text, "bottom");
+  EXPECT_TRUE(deepest->children.empty());
+  EXPECT_EQ(
+      pair.client.eval_program("document.getElementById('deepest') == node;"),
+      Value(true));
+}
+
 }  // namespace
 }  // namespace offload::jsvm

@@ -276,6 +276,23 @@ TEST(InterpreterDom, CreateAppendFind) {
   EXPECT_EQ(node->tag, "div");
 }
 
+TEST(InterpreterDom, AppendingAnAncestorThrowsAndKeepsTheTree) {
+  // A cycle would send every body-tree walk round forever.
+  Interpreter interp;
+  interp.eval_program(
+      "var a = document.createElement('div'); document.body.appendChild(a);"
+      "var b = document.createElement('p'); a.appendChild(b);");
+  EXPECT_THROW(interp.eval_program("b.appendChild(document.body);"), JsError);
+  EXPECT_THROW(interp.eval_program("b.appendChild(a);"), JsError);
+  EXPECT_THROW(interp.eval_program("a.appendChild(a);"), JsError);
+  const DomNodePtr& body = interp.document().body();
+  ASSERT_EQ(body->children.size(), 1u);
+  const DomNodePtr& a = body->children[0];
+  ASSERT_EQ(a->children.size(), 1u);
+  EXPECT_TRUE(a->children[0]->children.empty());
+  EXPECT_EQ(interp.document().root()->children.size(), 1u);
+}
+
 TEST(InterpreterDom, Attributes) {
   Interpreter interp;
   interp.eval_program(

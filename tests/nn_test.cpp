@@ -442,8 +442,8 @@ TEST(ModelIo, WeightsRoundTripBitExact) {
   auto files = model_files(*net);
   ASSERT_EQ(files.size(), 2u);
   auto rebuilt =
-      parse_description(util::to_string(std::span(files[0].content)));
-  load_weights(*rebuilt, std::span(files[1].content));
+      parse_description(util::to_string(files[0].bytes()));
+  load_weights(*rebuilt, files[1].bytes());
   util::Pcg32 rng(9);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
   EXPECT_EQ(Tensor::max_abs_diff(net->forward(in),
@@ -458,8 +458,8 @@ TEST(ModelIo, RearOnlySplit) {
   // Rear bundle is smaller than the full bundle.
   EXPECT_LT(total_size(rear_files), total_size(model_files(*net)));
   auto rebuilt =
-      parse_description(util::to_string(std::span(rear_files[0].content)));
-  load_weights(*rebuilt, std::span(rear_files[1].content));
+      parse_description(util::to_string(rear_files[0].bytes()));
+  load_weights(*rebuilt, rear_files[1].bytes());
   // Rear execution matches (front weights irrelevant for the rear range).
   util::Pcg32 rng(9);
   Tensor in = Tensor::random_uniform(Shape{3, 32, 32}, rng, 0.0f, 1.0f);
