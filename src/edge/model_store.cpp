@@ -127,11 +127,11 @@ std::uint64_t ModelStore::blob_bytes() const {
   return n;
 }
 
-bool ModelStore::corrupt_blob(std::uint64_t digest) {
+bool ModelStore::corrupt_blob(std::uint64_t digest, std::size_t at) {
   auto it = lookup(digest);
-  if (it == blobs_.end() || it->bytes->empty()) return false;
+  if (it == blobs_.end() || at >= it->bytes->size()) return false;
   util::Bytes damaged = *it->bytes;
-  damaged[0] ^= 0x5a;
+  damaged[at] ^= 0x5a;
   it->bytes = std::make_shared<const util::Bytes>(std::move(damaged));
   return true;
 }

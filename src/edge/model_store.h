@@ -66,10 +66,11 @@ class ModelStore {
   std::size_t blob_count() const { return blobs_.size(); }
   std::uint64_t blob_bytes() const;
 
-  /// Fault/test hook: rot the entry for `digest` so the next find_blob()
-  /// fails its CRC check. The entry is pointed at a damaged private copy;
-  /// stored files keep the intact buffer. False if `digest` is not indexed.
-  bool corrupt_blob(std::uint64_t digest);
+  /// Fault/test hook: rot byte `at` of the entry for `digest` so the next
+  /// find_blob() fails its CRC check. The entry is pointed at a damaged
+  /// private copy; stored files keep the intact buffer. False if `digest`
+  /// is not indexed or its content has no byte `at`.
+  bool corrupt_blob(std::uint64_t digest, std::size_t at = 0);
 
  private:
   struct Blob {

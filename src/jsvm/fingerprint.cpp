@@ -1,6 +1,9 @@
 #include "src/jsvm/fingerprint.h"
 
 #include <unordered_map>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/util/hash.h"
 
@@ -13,6 +16,27 @@ namespace {
 using DomIndexMap = std::unordered_map<const DomNode*, std::uint64_t>;
 
 class Hasher {
+  /// The values still to mix of an array. A range holds its place on the
+  /// stack while its first value's subtree is mixed, so the stack grows
+  /// with the heap's depth, not with its size.
+  struct Values {
+    const Value* next;
+    const Value* end;
+  };
+  /// The name/value pairs still to mix of an object or environment: each
+  /// mixes its name, then its value.
+  struct Pairs {
+    const std::pair<std::string, Value>* next;
+    const std::pair<std::string, Value>* end;
+  };
+  /// A value range, a pair range, or a tag for mix_tag.
+  using Step = std::variant<Values, Pairs, std::uint64_t>;
+
+  static void push_pairs(const std::vector<std::pair<std::string, Value>>& v,
+                         std::vector<Step>& stack) {
+    if (!v.empty()) stack.emplace_back(Pairs{v.data(), v.data() + v.size()});
+  }
+
  public:
   explicit Hasher(const DomIndexMap* dom_index = nullptr,
                   const Environment* global_env = nullptr)
@@ -26,9 +50,36 @@ class Hasher {
 
   std::uint64_t value() const { return h_; }
 
+  /// Mix `value` and, on first visit, the cells it reaches, in the order
+  /// of a recursive depth-first walk. Pending steps wait on an explicit
+  /// stack, so the call depth stays constant at any heap depth.
   void mix_value(const Value& value) {
+    std::vector<Step> stack{Values{&value, &value + 1}};
+    while (!stack.empty()) {
+      const Step step = stack.back();
+      stack.pop_back();
+      if (const auto* values = std::get_if<Values>(&step)) {
+        Values rest = *values;
+        const Value& v = *rest.next;
+        if (++rest.next != rest.end) stack.emplace_back(rest);
+        mix_one(v, stack);
+      } else if (const auto* pairs = std::get_if<Pairs>(&step)) {
+        Pairs rest = *pairs;
+        const auto& [name, v] = *rest.next;
+        if (++rest.next != rest.end) stack.emplace_back(rest);
+        mix_str(name);
+        mix_one(v, stack);
+      } else {
+        mix_tag(std::get<std::uint64_t>(step));
+      }
+    }
+  }
+
+  /// Mix one value's own bytes now; push the values it reaches.
+  void mix_one(const Value& value, std::vector<Step>& stack) {
     struct Visitor {
       Hasher& h;
+      std::vector<Step>& stack;
       void operator()(const Undefined&) { h.mix_tag(1); }
       void operator()(const Null&) { h.mix_tag(2); }
       void operator()(bool b) {
@@ -45,15 +96,16 @@ class Hasher {
       }
       void operator()(const ObjectPtr& o) {
         if (h.mix_ref(6, o.get())) return;
-        for (const auto& [k, v] : o->properties) {
-          h.mix_str(k);
-          h.mix_value(v);
-        }
+        push_pairs(o->properties, stack);
       }
       void operator()(const ArrayPtr& a) {
         if (h.mix_ref(7, a.get())) return;
-        h.mix_u64(a->elements.size());
-        for (const auto& v : a->elements) h.mix_value(v);
+        const auto& elements = a->elements;
+        h.mix_u64(elements.size());
+        if (!elements.empty()) {
+          stack.emplace_back(
+              Values{elements.data(), elements.data() + elements.size()});
+        }
       }
       void operator()(const FunctionPtr& f) {
         if (h.mix_ref(8, f.get())) return;
@@ -61,14 +113,16 @@ class Hasher {
         // Captured environment chain contributes content — but stop at the
         // global environment: globals are fingerprinted per-binding, and
         // folding them into every function hash would make all functions
-        // "change" whenever any global does.
+        // "change" whenever any global does. Each environment's slots mix,
+        // then tag 20, innermost first.
+        std::vector<const Environment*> chain;
         for (const Environment* env = f->closure.get();
              env && env != h.global_env_; env = env->parent().get()) {
-          for (const auto& [name, v] : env->slots()) {
-            h.mix_str(name);
-            h.mix_value(v);
-          }
-          h.mix_tag(20);
+          chain.push_back(env);
+        }
+        for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+          stack.emplace_back(std::uint64_t{20});
+          push_pairs((*it)->slots(), stack);
         }
       }
       void operator()(const TypedArrayPtr& t) {
@@ -105,7 +159,7 @@ class Hasher {
         h.mix_str(d->text);
       }
     };
-    std::visit(Visitor{*this}, value);
+    std::visit(Visitor{*this, stack}, value);
   }
 
   void mix_tag(std::uint64_t tag) { mix_u64(tag); }

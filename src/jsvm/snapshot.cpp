@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/util/base64.h"
 
@@ -43,50 +47,24 @@ struct Ids {
 /// functions, environments and DOM nodes — each numbered in first-visit
 /// order. The walk stops at the global environment and, when `attached` is
 /// given, at attached DOM nodes, which the restoring realm already holds.
+///
+/// The numbering is that of a recursive depth-first walk in which each
+/// step below runs to its end before the next one starts. An explicit
+/// stack of pending steps keeps the call depth constant at any heap depth,
+/// so a hostile 10^5-deep object, array or closure chain cannot overflow
+/// it. The heap must not change during a walk.
 struct Heap {
   Heap(const Interpreter& interp, const DomIndex* attached)
       : global_env(interp.globals().get()), attached(attached) {}
 
-  void add(const Value& value) {
-    if (const auto* obj = std::get_if<ObjectPtr>(&value)) {
-      if (!objects.add(*obj)) return;
-      for (const auto& [k, v] : (*obj)->properties) add(v);
-    } else if (const auto* arr = std::get_if<ArrayPtr>(&value)) {
-      if (!arrays.add(*arr)) return;
-      for (const auto& v : (*arr)->elements) add(v);
-    } else if (const auto* ta = std::get_if<TypedArrayPtr>(&value)) {
-      typed_arrays.add(*ta);
-    } else if (const auto* fn = std::get_if<FunctionPtr>(&value)) {
-      if (functions.add(*fn)) add_env((*fn)->closure);
-    } else if (const auto* dom = std::get_if<DomNodePtr>(&value)) {
-      add_dom(*dom);
-    }
-    // Primitives, natives (by name) and host objects (by restore
-    // expression) need no discovery.
-  }
+  /// A value: an object's property values, an array's elements and a
+  /// function's closure environment, after the cell itself.
+  void add(const Value& value) { walk(Range<Value>{&value, &value + 1}); }
 
   /// A DOM node's subtree in pre-order, each node followed by its canvas
   /// and listeners. A node already numbered or attached skips its subtree.
   void add_dom(const DomNodePtr& root) {
-    walk_pre_order(root, [&](const DomNodePtr& node) {
-      if (attached && attached->count(node.get())) return false;
-      if (!dom_nodes.add(node)) return false;
-      if (node->canvas_data) typed_arrays.add(node->canvas_data);
-      for (const auto& [type, handler] : node->listeners) add(handler);
-      return true;
-    });
-  }
-
-  void add_env(const EnvPtr& env) {
-    if (!env || env.get() == global_env || environments.id.count(env.get())) {
-      return;
-    }
-    add_env(env->parent());  // parents first → smaller ids
-    // The parent's slots can reach `env` through another closure over it;
-    // it is then numbered twice and the later id is the one referenced.
-    environments.id[env.get()] = environments.list.size();
-    environments.list.push_back(env);
-    for (const auto& [name, value] : env->slots()) add(value);
+    walk(Range<DomNodePtr>{&root, &root + 1});
   }
 
   bool shares_with(const Heap& other) const {
@@ -105,6 +83,103 @@ struct Heap {
   Ids<FunctionObj> functions;
   Ids<Environment> environments;
   Ids<DomNode> dom_nodes;
+
+ private:
+  /// The not yet walked part of a contiguous run of values, property or
+  /// slot pairs, or DOM nodes. A range holds its place on the stack while
+  /// its first item's subtree is walked, so the stack grows with the heap's
+  /// depth, not with its size.
+  template <typename T>
+  struct Range {
+    const T* next;
+    const T* end;
+  };
+  using Pair = std::pair<std::string, Value>;
+  /// An environment not yet numbered: its parents first, then NumberEnv.
+  struct EnterEnv {
+    const EnvPtr* env;
+  };
+  /// An environment whose parents are done: number it, then its slots.
+  struct NumberEnv {
+    const EnvPtr* env;
+  };
+  using Step = std::variant<Range<Value>, Range<Pair>, Range<DomNodePtr>,
+                            EnterEnv, NumberEnv>;
+
+  void walk(Step first) {
+    std::vector<Step> stack{first};
+    while (!stack.empty()) {
+      const Step step = stack.back();
+      stack.pop_back();
+      std::visit([&](auto s) { run(s, stack); }, step);
+    }
+  }
+
+  template <typename T>
+  static void push(const std::vector<T>& items, std::vector<Step>& stack) {
+    if (!items.empty()) {
+      stack.emplace_back(Range<T>{items.data(), items.data() + items.size()});
+    }
+  }
+
+  /// Walk a range's first item; the rest waits below its subtree.
+  template <typename T>
+  void run(Range<T> range, std::vector<Step>& stack) {
+    const T& item = *range.next;
+    if (++range.next != range.end) stack.emplace_back(range);
+    if constexpr (std::is_same_v<T, Value>) {
+      visit(item, stack);
+    } else if constexpr (std::is_same_v<T, Pair>) {
+      visit(item.second, stack);
+    } else {
+      visit_dom(item, stack);
+    }
+  }
+
+  void visit(const Value& value, std::vector<Step>& stack) {
+    if (const auto* obj = std::get_if<ObjectPtr>(&value)) {
+      if (objects.add(*obj)) push((*obj)->properties, stack);
+    } else if (const auto* arr = std::get_if<ArrayPtr>(&value)) {
+      if (arrays.add(*arr)) push((*arr)->elements, stack);
+    } else if (const auto* ta = std::get_if<TypedArrayPtr>(&value)) {
+      typed_arrays.add(*ta);
+    } else if (const auto* fn = std::get_if<FunctionPtr>(&value)) {
+      if (functions.add(*fn)) stack.emplace_back(EnterEnv{&(*fn)->closure});
+    } else if (const auto* dom = std::get_if<DomNodePtr>(&value)) {
+      stack.emplace_back(Range<DomNodePtr>{dom, dom + 1});
+    }
+    // Primitives, natives (by name) and host objects (by restore
+    // expression) need no discovery.
+  }
+
+  void visit_dom(const DomNodePtr& node, std::vector<Step>& stack) {
+    if (attached && attached->count(node.get())) return;
+    if (!dom_nodes.add(node)) return;
+    if (node->canvas_data) typed_arrays.add(node->canvas_data);
+    // Listeners before the children's subtrees.
+    push(node->children, stack);
+    push(node->listeners, stack);
+  }
+
+  void run(EnterEnv step, std::vector<Step>& stack) {
+    const EnvPtr& env = *step.env;
+    if (!env || env.get() == global_env || environments.id.count(env.get())) {
+      return;
+    }
+    // Parents first → smaller ids.
+    stack.emplace_back(NumberEnv{step.env});
+    stack.emplace_back(EnterEnv{&env->parent()});
+  }
+
+  void run(NumberEnv step, std::vector<Step>& stack) {
+    // The parent's slots can reach this environment through another
+    // closure over it; it is then numbered twice and the later id is the
+    // one referenced.
+    const EnvPtr& env = *step.env;
+    environments.id[env.get()] = environments.list.size();
+    environments.list.push_back(env);
+    push(env->slots(), stack);
+  }
 };
 
 /// Serializer: one heap discovery, then ordered emission of shells before

@@ -20,7 +20,7 @@ class FullyConnectedLayer final : public Layer {
   Tensor forward(std::span<const Tensor* const> inputs) const override;
 
   std::uint64_t param_count() const override;
-  void init_params(util::Pcg32& rng) override;
+  std::vector<ParamSpan> param_spans() override;
   void write_params(util::BinaryWriter& w) const override;
   void read_params(util::BinaryReader& r) override;
   std::string config_str() const override;

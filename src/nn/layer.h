@@ -10,6 +10,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/nn/tensor.h"
 #include "src/util/bytes.h"
@@ -31,6 +32,21 @@ enum class LayerKind : std::uint8_t {
 };
 
 const char* layer_kind_name(LayerKind kind);
+
+/// A run of a layer's parameters and the range [lo, hi) their synthetic
+/// values are drawn from.
+struct ParamSpan {
+  std::span<float> values;
+  double lo = 0;
+  double hi = 0;
+};
+
+/// Synthetic values for positions [begin, end) of the stream that
+/// concatenates `spans`: each is static_cast<float>(rng.uniform(lo, hi)) of
+/// its span, drawn in stream order from `rng`, which must stand at position
+/// `begin` (two u32 per value, see util::Pcg32::uniform).
+void fill_uniform(std::span<const ParamSpan> spans, std::uint64_t begin,
+                  std::uint64_t end, util::Pcg32& rng);
 
 class Layer {
  public:
@@ -57,7 +73,14 @@ class Layer {
   virtual Tensor forward(std::span<const Tensor* const> inputs) const = 0;
 
   virtual std::uint64_t param_count() const { return 0; }
-  virtual void init_params(util::Pcg32& /*rng*/) {}
+  /// The parameters in synthesis order (weights, then bias), each with its
+  /// init range; empty for layers without parameters.
+  virtual std::vector<ParamSpan> param_spans() { return {}; }
+  /// Rebuild whatever the layer derives from its parameters (conv weight
+  /// packs) after they were written through param_spans().
+  virtual void params_changed() {}
+  /// Draw every parameter from `rng` (fill_uniform over param_spans()).
+  void init_params(util::Pcg32& rng);
   virtual void write_params(util::BinaryWriter& /*w*/) const {}
   virtual void read_params(util::BinaryReader& /*r*/) {}
 

@@ -77,6 +77,27 @@ void Layer::require_arity(std::span<const Shape> inputs, std::size_t n,
   }
 }
 
+void fill_uniform(std::span<const ParamSpan> spans, std::uint64_t begin,
+                  std::uint64_t end, util::Pcg32& rng) {
+  std::uint64_t pos = 0;  // stream position of the span's first value
+  for (const ParamSpan& span : spans) {
+    if (pos >= end) break;
+    const std::uint64_t size = span.values.size();
+    const std::uint64_t first = std::max(begin, pos);
+    const std::uint64_t last = std::min(end, pos + size);
+    for (std::uint64_t i = first; i < last; ++i) {
+      span.values[i - pos] = static_cast<float>(rng.uniform(span.lo, span.hi));
+    }
+    pos += size;
+  }
+}
+
+void Layer::init_params(util::Pcg32& rng) {
+  const std::vector<ParamSpan> spans = param_spans();
+  fill_uniform(spans, 0, std::numeric_limits<std::uint64_t>::max(), rng);
+  params_changed();
+}
+
 // ---------------------------------------------------------------- InputLayer
 
 Shape InputLayer::output_shape(std::span<const Shape> inputs) const {
@@ -331,19 +352,17 @@ std::uint64_t ConvLayer::param_count() const {
   return static_cast<std::uint64_t>(weights_.elements() + bias_.elements());
 }
 
-void ConvLayer::init_params(util::Pcg32& rng) {
+std::vector<ParamSpan> ConvLayer::param_spans() {
   // Xavier-style scale keeps activations bounded through deep stacks so
   // synthetic-weight forward passes stay numerically sane.
   const double fan_in =
       static_cast<double>((config_.in_channels / config_.groups) *
                           config_.kernel * config_.kernel);
   const float scale = static_cast<float>(std::sqrt(3.0 / fan_in));
-  for (auto& v : weights_.data()) {
-    v = static_cast<float>(rng.uniform(-scale, scale));
-  }
-  for (auto& v : bias_.data()) {
-    v = static_cast<float>(rng.uniform(-0.01, 0.01));
-  }
+  return {{weights_.data(), -scale, scale}, {bias_.data(), -0.01, 0.01}};
+}
+
+void ConvLayer::params_changed() {
   invalidate_packs();
   warm_pack();  // pack once up front; forward never repacks
 }
@@ -356,8 +375,7 @@ void ConvLayer::write_params(util::BinaryWriter& w) const {
 void ConvLayer::read_params(util::BinaryReader& r) {
   r.f32s(weights_.data());
   r.f32s(bias_.data());
-  invalidate_packs();
-  warm_pack();
+  params_changed();
 }
 
 std::string ConvLayer::config_str() const {
@@ -494,15 +512,10 @@ std::uint64_t FullyConnectedLayer::param_count() const {
   return static_cast<std::uint64_t>(weights_.elements() + bias_.elements());
 }
 
-void FullyConnectedLayer::init_params(util::Pcg32& rng) {
+std::vector<ParamSpan> FullyConnectedLayer::param_spans() {
   const float scale =
       static_cast<float>(std::sqrt(3.0 / static_cast<double>(in_)));
-  for (auto& v : weights_.data()) {
-    v = static_cast<float>(rng.uniform(-scale, scale));
-  }
-  for (auto& v : bias_.data()) {
-    v = static_cast<float>(rng.uniform(-0.01, 0.01));
-  }
+  return {{weights_.data(), -scale, scale}, {bias_.data(), -0.01, 0.01}};
 }
 
 void FullyConnectedLayer::write_params(util::BinaryWriter& w) const {

@@ -1,8 +1,10 @@
 #include "src/nn/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
+#include "src/util/thread_pool.h"
 
 namespace offload::nn {
 
@@ -58,8 +60,28 @@ bool Network::has_layer(std::string_view layer_name) const {
 }
 
 void Network::init_params(std::uint64_t seed) {
-  util::Pcg32 rng(seed, 0x6d6f64656cULL);
-  for (auto& node : nodes_) node.layer->init_params(rng);
+  // One stream of uniforms over every layer's param_spans() in node order.
+  // Fixed-size blocks of it, which cross layer boundaries, are filled on
+  // the pool; each chunk of blocks jumps the generator to its first value,
+  // so the weights are the serial stream's at any pool size.
+  std::vector<ParamSpan> spans;
+  for (auto& node : nodes_) {
+    for (ParamSpan& span : node.layer->param_spans()) spans.push_back(span);
+  }
+  std::uint64_t total = 0;
+  for (const ParamSpan& span : spans) total += span.values.size();
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
+  const util::Pcg32 origin(seed, 0x6d6f64656cULL);
+  const auto blocks = static_cast<std::int64_t>((total + kBlock - 1) / kBlock);
+  util::parallel_for(0, blocks, 1, [&](std::int64_t lo, std::int64_t hi) {
+    const std::uint64_t begin = static_cast<std::uint64_t>(lo) * kBlock;
+    util::Pcg32 rng = origin;
+    rng.advance(2 * begin);  // two u32 per uniform
+    fill_uniform(spans, begin,
+                 std::min(total, static_cast<std::uint64_t>(hi) * kBlock), rng);
+  });
+  // Each conv packs its weights once.
+  for (auto& node : nodes_) node.layer->params_changed();
 }
 
 std::uint64_t Network::param_count() const {

@@ -19,7 +19,9 @@ class Crc32 {
   std::uint32_t state_ = 0xffffffffu;
 };
 
-/// One-shot CRC-32 of a byte span.
+/// One-shot CRC-32 of a byte span. Inputs of 2 MiB or more are CRC'd in
+/// 1 MiB blocks on the default pool and the block CRCs combined exactly, so
+/// the value is the serial one at any pool size.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 std::uint32_t crc32(std::string_view data);
 

@@ -24,10 +24,29 @@ class Pcg32 {
 
   std::uint32_t next_u32() {
     std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMult + inc_;
     auto xorshifted = static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
     auto rot = static_cast<std::uint32_t>(old >> 59);
     return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
+  }
+
+  /// Skip `delta` next_u32 draws in O(log delta) (O'Neill's LCG
+  /// jump-ahead): the generator is then exactly where `delta` calls to
+  /// next_u32 would have left it.
+  void advance(std::uint64_t delta) {
+    std::uint64_t cur_mult = kMult;
+    std::uint64_t cur_plus = inc_;
+    std::uint64_t acc_mult = 1;
+    std::uint64_t acc_plus = 0;
+    for (; delta != 0; delta >>= 1) {
+      if (delta & 1) {
+        acc_mult *= cur_mult;
+        acc_plus = acc_plus * cur_mult + cur_plus;
+      }
+      cur_plus = (cur_mult + 1) * cur_plus;
+      cur_mult *= cur_mult;
+    }
+    state_ = acc_mult * state_ + acc_plus;
   }
 
   std::uint64_t next_u64() {
@@ -64,7 +83,9 @@ class Pcg32 {
     return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);
   }
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi). Draws exactly two u32 (one canonical()),
+  /// so the i-th value of a stream of uniforms is reached by advance(2 * i);
+  /// parallel synthetic weights (nn::Network::init_params) rely on this.
   double uniform(double lo, double hi) { return lo + (hi - lo) * canonical(); }
 
   /// Standard normal via Box–Muller.
@@ -79,6 +100,8 @@ class Pcg32 {
   bool chance(double p) { return canonical() < p; }
 
  private:
+  static constexpr std::uint64_t kMult = 6364136223846793005ULL;
+
   std::uint64_t state_;
   std::uint64_t inc_;
 };

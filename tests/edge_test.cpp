@@ -121,6 +121,35 @@ TEST(ModelStoreDedup, CorruptionBeforeTheFirstDigestIsCaught) {
   EXPECT_EQ(store.blob_count(), 0u);
 }
 
+/// Random content of 3 MiB + 5 bytes: one-shot CRCs of it run on the pool
+/// in 1 MiB blocks.
+util::Bytes large_model_file() {
+  util::Pcg32 rng(61);
+  util::Bytes bytes((std::size_t{3} << 20) + 5);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+  return bytes;
+}
+
+/// One byte in the first, a middle and the last 1 MiB block.
+std::vector<std::size_t> damage_offsets(std::size_t size) {
+  return {0, size / 2, size - 1};
+}
+
+TEST(ModelStoreDedup, CorruptionInAnyBlockOfALargeFileIsCaught) {
+  const util::Bytes big = large_model_file();
+  for (std::size_t at : damage_offsets(big.size())) {
+    ModelStore store;
+    store.store_file({"big.weights", big});
+    ASSERT_NE(store.find_blob(digest_of(big)), nullptr);
+    ASSERT_TRUE(store.corrupt_blob(digest_of(big), at));
+    bool corrupt = false;
+    EXPECT_EQ(store.find_blob(digest_of(big), &corrupt), nullptr)
+        << "byte " << at;
+    EXPECT_TRUE(corrupt) << "byte " << at;
+    EXPECT_EQ(store.blob_count(), 0u);
+  }
+}
+
 TEST(ModelStoreDedup, ClearDropsUndigestedEntries) {
   ModelStore store;
   const util::Bytes a{1, 2, 3};
@@ -354,6 +383,25 @@ TEST(ProtocolTest, PayloadCrcDetectsCorruption) {
 
   net::Message empty;  // payload-free messages are trivially intact
   EXPECT_TRUE(payload_intact(empty));
+}
+
+TEST(ProtocolTest, PayloadCrcDetectsCorruptionInAnyBlockOfLargeModelFiles) {
+  ModelFilesPayload files;
+  files.files.push_back({"big.weights", large_model_file()});
+  net::Message m;
+  m.type = net::MessageType::kModelFiles;
+  m.name = "big";
+  m.payload = files.encode();
+  util::Crc32 serial;  // stamped by one serial pass
+  serial.update(std::span<const std::uint8_t>(m.payload));
+  m.crc = serial.value();
+  EXPECT_NO_THROW(verify_payload(m));
+  for (std::size_t at : damage_offsets(m.payload.size())) {
+    m.payload[at] ^= 0x40;
+    EXPECT_THROW(verify_payload(m), PayloadCorruptError) << "byte " << at;
+    m.payload[at] ^= 0x40;
+  }
+  EXPECT_NO_THROW(verify_payload(m));
 }
 
 }  // namespace

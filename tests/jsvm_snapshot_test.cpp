@@ -391,6 +391,41 @@ TEST_P(HeapRoundTrip, RestoredRealmFingerprintsEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, HeapRoundTrip, ::testing::Values(100, 10000));
 
+/// A 10^5-deep chain built by `source` in a fresh realm survives capture
+/// (whose heap walk keeps a constant call depth), restores on a fresh
+/// realm and fingerprints the same there.
+void check_deep_chain(const std::string& source) {
+  Interpreter a;
+  a.eval_program(source);
+  SnapshotResult snap = capture_snapshot(a);
+  Interpreter b;
+  restore_snapshot(b, snap.program);
+  EXPECT_EQ(fingerprint_realm(a).version, fingerprint_realm(b).version);
+}
+
+TEST(SnapshotDeepChain, ObjectChain) {
+  check_deep_chain(
+      "var head = {};\n"
+      "var p = head;\n"
+      "for (var i = 0; i < 100000; i++) { p.next = {}; p = p.next; }\n");
+}
+
+TEST(SnapshotDeepChain, ArrayChain) {
+  check_deep_chain(
+      "var head = [];\n"
+      "var q = head;\n"
+      "for (var i = 0; i < 100000; i++) { var n = []; q.push(n); q = n; }\n");
+}
+
+TEST(SnapshotDeepChain, ClosureChain) {
+  // Each closure's environment holds the previous closure.
+  check_deep_chain(
+      "var f = function() { return 0; };\n"
+      "for (var i = 0; i < 100000; i++) {\n"
+      "  f = (function(prev) { return function() { return prev; }; })(f);\n"
+      "}\n");
+}
+
 // ------------------------------------------------------------ writer goldens
 
 /// One realm that reaches every branch of the snapshot writer: a closure

@@ -20,6 +20,7 @@
 #include "src/nn/network.h"
 #include "src/nn/pool.h"
 #include "src/util/arena.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -304,6 +305,34 @@ TEST(ScratchArena, AlignedAllocations) {
   util::ScratchArena::Frame f(arena);
   for (std::size_t n : {1u, 3u, 100u, 1000u}) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f.floats(n)) % 64, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Synthetic weights: one uniform stream over every layer's parameters, filled
+// block-parallel by jump-ahead. The CRC-32 of each model's saved weights is
+// pinned to the value of the serial fill.
+
+TEST(SyntheticWeights, BitIdenticalAtAnyThreadCount) {
+  PoolGuard guard;
+  struct Pinned {
+    std::unique_ptr<nn::Network> (*build)(std::uint64_t);
+    std::uint64_t seed;
+    std::uint32_t crc;
+  };
+  const Pinned models[] = {
+      {nn::build_googlenet, 7, 0x6f5dd579u},
+      {nn::build_agenet, 11, 0xfdf47b4au},
+      {nn::build_gendernet, 13, 0xb7532b98u},
+      {nn::build_tiny_cnn_default, 17, 0xf8bca8deu},
+  };
+  for (std::size_t threads : {1, 2, 4}) {
+    util::set_default_pool_threads(threads);
+    for (const Pinned& m : models) {
+      const auto net = m.build(m.seed);
+      EXPECT_EQ(util::crc32(nn::save_weights(*net)), m.crc)
+          << net->name() << " at " << threads << " threads";
+    }
   }
 }
 

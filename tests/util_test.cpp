@@ -16,6 +16,7 @@
 #include "src/util/stats.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 
 namespace offload::util {
 namespace {
@@ -124,6 +125,37 @@ TEST(Crc32, SplitAtEveryOffsetMatchesOneShot) {
   }
 }
 
+TEST(Crc32, BlockParallelMatchesSerial) {
+  // One-shot inputs of two or more 1 MiB blocks are CRC'd block by block
+  // on the pool and the block CRCs combined; the incremental update stays
+  // one serial pass and is the reference here.
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  Pcg32 rng(47);
+  Bytes data(3 * kBlock + 7 + 64);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  std::vector<std::size_t> lengths = {0,          1,
+                                      kBlock - 1, kBlock,
+                                      kBlock + 1, 2 * kBlock - 1,
+                                      2 * kBlock, 2 * kBlock + 1,
+                                      3 * kBlock + 7};
+  for (int i = 0; i < 4; ++i) {
+    lengths.push_back(rng.next_below(static_cast<std::uint32_t>(3 * kBlock)));
+  }
+  for (std::size_t threads : {1, 2, 4}) {
+    set_default_pool_threads(threads);
+    for (std::size_t len : lengths) {
+      const std::size_t offset = rng.next_below(64);
+      const auto s = std::span<const std::uint8_t>(data).subspan(offset, len);
+      Crc32 serial;
+      serial.update(s);
+      EXPECT_EQ(crc32(s), serial.value()) << "threads " << threads
+                                          << " offset " << offset
+                                          << " length " << len;
+    }
+  }
+  set_default_pool_threads(0);
+}
+
 /// Floats whose bit patterns a lossy path would disturb: signed zero,
 /// infinities, a denormal and a NaN carrying a payload.
 std::vector<float> tricky_floats() {
@@ -210,6 +242,25 @@ TEST(Rng, DeterministicStreams) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u32(), b.next_u32());
   Pcg32 c(43);
   EXPECT_NE(a.next_u32(), c.next_u32());
+}
+
+TEST(Pcg32, AdvanceMatchesStepping) {
+  for (std::uint64_t delta : {0ull, 1ull, 2ull, 63ull, (1ull << 20) + 3}) {
+    Pcg32 stepped(51, 7);
+    Pcg32 jumped = stepped;
+    for (std::uint64_t i = 0; i < delta; ++i) stepped.next_u32();
+    jumped.advance(delta);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(jumped.next_u32(), stepped.next_u32()) << "delta " << delta;
+    }
+  }
+  // uniform() draws exactly two u32, so value i of a uniform stream sits
+  // at advance(2 * i).
+  Pcg32 drawn(53);
+  Pcg32 jumped = drawn;
+  for (int i = 0; i < 5; ++i) drawn.uniform(-1.0, 1.0);
+  jumped.advance(10);
+  EXPECT_EQ(jumped.uniform(-1.0, 1.0), drawn.uniform(-1.0, 1.0));
 }
 
 TEST(Rng, BoundsRespected) {
