@@ -380,6 +380,15 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
   } catch (const jsvm::ParseError&) {
     browser_.reset();
     return reject_snapshot(from, message);
+  } catch (const InvalidCutError&) {
+    // The snapshot's cut is past the stored model's last node.
+    browser_.reset();
+    return reject_snapshot(from, message);
+  } catch (const util::DecodeError&) {
+    // Checking the cut instantiated a stored model whose files are
+    // malformed.
+    browser_.reset();
+    return reject_snapshot(from, message);
   }
   record.execute_s = browser_->consume_compute_seconds();
 

@@ -31,6 +31,13 @@ const std::string& this_string(const Value& this_value, const char* what) {
   return *s;
 }
 
+/// A slice() bound: negative counts back from the end, as in JS; the
+/// result is clamped to [0, size].
+std::int64_t slice_bound(const Value& arg, std::int64_t size) {
+  const std::int64_t i = to_integer_clamped(to_number(arg), -size, size);
+  return i < 0 ? i + size : i;
+}
+
 const DomNodePtr& this_dom(const Value& this_value, const char* what) {
   const auto* d = std::get_if<DomNodePtr>(&this_value);
   if (!d) throw JsError(std::string(what) + ": receiver is not a DOM node");
@@ -86,10 +93,7 @@ EnvPtr env_from_value(const Value& v, const Interpreter& interp) {
 TypedArrayPtr make_f32(const Value& arg) {
   auto ta = std::make_shared<TypedArray>();
   if (const auto* n = std::get_if<double>(&arg)) {
-    if (*n < 0 || *n != std::floor(*n)) {
-      throw JsError("Float32Array: bad length");
-    }
-    ta->data.assign(static_cast<std::size_t>(*n), 0.0f);
+    ta->data.assign(to_length(*n, "Float32Array"), 0.0f);
     return ta;
   }
   if (const auto* arr = std::get_if<ArrayPtr>(&arg)) {
@@ -214,15 +218,8 @@ void Interpreter::install_builtins() {
                                     std::span<Value> args) -> Value {
     const ArrayPtr& arr = this_array(this_value, "slice");
     auto size = static_cast<std::int64_t>(arr->elements.size());
-    auto clamp = [size](double d) {
-      auto i = static_cast<std::int64_t>(d);
-      if (i < 0) i += size;
-      return std::max<std::int64_t>(0, std::min(i, size));
-    };
-    std::int64_t from =
-        args.empty() ? 0 : clamp(to_number(args[0]));
-    std::int64_t to =
-        args.size() < 2 ? size : clamp(to_number(args[1]));
+    std::int64_t from = args.empty() ? 0 : slice_bound(args[0], size);
+    std::int64_t to = args.size() < 2 ? size : slice_bound(args[1], size);
     auto out = interp.make_array();
     for (std::int64_t i = from; i < to; ++i) {
       out->elements.push_back(arr->elements[static_cast<std::size_t>(i)]);
@@ -234,8 +231,10 @@ void Interpreter::install_builtins() {
   register_native("String.charAt", [](Interpreter&, const Value& this_value,
                                       std::span<Value> args) -> Value {
     const std::string& s = this_string(this_value, "charAt");
-    auto i = static_cast<std::int64_t>(to_number(arg_or_undefined(args, 0)));
-    if (i < 0 || i >= static_cast<std::int64_t>(s.size())) return std::string();
+    const auto size = static_cast<std::int64_t>(s.size());
+    const std::int64_t i =
+        to_integer_clamped(to_number(arg_or_undefined(args, 0)), -1, size);
+    if (i < 0 || i >= size) return std::string();
     return std::string(1, s[static_cast<std::size_t>(i)]);
   });
   register_native("String.indexOf", [](Interpreter&, const Value& this_value,
@@ -249,13 +248,8 @@ void Interpreter::install_builtins() {
                                      std::span<Value> args) -> Value {
     const std::string& s = this_string(this_value, "slice");
     auto size = static_cast<std::int64_t>(s.size());
-    auto clamp = [size](double d) {
-      auto i = static_cast<std::int64_t>(d);
-      if (i < 0) i += size;
-      return std::max<std::int64_t>(0, std::min(i, size));
-    };
-    std::int64_t from = args.empty() ? 0 : clamp(to_number(args[0]));
-    std::int64_t to = args.size() < 2 ? size : clamp(to_number(args[1]));
+    std::int64_t from = args.empty() ? 0 : slice_bound(args[0], size);
+    std::int64_t to = args.size() < 2 ? size : slice_bound(args[1], size);
     if (from >= to) return std::string();
     return s.substr(static_cast<std::size_t>(from),
                     static_cast<std::size_t>(to - from));
@@ -501,15 +495,14 @@ void Interpreter::install_builtins() {
                                          std::span<Value> args) -> Value {
         // DFS index over the body tree (body itself = 0). Differential
         // snapshots use this to address server-side DOM nodes in place.
-        auto want = static_cast<std::int64_t>(
-            to_number(arg_or_undefined(args, 0)));
-        std::int64_t counter = 0;
+        const double want = to_number(arg_or_undefined(args, 0));
+        double counter = 0;
         DomNodePtr found = find_pre_order(
             interp.document().body(),
             [&](const DomNodePtr&) { return counter++ == want; });
         if (!found) {
           throw JsError("__domByIndex: no node at index " +
-                        std::to_string(want));
+                        number_to_string(want));
         }
         return found;
       }));

@@ -2,8 +2,6 @@
 // DOM and host objects. Methods on built-in types (arrays, strings, DOM
 // nodes) are unbound registry natives that read their receiver from
 // `this`, so storing them in variables keeps them snapshot-safe.
-#include <cmath>
-
 #include "src/jsvm/interpreter.h"
 
 namespace offload::jsvm {
@@ -11,12 +9,12 @@ namespace {
 
 std::int64_t to_index(const Value& index, std::size_t size, const char* what,
                       bool allow_end = false) {
-  double d = to_number(index);
-  if (d < 0 || d != std::floor(d)) {
+  const double d = to_number(index);
+  const auto limit = static_cast<std::int64_t>(size) + (allow_end ? 0 : -1);
+  const std::int64_t i = to_integer_clamped(d, -1, limit + 1);
+  if (i < 0 || static_cast<double>(i) != d) {
     throw JsError(std::string(what) + ": bad index " + number_to_string(d));
   }
-  auto i = static_cast<std::int64_t>(d);
-  auto limit = static_cast<std::int64_t>(size) + (allow_end ? 0 : -1);
   if (i > limit) {
     throw JsError(std::string(what) + ": index " + std::to_string(i) +
                   " out of range (size " + std::to_string(size) + ")");
@@ -100,9 +98,8 @@ void Interpreter::set_member(const Value& object, std::string_view name,
   }
   if (const auto* arr = std::get_if<ArrayPtr>(&object)) {
     if (name == "length") {
-      double n = to_number(value);
-      if (n < 0 || n != std::floor(n)) throw JsError("bad array length");
-      (*arr)->elements.resize(static_cast<std::size_t>(n), Undefined{});
+      (*arr)->elements.resize(to_length(to_number(value), "array"),
+                              Undefined{});
       return;
     }
     throw JsError("cannot set array property '" + std::string(name) + "'");

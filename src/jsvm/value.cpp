@@ -247,6 +247,22 @@ double to_number(const Value& v) {
                 " to number");
 }
 
+std::int64_t to_integer_clamped(double d, std::int64_t lo, std::int64_t hi) {
+  if (std::isnan(d)) d = 0;
+  if (d <= static_cast<double>(lo)) return lo;
+  if (d >= static_cast<double>(hi)) return hi;
+  return static_cast<std::int64_t>(d);
+}
+
+std::size_t to_length(double d, const char* what) {
+  constexpr std::int64_t kMaxLength = 4294967295;  // 2^32 - 1
+  const std::int64_t n = to_integer_clamped(d, -1, kMaxLength + 1);
+  if (n < 0 || n > kMaxLength || static_cast<double>(n) != d) {
+    throw JsError(std::string(what) + ": bad length " + number_to_string(d));
+  }
+  return static_cast<std::size_t>(n);
+}
+
 std::string number_to_string(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "Infinity" : "-Infinity";

@@ -239,6 +239,16 @@ std::string_view type_of(const Value& v);
 /// is stricter than JS — no NaN-producing implicit coercions).
 double to_number(const Value& v);
 
+/// JS's ToIntegerOrInfinity of `d` (NaN reads as 0, fractions truncate
+/// toward zero), clamped to [lo, hi]. Every number the interpreter uses as
+/// a length or position becomes an integer here: it compares before it
+/// casts, so no double outside the integer range reaches a cast.
+std::int64_t to_integer_clamped(double d, std::int64_t lo, std::int64_t hi);
+
+/// `d` as an array or Float32Array length: a whole number in [0, 2^32 - 1]
+/// as in JS. Throws JsError naming `what` for anything else.
+std::size_t to_length(double d, const char* what);
+
 /// Human-readable rendering (console.log, string concatenation).
 std::string to_display_string(const Value& v);
 

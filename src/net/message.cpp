@@ -1,7 +1,5 @@
 #include "src/net/message.h"
 
-#include "src/util/crc32.h"
-
 namespace offload::net {
 
 const char* message_type_name(MessageType t) {
@@ -22,32 +20,6 @@ const char* message_type_name(MessageType t) {
       return "ModelOffer";
   }
   return "?";
-}
-
-util::Bytes Message::encode() const {
-  util::BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(id);
-  w.str(name);
-  w.blob(payload);
-  w.u32(util::crc32(payload));
-  return std::move(w).take();
-}
-
-Message Message::decode(std::span<const std::uint8_t> wire) {
-  util::BinaryReader r(wire);
-  Message m;
-  auto t = r.u8();
-  if (t < 1 || t > 7) throw util::DecodeError("Message: bad type");
-  m.type = static_cast<MessageType>(t);
-  m.id = r.u64();
-  m.name = r.str();
-  m.payload = r.blob();
-  m.crc = r.u32();
-  if (m.crc != util::crc32(m.payload)) {
-    throw util::DecodeError("Message: payload checksum mismatch");
-  }
-  return m;
 }
 
 }  // namespace offload::net

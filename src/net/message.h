@@ -35,24 +35,18 @@ struct Message {
   /// (edge::verify_payload) so in-flight corruption is caught rather than
   /// silently decoded.
   std::uint32_t crc = 0;
-  /// Trace coordinates for the obs layer. Out-of-band: not serialized by
-  /// encode()/decode() and excluded from wire_size(), so tracing never
-  /// perturbs simulated timings.
+  /// Trace coordinates for the obs layer. Out-of-band: excluded from
+  /// wire_size(), so tracing never perturbs simulated timings.
   obs::TraceContext ctx;
 
-  /// Framing overhead per message (type, id, name length, payload length,
-  /// checksum) — matches encode()'s actual header cost closely enough for
-  /// the link model.
+  /// Framing overhead the link model charges per message (type, id, name
+  /// and payload lengths, checksum). Messages move through the simulation
+  /// as structs; no frame is ever serialized.
   static constexpr std::uint64_t kHeaderBytes = 32;
 
   std::uint64_t wire_size() const {
     return kHeaderBytes + name.size() + payload.size();
   }
-
-  /// Serialize to bytes (with CRC). decode() throws util::DecodeError on a
-  /// corrupt buffer.
-  util::Bytes encode() const;
-  static Message decode(std::span<const std::uint8_t> wire);
 };
 
 }  // namespace offload::net

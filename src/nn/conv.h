@@ -37,11 +37,8 @@ class ConvLayer final : public Layer {
   /// task.
   Tensor forward(std::span<const Tensor* const> inputs) const override;
 
-  std::uint64_t param_count() const override;
   std::vector<ParamSpan> param_spans() override;
-  void write_params(util::BinaryWriter& w) const override;
   void params_changed() override;
-  void read_params(util::BinaryReader& r) override;
   std::string config_str() const override;
 
   const ConvConfig& config() const { return config_; }

@@ -19,10 +19,7 @@ class FullyConnectedLayer final : public Layer {
   std::uint64_t flops(std::span<const Shape> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs) const override;
 
-  std::uint64_t param_count() const override;
   std::vector<ParamSpan> param_spans() override;
-  void write_params(util::BinaryWriter& w) const override;
-  void read_params(util::BinaryReader& r) override;
   std::string config_str() const override;
 
   std::int64_t in_features() const { return in_; }

@@ -1,9 +1,9 @@
 // Layer abstraction for the CNN inference engine. Layers are stateless with
 // respect to activations: forward() maps one sample's input tensors to its
 // output tensor. Parameters (conv filters, fc weights) live inside the
-// layer and are (de)serialized through write_params/read_params — that is
-// what the model files of Section III.B.1 ("pre-sending the NN model")
-// carry.
+// layer and are reached only through param_spans(): synthetic weights are
+// drawn into them, and the model files of Section III.B.1 ("pre-sending
+// the NN model") are saved from and loaded into them.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/nn/tensor.h"
-#include "src/util/bytes.h"
 #include "src/util/rng.h"
 
 namespace offload::nn {
@@ -72,17 +71,19 @@ class Layer {
   /// sample; the result is bit-identical at any thread count.
   virtual Tensor forward(std::span<const Tensor* const> inputs) const = 0;
 
-  virtual std::uint64_t param_count() const { return 0; }
-  /// The parameters in synthesis order (weights, then bias), each with its
-  /// init range; empty for layers without parameters.
+  /// The parameters in synthesis and file order (weights, then bias), each
+  /// with its init range; empty for layers without parameters. Returns
+  /// views only: it changes nothing.
   virtual std::vector<ParamSpan> param_spans() { return {}; }
+  /// Read-only view of the same spans, in the same order.
+  std::vector<std::span<const float>> param_spans() const;
+  /// Total length of param_spans().
+  std::uint64_t param_count() const;
   /// Rebuild whatever the layer derives from its parameters (conv weight
   /// packs) after they were written through param_spans().
   virtual void params_changed() {}
   /// Draw every parameter from `rng` (fill_uniform over param_spans()).
   void init_params(util::Pcg32& rng);
-  virtual void write_params(util::BinaryWriter& /*w*/) const {}
-  virtual void read_params(util::BinaryReader& /*r*/) {}
 
   /// One-line config for the model description file, e.g.
   /// "k=7 s=2 p=3 out=64". Parsed back by model_io.

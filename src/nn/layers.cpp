@@ -98,6 +98,22 @@ void Layer::init_params(util::Pcg32& rng) {
   params_changed();
 }
 
+std::vector<std::span<const float>> Layer::param_spans() const {
+  // The virtual param_spans() only forms views, so calling it on a const
+  // layer modifies nothing.
+  std::vector<std::span<const float>> views;
+  for (const ParamSpan& span : const_cast<Layer*>(this)->param_spans()) {
+    views.push_back(span.values);
+  }
+  return views;
+}
+
+std::uint64_t Layer::param_count() const {
+  std::uint64_t n = 0;
+  for (std::span<const float> span : param_spans()) n += span.size();
+  return n;
+}
+
 // ---------------------------------------------------------------- InputLayer
 
 Shape InputLayer::output_shape(std::span<const Shape> inputs) const {
@@ -348,10 +364,6 @@ Tensor ConvLayer::forward(std::span<const Tensor* const> inputs) const {
   return out;
 }
 
-std::uint64_t ConvLayer::param_count() const {
-  return static_cast<std::uint64_t>(weights_.elements() + bias_.elements());
-}
-
 std::vector<ParamSpan> ConvLayer::param_spans() {
   // Xavier-style scale keeps activations bounded through deep stacks so
   // synthetic-weight forward passes stay numerically sane.
@@ -365,17 +377,6 @@ std::vector<ParamSpan> ConvLayer::param_spans() {
 void ConvLayer::params_changed() {
   invalidate_packs();
   warm_pack();  // pack once up front; forward never repacks
-}
-
-void ConvLayer::write_params(util::BinaryWriter& w) const {
-  w.f32s(weights_.data());
-  w.f32s(bias_.data());
-}
-
-void ConvLayer::read_params(util::BinaryReader& r) {
-  r.f32s(weights_.data());
-  r.f32s(bias_.data());
-  params_changed();
 }
 
 std::string ConvLayer::config_str() const {
@@ -508,24 +509,10 @@ Tensor FullyConnectedLayer::forward(
   return out;
 }
 
-std::uint64_t FullyConnectedLayer::param_count() const {
-  return static_cast<std::uint64_t>(weights_.elements() + bias_.elements());
-}
-
 std::vector<ParamSpan> FullyConnectedLayer::param_spans() {
   const float scale =
       static_cast<float>(std::sqrt(3.0 / static_cast<double>(in_)));
   return {{weights_.data(), -scale, scale}, {bias_.data(), -0.01, 0.01}};
-}
-
-void FullyConnectedLayer::write_params(util::BinaryWriter& w) const {
-  w.f32s(weights_.data());
-  w.f32s(bias_.data());
-}
-
-void FullyConnectedLayer::read_params(util::BinaryReader& r) {
-  r.f32s(weights_.data());
-  r.f32s(bias_.data());
 }
 
 std::string FullyConnectedLayer::config_str() const {

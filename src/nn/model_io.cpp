@@ -222,10 +222,11 @@ util::Bytes save_weights(const Network& net, std::size_t begin,
   w.u32(count);
   for (std::size_t i = begin; i < end; ++i) {
     const Layer& layer = net.layer(i);
-    if (layer.param_count() == 0) continue;
+    const std::uint64_t params = layer.param_count();
+    if (params == 0) continue;
     w.str(layer.name());
-    w.u64(layer.param_count());
-    layer.write_params(w);
+    w.u64(params);
+    for (std::span<const float> span : layer.param_spans()) w.f32s(span);
   }
   return std::move(w).take();
 }
@@ -242,18 +243,30 @@ void load_weights(Network& net, std::span<const std::uint8_t> blob,
     throw util::DecodeError("weights: unsupported version");
   }
   std::uint32_t count = r.u32();
+  std::vector<bool> loaded(net.size(), false);
   for (std::uint32_t n = 0; n < count; ++n) {
     std::string name = r.str();
     std::uint64_t params = r.u64();
+    if (!net.has_layer(name)) {
+      throw util::DecodeError("weights: unknown layer " + name);
+    }
     std::size_t idx = net.index_of(name);
     if (idx < begin || idx >= end) {
       throw util::DecodeError("weights: layer " + name + " out of range");
     }
+    if (loaded[idx]) {
+      throw util::DecodeError("weights: layer " + name + " listed twice");
+    }
+    loaded[idx] = true;
     Layer& layer = net.layer(idx);
     if (layer.param_count() != params) {
       throw util::DecodeError("weights: parameter count mismatch for " + name);
     }
-    layer.read_params(r);
+    for (const ParamSpan& span : layer.param_spans()) r.f32s(span.values);
+    layer.params_changed();
+  }
+  if (!r.done()) {
+    throw util::DecodeError("weights: trailing bytes after the last layer");
   }
 }
 

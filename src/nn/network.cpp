@@ -85,15 +85,8 @@ void Network::init_params(std::uint64_t seed) {
 }
 
 std::uint64_t Network::param_count() const {
-  return param_count_in_range(0, nodes_.size());
-}
-
-std::uint64_t Network::param_count_in_range(std::size_t begin,
-                                            std::size_t end) const {
   std::uint64_t n = 0;
-  for (std::size_t i = begin; i < end && i < nodes_.size(); ++i) {
-    n += nodes_[i].layer->param_count();
-  }
+  for (const auto& node : nodes_) n += node.layer->param_count();
   return n;
 }
 

@@ -43,9 +43,6 @@ class Network {
 
   std::uint64_t param_count() const;
   std::uint64_t param_bytes() const { return param_count() * sizeof(float); }
-  /// Parameters held by nodes in [begin, end) — sizes the front/rear model
-  /// split of the privacy scheme.
-  std::uint64_t param_count_in_range(std::size_t begin, std::size_t end) const;
 
   /// Static per-node analysis (no tensor traffic): output shapes, FLOPs,
   /// output byte sizes, and the last node reading each output (the node

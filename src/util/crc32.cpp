@@ -87,11 +87,10 @@ std::uint32_t x8nmodp(std::uint64_t bytes) {
   return p;
 }
 
-}  // namespace
-
-void Crc32::update(std::span<const std::uint8_t> data) {
+/// The CRC-32 of `data` in one serial pass.
+std::uint32_t serial_crc32(std::span<const std::uint8_t> data) {
   const auto& t = kTables;
-  std::uint32_t crc = state_;
+  std::uint32_t crc = 0xffffffffu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   for (; n >= 8; p += 8, n -= 8) {
@@ -104,20 +103,16 @@ void Crc32::update(std::span<const std::uint8_t> data) {
   for (; n > 0; ++p, --n) {
     crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
-  state_ = crc;
+  return ~crc;
 }
 
-void Crc32::update(std::string_view data) { update(as_bytes(data)); }
+}  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   const std::size_t n = data.size();
   const auto blocks =
       static_cast<std::int64_t>((n + kParallelBlock - 1) / kParallelBlock);
-  if (blocks < 2) {
-    Crc32 c;
-    c.update(data);
-    return c.value();
-  }
+  if (blocks < 2) return serial_crc32(data);
   // Each chunk of whole blocks the pool hands out is CRC'd in one pass and
   // recorded at its first block; the chunk CRCs then join in input order.
   // A pool of one runs a single chunk: the serial pass.
@@ -127,9 +122,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
     const std::size_t begin = static_cast<std::size_t>(lo) * kParallelBlock;
     const std::size_t end =
         std::min(n, static_cast<std::size_t>(hi) * kParallelBlock);
-    Crc32 c;
-    c.update(data.subspan(begin, end - begin));
-    crc[lo] = c.value();
+    crc[lo] = serial_crc32(data.subspan(begin, end - begin));
     len[lo] = end - begin;
   });
   std::uint32_t out = 0;  // CRC of the empty prefix

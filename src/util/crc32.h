@@ -8,17 +8,6 @@
 
 namespace offload::util {
 
-/// Incremental CRC-32 accumulator.
-class Crc32 {
- public:
-  void update(std::span<const std::uint8_t> data);
-  void update(std::string_view data);
-  std::uint32_t value() const { return ~state_; }
-
- private:
-  std::uint32_t state_ = 0xffffffffu;
-};
-
 /// One-shot CRC-32 of a byte span. Inputs of 2 MiB or more are CRC'd in
 /// 1 MiB blocks on the default pool and the block CRCs combined exactly, so
 /// the value is the serial one at any pool size.

@@ -300,10 +300,4 @@ util::Bytes decompress(std::span<const std::uint8_t> input) {
   throw util::DecodeError("mlzma: bad magic");
 }
 
-double compression_ratio(std::span<const std::uint8_t> input) {
-  if (input.empty()) return 1.0;
-  util::Bytes c = compress(input);
-  return static_cast<double>(input.size()) / static_cast<double>(c.size());
-}
-
 }  // namespace offload::vmsynth

@@ -27,8 +27,4 @@ util::Bytes compress_single_stream(std::span<const std::uint8_t> input);
 /// corrupt input.
 util::Bytes decompress(std::span<const std::uint8_t> input);
 
-/// Compression ratio achieved on `input` (original/compressed; >= 1 means
-/// it shrank).
-double compression_ratio(std::span<const std::uint8_t> input);
-
 }  // namespace offload::vmsynth

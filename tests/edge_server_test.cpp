@@ -199,8 +199,9 @@ TEST(EdgeServerTest, FailedSnapshotsRejectedThenServedBitExact) {
   h.sim.run();
   h.client_inbox.clear();
   // A payload cut short does not decode; a program cut in half does not
-  // parse; a well-formed one whose script fails throws a JsError. The
-  // model is stored, so none of them is a missing model.
+  // parse; a well-formed one whose script fails throws a JsError; a
+  // partition cut past the model's last node is invalid. The model is
+  // stored, so none of them is a missing model.
   SnapshotPayload whole;
   whole.program = good;
   util::Bytes cut = whole.encode();
@@ -211,17 +212,56 @@ TEST(EdgeServerTest, FailedSnapshotsRejectedThenServedBitExact) {
   h.sim.run();
   h.send_program("tinycnn", "var y = undefinedName + 1;");
   h.sim.run();
-  ASSERT_EQ(h.client_inbox.size(), 3u);
+  SnapshotPayload past_end = whole;
+  past_end.cut = net->size();
+  h.send_payload("tinycnn", past_end.encode());
+  h.sim.run();
+  ASSERT_EQ(h.client_inbox.size(), 4u);
   for (const auto& m : h.client_inbox) {
     EXPECT_EQ(m.type, net::MessageType::kControl);
     EXPECT_EQ(m.name, "rejected:tinycnn");
   }
-  EXPECT_EQ(h.server->stats().snapshots_rejected, 3);
+  EXPECT_EQ(h.server->stats().snapshots_rejected, 4);
   EXPECT_EQ(h.server->stats().snapshots_executed, 0);
 
   EXPECT_EQ(serve_good(h), expected);
-  EXPECT_EQ(h.client_inbox.size(), 4u);
+  EXPECT_EQ(h.client_inbox.size(), 5u);
   EXPECT_EQ(h.server->stats().snapshots_executed, 1);
+}
+
+TEST(EdgeServerTest, MalformedPreSentWeightsRejectTheSnapshot) {
+  // The weights file carries a byte after its last layer. Both ways a
+  // snapshot instantiates the model, checking its partition cut and
+  // loadModel(), end in one rejection each.
+  auto net = nn::build_tiny_cnn(17);
+  std::vector<nn::ModelFile> files = nn::model_files(*net);
+  util::Bytes weights = *files[1].content;
+  weights.push_back(0);
+  files[1] = nn::ModelFile(files[1].name, std::move(weights));
+  Harness h;
+  ModelFilesPayload upload;
+  upload.files = std::move(files);
+  net::Message msg;
+  msg.type = net::MessageType::kModelFiles;
+  msg.name = net->name();
+  msg.payload = upload.encode();
+  h.channel->a().send(std::move(msg));
+  h.sim.run();
+  h.client_inbox.clear();
+
+  SnapshotPayload with_cut;
+  with_cut.program = Harness::capture("var x = 1;");
+  with_cut.cut = 2;
+  h.send_payload("tinycnn", with_cut.encode());
+  h.sim.run();
+  h.send_program("tinycnn", "var m = loadModel('tinycnn');");
+  h.sim.run();
+  ASSERT_EQ(h.client_inbox.size(), 2u);
+  for (const auto& m : h.client_inbox) {
+    EXPECT_EQ(m.type, net::MessageType::kControl);
+    EXPECT_EQ(m.name, "rejected:tinycnn");
+  }
+  EXPECT_EQ(h.server->stats().snapshots_rejected, 2);
 }
 
 TEST(EdgeServerTest, DifferentialAgainstUnknownBaselineRefused) {

@@ -10,6 +10,7 @@
 #include "src/util/hash.h"
 #include "src/jsvm/snapshot.h"
 #include "src/nn/models.h"
+#include "tests/crc32_reference.h"
 
 namespace offload::edge {
 namespace {
@@ -392,9 +393,7 @@ TEST(ProtocolTest, PayloadCrcDetectsCorruptionInAnyBlockOfLargeModelFiles) {
   m.type = net::MessageType::kModelFiles;
   m.name = "big";
   m.payload = files.encode();
-  util::Crc32 serial;  // stamped by one serial pass
-  serial.update(std::span<const std::uint8_t>(m.payload));
-  m.crc = serial.value();
+  m.crc = test_util::bytewise_crc32(m.payload);  // stamped by one serial pass
   EXPECT_NO_THROW(verify_payload(m));
   for (std::size_t at : damage_offsets(m.payload.size())) {
     m.payload[at] ^= 0x40;

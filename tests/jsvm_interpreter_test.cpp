@@ -238,6 +238,54 @@ TEST(InterpreterBuiltin, Math) {
   EXPECT_EQ(eval_number("Math.pow(2, 10);"), 1024);
 }
 
+// 1e30, +-Infinity and NaN as lengths and positions. A length or index
+// that is not a whole number in range throws JsError; none reaches an
+// integer cast out of its range.
+TEST(InterpreterBuiltin, HugeAndNonFiniteLengthsAndIndicesThrow) {
+  Interpreter interp;
+  for (const char* n :
+       {"1e30", "1 / 0", "-1 / 0", "0 / 0", "4294967296", "-1", "1.5"}) {
+    SCOPED_TRACE(n);
+    const std::string v = std::string("(") + n + ")";
+    EXPECT_THROW(interp.eval_program("Float32Array" + v + ";"), JsError);
+    EXPECT_THROW(interp.eval_program("var a = [1]; a.length = " + v + ";"),
+                 JsError);
+    EXPECT_THROW(interp.eval_program("var a = [1, 2]; a[" + v + "];"),
+                 JsError);
+    EXPECT_THROW(interp.eval_program("var a = [1, 2]; a[" + v + "] = 3;"),
+                 JsError);
+    EXPECT_THROW(interp.eval_program("var t = Float32Array(2); t[" + v + "];"),
+                 JsError);
+    EXPECT_THROW(
+        interp.eval_program("var t = Float32Array(2); t[" + v + "] = 1;"),
+        JsError);
+    EXPECT_THROW(interp.eval_program("'ab'[" + v + "];"), JsError);
+    EXPECT_THROW(interp.eval_program("__domByIndex" + v + ";"), JsError);
+  }
+}
+
+// slice() and charAt() read their arguments as JS's ToIntegerOrInfinity
+// does: NaN is 0, and huge or infinite positions clamp to the ends.
+TEST(InterpreterBuiltin, SliceAndCharAtClampHugeAndNonFinite) {
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(1e30).join(',');"), "");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(-1e30).join(',');"), "1,2,3");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(1 / 0).join(',');"), "");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(-1 / 0, 2).join(',');"), "1,2");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(0 / 0).join(',');"), "1,2,3");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(1, 1e30).join(',');"), "2,3");
+  EXPECT_EQ(eval_string("[1, 2, 3].slice(0, 0 / 0).join(',');"), "");
+  EXPECT_EQ(eval_string("'hello'.slice(1e30);"), "");
+  EXPECT_EQ(eval_string("'hello'.slice(-1 / 0, 1e30);"), "hello");
+  EXPECT_EQ(eval_string("'hello'.slice(0 / 0, 2);"), "he");
+  EXPECT_EQ(eval_string("'hello'.slice(-1e30, -1 / 0);"), "");
+  EXPECT_EQ(eval_string("'hello'.charAt(1e30);"), "");
+  EXPECT_EQ(eval_string("'hello'.charAt(-1e30);"), "");
+  EXPECT_EQ(eval_string("'hello'.charAt(1 / 0);"), "");
+  EXPECT_EQ(eval_string("'hello'.charAt(-1 / 0);"), "");
+  EXPECT_EQ(eval_string("'hello'.charAt(0 / 0);"), "h");
+  EXPECT_EQ(eval_string("'hello'.charAt(1.9);"), "e");
+}
+
 TEST(InterpreterBuiltin, MathRandomDeterministic) {
   Interpreter a;
   Interpreter b;

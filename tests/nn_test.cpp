@@ -169,15 +169,17 @@ TEST(Pool, NegativeInputsSurviveMax) {
 
 TEST(FullyConnected, HandCase) {
   FullyConnectedLayer fc("f", 3, 2);
-  // Row 0: [1,2,3] bias 1; row 1: [0,0,1] bias -1.
-  auto params = std::vector<float>{1, 2, 3, 0, 0, 1};
-  util::BinaryWriter w;
-  for (float v : params) w.f32(v);
-  w.f32(1.0f);
-  w.f32(-1.0f);
-  util::Bytes blob = std::move(w).take();
-  util::BinaryReader r{std::span<const std::uint8_t>(blob)};
-  fc.read_params(r);
+  // Row 0: [1,2,3] bias 1; row 1: [0,0,1] bias -1. The spans are the
+  // weights, then the bias.
+  const std::vector<std::vector<float>> params = {{1, 2, 3, 0, 0, 1}, {1, -1}};
+  const std::vector<ParamSpan> spans = fc.param_spans();
+  ASSERT_EQ(spans.size(), params.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    ASSERT_EQ(spans[i].values.size(), params[i].size());
+    std::copy(params[i].begin(), params[i].end(), spans[i].values.begin());
+  }
+  fc.params_changed();
+  EXPECT_EQ(fc.param_count(), 8u);
   Tensor in(Shape{3}, {1, 1, 1});
   const Tensor* ins[] = {&in};
   Tensor out = fc.forward(ins);
@@ -565,6 +567,50 @@ TEST(ModelIo, WeightsWrongNetworkThrows) {
   auto g = build_gendernet(2);
   auto blob = save_weights(*a);
   EXPECT_THROW(load_weights(*g, std::span(blob)), std::exception);
+}
+
+/// A weights file with the given layer count whose body is `entries`, the
+/// per-layer records of save_weights' format.
+util::Bytes weights_file(std::uint32_t count,
+                         std::span<const std::uint8_t> entries) {
+  util::BinaryWriter w;
+  w.raw("OFWT");
+  w.u32(1);
+  w.u32(count);
+  w.raw(entries);
+  return std::move(w).take();
+}
+
+TEST(ModelIo, WeightsMalformedFilesThrow) {
+  auto net = build_tiny_cnn(1);
+  const util::Bytes whole = save_weights(*net);
+  // The first parameterized layer's record alone, header stripped.
+  std::size_t first = 0;
+  while (net->layer(first).param_count() == 0) ++first;
+  const util::Bytes one = save_weights(*net, first, first + 1);
+  const auto entry = std::span<const std::uint8_t>(one).subspan(12);
+
+  util::Bytes trailing = whole;
+  trailing.push_back(0);
+  EXPECT_THROW(load_weights(*net, std::span(trailing)), util::DecodeError);
+
+  util::Bytes twice(entry.begin(), entry.end());
+  twice.insert(twice.end(), entry.begin(), entry.end());
+  EXPECT_THROW(load_weights(*net, weights_file(2, twice)),
+               util::DecodeError);
+
+  util::BinaryWriter w;
+  w.str("no_such_layer");
+  w.u64(0);
+  const util::Bytes unknown = std::move(w).take();
+  EXPECT_THROW(load_weights(*net, weights_file(1, unknown)),
+               util::DecodeError);
+
+  // Well-formed files that list only some layers still load: a single
+  // record, and a rear-only file.
+  EXPECT_NO_THROW(load_weights(*net, weights_file(1, entry)));
+  EXPECT_NO_THROW(
+      load_weights(*net, save_weights(*net, first + 1, net->size())));
 }
 
 }  // namespace

@@ -128,23 +128,6 @@ TEST(Link, RejectsBadConfig) {
                std::invalid_argument);
 }
 
-TEST(Message, EncodeDecodeWithChecksum) {
-  net::Message m;
-  m.type = net::MessageType::kSnapshot;
-  m.name = "googlenet";
-  m.payload = {1, 2, 3, 4, 5};
-  m.id = 77;
-  auto wire = m.encode();
-  net::Message d = net::Message::decode(std::span(wire));
-  EXPECT_EQ(d.type, m.type);
-  EXPECT_EQ(d.name, m.name);
-  EXPECT_EQ(d.payload, m.payload);
-  EXPECT_EQ(d.id, 77u);
-  // Corrupt a payload byte: checksum must catch it.
-  wire[wire.size() - 6] ^= 0xff;
-  EXPECT_THROW(net::Message::decode(std::span(wire)), util::DecodeError);
-}
-
 TEST(Channel, DeliversAtSimulatedArrivalTime) {
   Simulation sim;
   net::ChannelConfig cfg;

@@ -17,9 +17,12 @@
 #include "src/util/strings.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
+#include "tests/crc32_reference.h"
 
 namespace offload::util {
 namespace {
+
+using test_util::bytewise_crc32;
 
 TEST(Bytes, WriterReaderRoundTrip) {
   BinaryWriter w;
@@ -77,27 +80,6 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(""), 0u);
 }
 
-TEST(Crc32, IncrementalMatchesOneShot) {
-  Crc32 inc;
-  inc.update("hello ");
-  inc.update("world");
-  EXPECT_EQ(inc.value(), crc32("hello world"));
-}
-
-/// The bytewise table CRC, kept here as the reference the sliced
-/// implementation must agree with.
-std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t table[256];
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  std::uint32_t crc = 0xffffffffu;
-  for (auto b : data) crc = table[(crc ^ b) & 0xff] ^ (crc >> 8);
-  return ~crc;
-}
-
 TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
   Pcg32 rng(41);
   Bytes data(1024 + 8);
@@ -111,24 +93,9 @@ TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
   }
 }
 
-TEST(Crc32, SplitAtEveryOffsetMatchesOneShot) {
-  Pcg32 rng(43);
-  Bytes data(100);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
-  const std::span<const std::uint8_t> all(data);
-  const std::uint32_t whole = crc32(all);
-  for (std::size_t split = 0; split <= all.size(); ++split) {
-    Crc32 inc;
-    inc.update(all.first(split));
-    inc.update(all.subspan(split));
-    EXPECT_EQ(inc.value(), whole) << "split at " << split;
-  }
-}
-
 TEST(Crc32, BlockParallelMatchesSerial) {
-  // One-shot inputs of two or more 1 MiB blocks are CRC'd block by block
-  // on the pool and the block CRCs combined; the incremental update stays
-  // one serial pass and is the reference here.
+  // Inputs of two or more 1 MiB blocks are CRC'd block by block on the
+  // pool and the block CRCs combined; the bytewise CRC is the reference.
   constexpr std::size_t kBlock = std::size_t{1} << 20;
   Pcg32 rng(47);
   Bytes data(3 * kBlock + 7 + 64);
@@ -146,11 +113,9 @@ TEST(Crc32, BlockParallelMatchesSerial) {
     for (std::size_t len : lengths) {
       const std::size_t offset = rng.next_below(64);
       const auto s = std::span<const std::uint8_t>(data).subspan(offset, len);
-      Crc32 serial;
-      serial.update(s);
-      EXPECT_EQ(crc32(s), serial.value()) << "threads " << threads
-                                          << " offset " << offset
-                                          << " length " << len;
+      EXPECT_EQ(crc32(s), bytewise_crc32(s)) << "threads " << threads
+                                             << " offset " << offset
+                                             << " length " << len;
     }
   }
   set_default_pool_threads(0);
