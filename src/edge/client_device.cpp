@@ -22,20 +22,21 @@ ClientDevice::ClientDevice(sim::Simulation& sim, net::Endpoint& endpoint,
   if (!bundle_.network) {
     throw std::invalid_argument("ClientDevice: app bundle has no network");
   }
-  // The client owns the full, trained model locally.
   obs_ = config_.obs;
-  local_store_->store_files(nn::model_files(*bundle_.network));
-  // What a pre-send ships, built once: the stored bundle, or its rear
+  // The client owns the full, trained model and keeps it: its store serves
+  // this network, so loadModel never parses the client's own files. The
+  // store holds only what a pre-send ships, written once into the framed
+  // kModelFiles body every pre-send shares: the full bundle, or its rear
   // weights only when the front stays on the device. An adaptive
   // controller may re-cut shallower than the click-time cut, so it needs
   // the full weights.
-  send_files_ = local_store_->files();
-  if (!controller_active() && config_.presend_rear_only &&
-      config_.partition_cut != SIZE_MAX) {
-    send_files_.back() =
-        nn::model_files_rear_only(*bundle_.network, config_.partition_cut)
-            .back();
-  }
+  const bool rear_only = !controller_active() && config_.presend_rear_only &&
+                         config_.partition_cut != SIZE_MAX;
+  ModelFilesPayload::Written presend = ModelFilesPayload::write(
+      *bundle_.network, rear_only ? config_.partition_cut : SIZE_MAX);
+  presend_body_ = std::move(presend.body);
+  local_store_->store_files(std::move(presend.files));
+  local_store_->keep_network(bundle_.network->name(), bundle_.network);
   browser_ = std::make_unique<BrowserHost>(config_.profile, local_store_);
   browser_->add_image("input", bundle_.input_image);
   if (supervising()) backoff_.emplace(config_.supervisor);
@@ -80,16 +81,14 @@ void ClientDevice::send_model_files(bool count_as_presend) {
     // answers "have:<app>" (an ACK) when its model store covers the bundle,
     // or "send_files:<app>" naming the files it needs uploaded in full.
     ModelOfferPayload payload;
-    for (const nn::ModelFile& f : send_files_) {
+    for (const nn::ModelFile& f : local_store_->files()) {
       payload.files.push_back({f.name, local_store_->digest(f), f.size()});
     }
     msg.type = net::MessageType::kModelOffer;
     msg.payload = payload.encode();
   } else {
-    ModelFilesPayload payload;
-    payload.files = send_files_;
     msg.type = net::MessageType::kModelFiles;
-    msg.payload = payload.encode();
+    msg.payload = presend_body_;
   }
   timeline_.model_upload_bytes = msg.payload.size();
   if (count_as_presend) timeline_.model_upload_started = sim_.now();
@@ -112,7 +111,7 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   // files it asked for. The ACK still arrives through the normal
   // post-store path, so the pre-send span stays open until then.
   ModelFilesPayload payload;
-  for (const nn::ModelFile& f : send_files_) {
+  for (const nn::ModelFile& f : local_store_->files()) {
     for (const auto& name : request.names) {
       if (f.name == name) {
         payload.files.push_back(f);
@@ -123,7 +122,12 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   net::Message msg;
   msg.type = net::MessageType::kModelFiles;
   msg.name = bundle_.name;
-  msg.payload = payload.encode();
+  // Every file missed: the body already written says exactly that.
+  if (payload.files.size() == local_store_->file_count()) {
+    msg.payload = presend_body_;
+  } else {
+    msg.payload = payload.encode();
+  }
   timeline_.model_upload_bytes += msg.payload.size();
   if (obs_) {
     msg.ctx = {0, presend_span_, 0};
@@ -137,8 +141,9 @@ void ClientDevice::send_overlay() {
   // files, so installation doubles as pre-sending.
   vmsynth::VmImage base = vmsynth::make_base_image();
   std::vector<std::pair<std::string, util::Bytes>> model_files;
-  for (const nn::ModelFile& f : send_files_) {
-    model_files.emplace_back(f.name, *f.content);
+  for (const nn::ModelFile& f : local_store_->files()) {
+    model_files.emplace_back(f.name,
+                             util::Bytes(f.bytes().begin(), f.bytes().end()));
   }
   vmsynth::VmImage customized = vmsynth::make_customized_image(
       base, config_.overlay_sizes, model_files);

@@ -370,10 +370,10 @@ class ClientDevice {
   sim::Simulation& sim_;
   ClientConfig config_;
   AppBundle bundle_;
+  /// Holds exactly the files a pre-send ships (see the constructor).
   std::shared_ptr<ModelStore> local_store_;
-  /// The files a pre-send ships (see the constructor); they share the
-  /// local store's buffers, except rear-only weights.
-  std::vector<nn::ModelFile> send_files_;
+  /// The framed kModelFiles body those files view; every pre-send shares it.
+  util::SharedBytes presend_body_;
   std::unique_ptr<BrowserHost> browser_;
   ClientTimeline timeline_;
   std::vector<ClientTimeline> history_;

@@ -101,7 +101,22 @@ void EdgeServer::on_message(net::Endpoint& from, const net::Message& message) {
     });
     return;
   }
-  if (!message.payload.empty() && !payload_intact(message)) {
+  // A kModelFiles body is verified in the same single CRC pass that decodes
+  // it into views; every other payload is CRC'd whole.
+  std::optional<ModelFilesPayload> model_files;
+  bool intact = true;
+  if (message.type == net::MessageType::kModelFiles) {
+    try {
+      model_files = ModelFilesPayload::decode(message);
+    } catch (const PayloadCorruptError&) {
+      intact = false;
+    } catch (const util::DecodeError&) {
+      // Arrived as sent, but malformed: rejected below, once installed.
+    }
+  } else {
+    intact = message.payload.empty() || payload_intact(message);
+  }
+  if (!intact) {
     // Damaged in flight. Reject with a typed control reply so the sender
     // can retransmit instead of us decoding garbage.
     ++stats_.corrupt_rejected;
@@ -119,7 +134,8 @@ void EdgeServer::on_message(net::Endpoint& from, const net::Message& message) {
   switch (message.type) {
     case net::MessageType::kModelFiles:
       if (!installed()) return refuse(from, message);
-      return handle_model_files(from, message);
+      if (!model_files) return reject_presend(from, message);
+      return handle_model_files(from, message, std::move(*model_files));
     case net::MessageType::kModelOffer:
       if (!installed()) return refuse(from, message);
       return handle_model_offer(from, message);
@@ -145,9 +161,8 @@ void EdgeServer::refuse(net::Endpoint& from, const net::Message& message) {
 }
 
 void EdgeServer::handle_model_files(net::Endpoint& from,
-                                    const net::Message& message) {
-  ModelFilesPayload payload = ModelFilesPayload::decode(
-      std::span(message.payload));
+                                    const net::Message& message,
+                                    ModelFilesPayload payload) {
   const std::uint64_t bytes = nn::total_size(payload.files);
   store_->store_files(std::move(payload.files));
   ++stats_.models_stored;
@@ -169,8 +184,12 @@ void EdgeServer::handle_model_files(net::Endpoint& from,
 
 void EdgeServer::handle_model_offer(net::Endpoint& from,
                                     const net::Message& message) {
-  ModelOfferPayload offer =
-      ModelOfferPayload::decode(std::span(message.payload));
+  ModelOfferPayload offer;
+  try {
+    offer = ModelOfferPayload::decode(std::span(message.payload));
+  } catch (const util::DecodeError&) {
+    return reject_presend(from, message);
+  }
   ++stats_.model_offers;
   count("model_offers");
 
@@ -178,8 +197,7 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
   FileListPayload missing;
   for (const auto& entry : offer.files) {
     bool corrupt = false;
-    std::shared_ptr<const util::Bytes> blob =
-        store_->find_blob(entry.digest, &corrupt);
+    const nn::ModelFile* blob = store_->find_blob(entry.digest, &corrupt);
     if (corrupt) {
       // The cached copy rotted since it was stored; it was just evicted.
       // Falling through to "missing" forces a clean re-upload rather than
@@ -195,7 +213,8 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
         config_.obs->metrics.add(config_.obs_name + ".dedup_bytes_saved",
                                  entry.bytes);
       }
-      cached.emplace_back(entry.name, std::move(blob));
+      cached.push_back(*blob);
+      cached.back().name = entry.name;
     } else {
       ++stats_.dedup_miss_files;
       count("dedup_misses");
@@ -224,7 +243,7 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
 }
 
 bool EdgeServer::try_escalate(net::Endpoint& from, const std::string& app,
-                              util::Bytes payload, obs::TraceContext ctx,
+                              util::SharedBytes payload, obs::TraceContext ctx,
                               const char* reason) {
   if (!escalate_) return false;
   // Differential snapshots patch this server's session realm; they are
@@ -259,6 +278,16 @@ void EdgeServer::reject_snapshot(net::Endpoint& from,
   }
   OFFLOAD_LOG_WARN << "edge server: snapshot for '" << message.name
                    << "' failed to decode, parse or run, rejecting";
+  send_control(from, "rejected:" + message.name);
+}
+
+void EdgeServer::reject_presend(net::Endpoint& from,
+                                const net::Message& message) {
+  ++stats_.presends_rejected;
+  count("presends_rejected");
+  OFFLOAD_LOG_WARN << "edge server: " << net::message_type_name(message.type)
+                   << " pre-send for '" << message.name
+                   << "' failed to decode, rejecting";
   send_control(from, "rejected:" + message.name);
 }
 
@@ -486,7 +515,7 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
         if (epoch != boot_epoch_) return;
         // Queued too long. A job that can run elsewhere gets one more
         // chance up-tier before the client hears "expired:".
-        util::Bytes payload;
+        util::SharedBytes payload;
         if (auto it = migratable_.find(*id_box); it != migratable_.end()) {
           payload = std::move(it->second.payload);
           migratable_.erase(it);

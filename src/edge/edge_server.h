@@ -77,7 +77,7 @@ struct EdgeServerConfig {
 /// the whole session.
 struct EscalationRequest {
   std::string app;
-  util::Bytes payload;        ///< encoded SnapshotPayload, verbatim
+  util::SharedBytes payload;  ///< encoded SnapshotPayload, verbatim
   net::Endpoint* reply_to = nullptr;  ///< the client-facing b-side endpoint
   obs::TraceContext ctx;
   const char* reason = "";    ///< "overloaded" or "expired"
@@ -137,7 +137,7 @@ class EdgeServer {
   struct MigratableJob {
     std::uint64_t id = 0;
     std::string app;
-    util::Bytes payload;
+    util::SharedBytes payload;
     net::Endpoint* reply_to = nullptr;
     obs::TraceContext ctx;
     bool differential = false;
@@ -188,6 +188,7 @@ class EdgeServer {
     int corrupt_rejected = 0;     ///< payload CRC mismatches rejected
     int model_missing_replies = 0;
     int snapshots_rejected = 0;   ///< failed to decode, parse or run
+    int presends_rejected = 0;    ///< intact but malformed pre-send bodies
     int jobs_expired = 0;         ///< queue-deadline cancellations
     int snapshots_escalated = 0;  ///< jobs handed up-tier instead of shed
     int jobs_migrated = 0;        ///< queued jobs withdrawn via steal_job()
@@ -215,7 +216,8 @@ class EdgeServer {
 
  private:
   void on_message(net::Endpoint& from, const net::Message& message);
-  void handle_model_files(net::Endpoint& from, const net::Message& message);
+  void handle_model_files(net::Endpoint& from, const net::Message& message,
+                          ModelFilesPayload payload);
   void handle_model_offer(net::Endpoint& from, const net::Message& message);
   void handle_snapshot(net::Endpoint& from, const net::Message& message);
   void handle_overlay(net::Endpoint& from, const net::Message& message);
@@ -223,11 +225,14 @@ class EdgeServer {
   /// Reply "rejected:<app>" to a snapshot that failed to decode, parse or
   /// run.
   void reject_snapshot(net::Endpoint& from, const net::Message& message);
+  /// Reply "rejected:<app>" to a kModelFiles or kModelOffer body that
+  /// arrived as sent but does not decode; nothing is stored.
+  void reject_presend(net::Endpoint& from, const net::Message& message);
   /// Offer a would-be-shed/expired job to the escalation handler. True =
   /// the handler took it (stats and marker recorded); the caller must not
   /// shed or reply.
   bool try_escalate(net::Endpoint& from, const std::string& app,
-                    util::Bytes payload, obs::TraceContext ctx,
+                    util::SharedBytes payload, obs::TraceContext ctx,
                     const char* reason);
   void send_control(net::Endpoint& to, const std::string& name,
                     util::Bytes payload = {});

@@ -1,5 +1,12 @@
 // Payload codecs for the offloading protocol messages. Wire framing (type,
 // name, checksum) lives in net::Message; these encode the bodies.
+//
+// The model pre-send CRCs each file byte once per host: the client CRCs
+// each file as it writes it into the framed kModelFiles body, and folds the
+// body's CRC from those and the framing's; the server CRCs each segment of
+// the received body once as it decodes it into views, checks the folded
+// value against the message CRC, and hands the per-file CRCs to its model
+// store's index.
 #pragma once
 
 #include <cstdint>
@@ -24,17 +31,42 @@ class PayloadCorruptError : public std::runtime_error {
 bool payload_intact(const net::Message& message);
 
 /// Throws PayloadCorruptError unless payload_intact(message). Every edge
-/// endpoint calls this before decoding a payload-bearing message, so
-/// corruption is rejected instead of silently accepted.
+/// endpoint calls this (or, for a kModelFiles body,
+/// ModelFilesPayload::decode(message)) before decoding a payload-bearing
+/// message, so corruption is rejected instead of silently accepted.
 void verify_payload(const net::Message& message);
 
-/// Body of a kModelFiles message: the pre-sent model file bundle. Decoding
-/// makes one buffer per file; copying the payload shares the buffers.
+/// Body of a kModelFiles message: the pre-sent model file bundle, framed as
+/// a varint file count, then per file its name and its bytes, each a
+/// varint length and the bytes. Decoded files are views into the body's
+/// buffer; copying the payload shares it.
 struct ModelFilesPayload {
   std::vector<nn::ModelFile> files;
 
+  /// The framed body, each file's bytes copied in after its header.
   util::Bytes encode() const;
+  /// Views into a copy of `data` made once, each file CRC'd once. Throws
+  /// util::DecodeError on a malformed body.
   static ModelFilesPayload decode(std::span<const std::uint8_t> data);
+  /// Views into `message.payload`, verified against `message.crc` in the
+  /// same single CRC pass that gives each file its CRC. Throws
+  /// PayloadCorruptError when the bytes are not the ones sent, whether or
+  /// not they still parse; util::DecodeError when they arrived as sent but
+  /// are malformed.
+  static ModelFilesPayload decode(const net::Message& message);
+
+  /// A body written once and the files that view it.
+  struct Written {
+    util::SharedBytes body;  ///< carries its CRC, so sending reads nothing
+    std::vector<nn::ModelFile> files;
+  };
+  /// The pre-send bundle of `net`, written straight into one framed body:
+  /// "<net>.desc" plus "<net>.weights", or "<net>.rear.weights" (the nodes
+  /// after `rear_cut`) unless `rear_cut` is SIZE_MAX. Each file is CRC'd
+  /// once as it is written; the body's CRC is folded from those and the
+  /// framing's. Encodes the same bytes as encode() of the same files.
+  static Written write(const nn::Network& net,
+                       std::size_t rear_cut = SIZE_MAX);
 };
 
 /// Body of a kModelOffer message: per-file content digests of a pre-send.

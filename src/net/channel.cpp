@@ -1,5 +1,6 @@
 #include "src/net/channel.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +11,8 @@ namespace offload::net {
 
 std::uint64_t Endpoint::send(Message message) {
   message.id = next_id_++;
-  message.crc = util::crc32(message.payload);
+  const std::optional<std::uint32_t> known = message.payload.crc();
+  message.crc = known ? *known : util::crc32(message.payload);
   bytes_sent_ += message.wire_size();
   std::uint64_t id = message.id;
   channel_->transmit(is_a_, std::move(message), 0);
@@ -125,8 +127,10 @@ void Channel::transmit(bool from_a, Message message, int attempt) {
 
   if (fault.corrupt_mask != 0 && !message.payload.empty()) {
     ++corruptions_;
-    message.payload[static_cast<std::size_t>(
-        fault.corrupt_index % message.payload.size())] ^= fault.corrupt_mask;
+    util::Bytes damaged(message.payload.begin(), message.payload.end());
+    damaged[static_cast<std::size_t>(fault.corrupt_index % damaged.size())] ^=
+        fault.corrupt_mask;
+    message.payload = std::move(damaged);
   }
   if (fault.duplicate) {
     ++duplicates_;

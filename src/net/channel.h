@@ -36,9 +36,10 @@ struct FaultDecision {
   /// reorder against later messages).
   sim::SimTime extra_delay = sim::SimTime::zero();
   /// Corrupt the delivered payload: XOR `corrupt_mask` into the byte at
-  /// `corrupt_index % payload.size()`. No-op when the mask is zero or the
-  /// payload is empty. The stamped CRC is left alone, so receivers detect
-  /// the damage.
+  /// `corrupt_index % payload.size()` of a private copy, so the sender's
+  /// buffer (and any retransmit of it) keeps the bytes as sent. No-op when
+  /// the mask is zero or the payload is empty. The stamped CRC is left
+  /// alone, so receivers detect the damage.
   std::uint8_t corrupt_mask = 0;
   std::uint64_t corrupt_index = 0;
 };
@@ -63,7 +64,8 @@ class Endpoint {
   }
 
   /// Queue a message toward the peer. Returns the sender-side send id.
-  /// Stamps the payload CRC so receivers can verify integrity.
+  /// Stamps the payload CRC so receivers can verify integrity, reading the
+  /// bytes only when the payload does not already carry its CRC.
   std::uint64_t send(Message message);
 
   /// Bytes delivered to this endpoint so far (for accounting/tests).

@@ -26,14 +26,19 @@ const char* message_type_name(MessageType t);
 
 /// A protocol message. `payload` carries the serialized body; `wire_size()`
 /// is what the link model charges for, including a small framing header.
+/// The payload is one immutable shared buffer, so copying a message (a
+/// duplicate, a retransmit, a stalled delivery, a relay) shares the bytes;
+/// only a corruption fault makes a private, damaged copy.
 struct Message {
   MessageType type = MessageType::kControl;
   std::string name;      ///< e.g. model file name, app id.
-  util::Bytes payload;
+  util::SharedBytes payload;
   std::uint64_t id = 0;  ///< Sender-assigned sequence id.
-  /// CRC32 of `payload`, stamped by Endpoint::send. Receivers verify it
-  /// (edge::verify_payload) so in-flight corruption is caught rather than
-  /// silently decoded.
+  /// CRC32 of `payload`, stamped by Endpoint::send: the CRC the payload
+  /// buffer carries when its maker took one (a kModelFiles body folds it
+  /// from its segments' CRCs), else one pass over the bytes. Receivers
+  /// verify it (edge::verify_payload, ModelFilesPayload::decode) so
+  /// in-flight corruption is caught rather than silently decoded.
   std::uint32_t crc = 0;
   /// Trace coordinates for the obs layer. Out-of-band: excluded from
   /// wire_size(), so tracing never perturbs simulated timings.

@@ -28,7 +28,8 @@ struct ConvConfig {
 
 class ConvLayer final : public Layer {
  public:
-  ConvLayer(std::string name, const ConvConfig& config);
+  ConvLayer(std::string name, const ConvConfig& config,
+            ParamFill fill = ParamFill::kZero);
 
   LayerKind kind() const override { return LayerKind::kConv; }
   Shape output_shape(std::span<const Shape> inputs) const override;

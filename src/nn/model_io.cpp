@@ -1,5 +1,6 @@
 #include "src/nn/model_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <map>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "src/nn/dense.h"
 #include "src/nn/lrn.h"
 #include "src/nn/pool.h"
+#include "src/util/crc32.h"
 #include "src/util/strings.h"
 
 namespace offload::nn {
@@ -81,7 +83,7 @@ Shape parse_shape(const std::string& text) {
 }
 
 LayerPtr make_layer(const std::string& kind, const std::string& name,
-                    const KvMap& kv) {
+                    const KvMap& kv, ParamFill fill) {
   if (kind == "input") {
     auto it = kv.find("shape");
     if (it == kv.end()) throw util::DecodeError("input layer: missing shape");
@@ -98,7 +100,8 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
                          .kernel = kv_int(kv, "k"),
                          .stride = kv_int(kv, "s"),
                          .pad = kv_int(kv, "p"),
-                         .groups = groups});
+                         .groups = groups},
+        fill);
   }
   if (kind == "maxpool" || kind == "avgpool") {
     return std::make_unique<PoolLayer>(
@@ -110,7 +113,7 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
   }
   if (kind == "fc") {
     return std::make_unique<FullyConnectedLayer>(name, kv_int(kv, "in"),
-                                                 kv_int(kv, "out"));
+                                                 kv_int(kv, "out"), fill);
   }
   if (kind == "relu") return std::make_unique<ReluLayer>(name);
   if (kind == "softmax") return std::make_unique<SoftmaxLayer>(name);
@@ -129,23 +132,7 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
                           "'");
 }
 
-}  // namespace
-
-std::string save_description(const Network& net) {
-  std::ostringstream out;
-  out << "model " << net.name() << "\n";
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    const Layer& layer = net.layer(i);
-    out << "layer " << layer.name() << " " << layer_kind_name(layer.kind());
-    std::string cfg = layer.config_str();
-    if (!cfg.empty()) out << " " << cfg;
-    if (i > 0) out << " inputs=" << inputs_str(net, i);
-    out << "\n";
-  }
-  return out.str();
-}
-
-std::unique_ptr<Network> parse_description(const std::string& text) {
+std::unique_ptr<Network> parse(const std::string& text, ParamFill fill) {
   std::unique_ptr<Network> net;
   std::istringstream in(text);
   std::string line;
@@ -181,7 +168,7 @@ std::unique_ptr<Network> parse_description(const std::string& text) {
     // with std::logic_error subclasses; from the wire those are decode
     // errors like any other.
     try {
-      net->add(make_layer(kind, name, kv), inputs);
+      net->add(make_layer(kind, name, kv, fill), inputs);
     } catch (const std::logic_error& e) {
       throw util::DecodeError("line " + std::to_string(line_no) + ": " +
                               e.what());
@@ -189,6 +176,85 @@ std::unique_ptr<Network> parse_description(const std::string& text) {
   }
   if (!net) throw util::DecodeError("empty model description");
   return net;
+}
+
+/// Read a weights file into nodes [begin, end) of `net`, setting
+/// loaded[i] for every node it lists.
+void read_weights(Network& net, std::span<const std::uint8_t> blob,
+                  std::size_t begin, std::size_t end,
+                  std::vector<bool>& loaded) {
+  end = std::min(end, net.size());
+  util::BinaryReader r(blob);
+  auto magic = r.raw(4);
+  if (util::to_string(magic) != kWeightsMagic) {
+    throw util::DecodeError("weights: bad magic");
+  }
+  if (r.u32() != kWeightsVersion) {
+    throw util::DecodeError("weights: unsupported version");
+  }
+  std::uint32_t count = r.u32();
+  std::vector<bool> listed(net.size(), false);
+  for (std::uint32_t n = 0; n < count; ++n) {
+    std::string name = r.str();
+    std::uint64_t params = r.u64();
+    if (!net.has_layer(name)) {
+      throw util::DecodeError("weights: unknown layer " + name);
+    }
+    std::size_t idx = net.index_of(name);
+    if (idx < begin || idx >= end) {
+      throw util::DecodeError("weights: layer " + name + " out of range");
+    }
+    if (listed[idx]) {
+      throw util::DecodeError("weights: layer " + name + " listed twice");
+    }
+    listed[idx] = true;
+    Layer& layer = net.layer(idx);
+    if (layer.param_count() != params) {
+      throw util::DecodeError("weights: parameter count mismatch for " + name);
+    }
+    for (const ParamSpan& span : layer.param_spans()) r.f32s(span.values);
+    layer.params_changed();
+    loaded[idx] = true;
+  }
+  if (!r.done()) {
+    throw util::DecodeError("weights: trailing bytes after the last layer");
+  }
+}
+
+}  // namespace
+
+ModelFile::ModelFile(std::string name, util::Bytes bytes)
+    : name(std::move(name)) {
+  auto buffer = std::make_shared<const util::Bytes>(std::move(bytes));
+  crc_ = util::crc32(*buffer);
+  size_ = buffer->size();
+  data_ = std::shared_ptr<const std::uint8_t>(buffer, buffer->data());
+}
+
+ModelFile::ModelFile(std::string name,
+                     const std::shared_ptr<const util::Bytes>& buffer,
+                     std::size_t offset, std::size_t size, std::uint32_t crc)
+    : name(std::move(name)),
+      data_(buffer, buffer->data() + offset),
+      size_(size),
+      crc_(crc) {}
+
+std::string save_description(const Network& net) {
+  std::ostringstream out;
+  out << "model " << net.name() << "\n";
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const Layer& layer = net.layer(i);
+    out << "layer " << layer.name() << " " << layer_kind_name(layer.kind());
+    std::string cfg = layer.config_str();
+    if (!cfg.empty()) out << " " << cfg;
+    if (i > 0) out << " inputs=" << inputs_str(net, i);
+    out << "\n";
+  }
+  return out.str();
+}
+
+std::unique_ptr<Network> parse_description(const std::string& text) {
+  return parse(text, ParamFill::kZero);
 }
 
 std::uint64_t weights_size(const Network& net, std::size_t begin,
@@ -209,9 +275,15 @@ std::uint64_t weights_size(const Network& net, std::size_t begin,
 
 util::Bytes save_weights(const Network& net, std::size_t begin,
                          std::size_t end) {
-  end = std::min(end, net.size());
   util::BinaryWriter w;
   w.reserve(weights_size(net, begin, end));
+  save_weights(net, w, begin, end);
+  return std::move(w).take();
+}
+
+void save_weights(const Network& net, util::BinaryWriter& w,
+                  std::size_t begin, std::size_t end) {
+  end = std::min(end, net.size());
   w.raw(kWeightsMagic);
   w.u32(kWeightsVersion);
   // Count parameterized layers in range.
@@ -228,46 +300,29 @@ util::Bytes save_weights(const Network& net, std::size_t begin,
     w.u64(params);
     for (std::span<const float> span : layer.param_spans()) w.f32s(span);
   }
-  return std::move(w).take();
 }
 
 void load_weights(Network& net, std::span<const std::uint8_t> blob,
                   std::size_t begin, std::size_t end) {
-  end = std::min(end, net.size());
-  util::BinaryReader r(blob);
-  auto magic = r.raw(4);
-  if (util::to_string(magic) != kWeightsMagic) {
-    throw util::DecodeError("weights: bad magic");
-  }
-  if (r.u32() != kWeightsVersion) {
-    throw util::DecodeError("weights: unsupported version");
-  }
-  std::uint32_t count = r.u32();
   std::vector<bool> loaded(net.size(), false);
-  for (std::uint32_t n = 0; n < count; ++n) {
-    std::string name = r.str();
-    std::uint64_t params = r.u64();
-    if (!net.has_layer(name)) {
-      throw util::DecodeError("weights: unknown layer " + name);
-    }
-    std::size_t idx = net.index_of(name);
-    if (idx < begin || idx >= end) {
-      throw util::DecodeError("weights: layer " + name + " out of range");
-    }
-    if (loaded[idx]) {
-      throw util::DecodeError("weights: layer " + name + " listed twice");
-    }
-    loaded[idx] = true;
-    Layer& layer = net.layer(idx);
-    if (layer.param_count() != params) {
-      throw util::DecodeError("weights: parameter count mismatch for " + name);
-    }
-    for (const ParamSpan& span : layer.param_spans()) r.f32s(span.values);
-    layer.params_changed();
+  read_weights(net, blob, begin, end, loaded);
+}
+
+std::unique_ptr<Network> load_model(
+    const std::string& description,
+    std::span<const std::span<const std::uint8_t>> weight_files) {
+  std::unique_ptr<Network> net = parse(description, ParamFill::kNone);
+  std::vector<bool> loaded(net->size(), false);
+  for (std::span<const std::uint8_t> blob : weight_files) {
+    read_weights(*net, blob, 0, SIZE_MAX, loaded);
   }
-  if (!r.done()) {
-    throw util::DecodeError("weights: trailing bytes after the last layer");
+  for (std::size_t i = 0; i < net->size(); ++i) {
+    if (loaded[i]) continue;
+    for (const ParamSpan& span : net->layer(i).param_spans()) {
+      std::fill(span.values.begin(), span.values.end(), 0.0f);
+    }
   }
+  return net;
 }
 
 std::vector<ModelFile> model_files(const Network& net) {

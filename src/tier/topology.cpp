@@ -347,7 +347,7 @@ void Topology::fail_relay(Relay& r, const std::string& control) {
 void Topology::close_relay(Relay& r, const char* outcome) {
   r.done = true;
   if (r.watchdog.valid()) sim_.cancel(r.watchdog);
-  r.payload.clear();
+  r.payload = {};
   if (config_.obs && r.span) {
     config_.obs->trace.attr(r.span, "outcome", outcome);
     config_.obs->trace.close(r.span, sim_.now());

@@ -165,7 +165,7 @@ class Topology {
     std::size_t origin = 0;       ///< fleet index the job came from
     std::size_t target = kCloud;  ///< executor: kCloud or a fleet index
     std::string app;
-    util::Bytes payload;          ///< encoded SnapshotPayload, verbatim
+    util::SharedBytes payload;    ///< encoded SnapshotPayload, verbatim
     net::Endpoint* reply_to = nullptr;  ///< origin's client-facing b side
     obs::TraceContext ctx;
     std::uint64_t origin_epoch = 0;

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,42 @@
 namespace offload::util {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// An immutable byte buffer held by shared reference: copying a
+/// SharedBytes shares the bytes, never copies them. It may carry the CRC-32
+/// its maker took of the bytes, so a sender need not read them again; the
+/// bytes cannot change, so that CRC stays true. Views into the buffer
+/// (nn::ModelFile) keep it alive through buffer().
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  SharedBytes(Bytes bytes) {  // NOLINT: a fresh buffer converts implicitly
+    if (!bytes.empty()) {
+      buffer_ = std::make_shared<const Bytes>(std::move(bytes));
+    }
+  }
+  SharedBytes(std::shared_ptr<const Bytes> buffer, std::uint32_t crc)
+      : buffer_(std::move(buffer)), crc_(crc) {}
+
+  const std::uint8_t* data() const {
+    return buffer_ ? buffer_->data() : nullptr;
+  }
+  std::size_t size() const { return buffer_ ? buffer_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const std::uint8_t* begin() const { return data(); }
+  const std::uint8_t* end() const {
+    return buffer_ ? buffer_->data() + buffer_->size() : nullptr;
+  }
+
+  /// The buffer itself (null when empty and never assigned).
+  const std::shared_ptr<const Bytes>& buffer() const { return buffer_; }
+  /// The CRC-32 of the bytes, when their maker recorded it.
+  std::optional<std::uint32_t> crc() const { return crc_; }
+
+ private:
+  std::shared_ptr<const Bytes> buffer_;
+  std::optional<std::uint32_t> crc_;
+};
 
 /// Thrown when a BinaryReader runs past the end of its input or a
 /// format-level check fails while decoding.

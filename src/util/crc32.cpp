@@ -127,11 +127,16 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   });
   std::uint32_t out = 0;  // CRC of the empty prefix
   for (std::int64_t i = 0; i < blocks; ++i) {
-    if (len[i] != 0) out = multmodp(x8nmodp(len[i]), out) ^ crc[i];
+    if (len[i] != 0) out = crc32_combine(out, crc[i], len[i]);
   }
   return out;
 }
 
 std::uint32_t crc32(std::string_view data) { return crc32(as_bytes(data)); }
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  return multmodp(x8nmodp(len_b), crc_a) ^ crc_b;
+}
 
 }  // namespace offload::util

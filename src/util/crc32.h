@@ -14,4 +14,11 @@ namespace offload::util {
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 std::uint32_t crc32(std::string_view data);
 
+/// The CRC-32 of A followed by B, from crc32(A), crc32(B) and |B| alone: no
+/// byte is read again. A message made of separately CRC'd segments gets its
+/// CRC by folding the segment CRCs left to right, starting from 0 (the CRC
+/// of nothing).
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
 }  // namespace offload::util

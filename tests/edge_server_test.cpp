@@ -187,7 +187,8 @@ TEST(EdgeServerTest, FailedSnapshotsRejectedThenServedBitExact) {
     h.send_program("tinycnn", good);
     h.sim.run();
     EXPECT_EQ(h.client_inbox.back().type, net::MessageType::kResultSnapshot);
-    return h.client_inbox.back().payload;
+    const util::SharedBytes& payload = h.client_inbox.back().payload;
+    return util::Bytes(payload.begin(), payload.end());
   };
   Harness fresh;
   fresh.send_model(*net);
@@ -235,7 +236,7 @@ TEST(EdgeServerTest, MalformedPreSentWeightsRejectTheSnapshot) {
   // loadModel(), end in one rejection each.
   auto net = nn::build_tiny_cnn(17);
   std::vector<nn::ModelFile> files = nn::model_files(*net);
-  util::Bytes weights = *files[1].content;
+  util::Bytes weights(files[1].bytes().begin(), files[1].bytes().end());
   weights.push_back(0);
   files[1] = nn::ModelFile(files[1].name, std::move(weights));
   Harness h;
@@ -262,6 +263,82 @@ TEST(EdgeServerTest, MalformedPreSentWeightsRejectTheSnapshot) {
     EXPECT_EQ(m.name, "rejected:tinycnn");
   }
   EXPECT_EQ(h.server->stats().snapshots_rejected, 2);
+}
+
+TEST(EdgeServerTest, MalformedPreSendRejectedThenServedBitExact) {
+  // Each body below arrives as sent (Endpoint::send stamps its CRC over
+  // the bytes as given) but does not decode. The server answers each with
+  // exactly one "rejected:", stores nothing, and then serves a good
+  // pre-send and a snapshot that runs the model bit-exactly.
+  auto net = nn::build_tiny_cnn(17);
+  const std::string program = Harness::capture(
+      "var input = Float32Array(3072);"
+      "for (var i = 0; i < 3072; i++) { input[i] = (i % 7) / 7; }"
+      "var scores = null; var b = document.createElement('b');"
+      "document.body.appendChild(b);"
+      "b.addEventListener('go', function() {"
+      "  scores = loadModel('tinycnn').inference(input); });"
+      "b.dispatchEvent('go');");
+  auto serve = [&](Harness& h) {
+    h.send_model(*net);
+    h.sim.run();
+    h.send_program("tinycnn", program);
+    h.sim.run();
+    EXPECT_EQ(h.client_inbox.back().type, net::MessageType::kResultSnapshot);
+    EXPECT_EQ(h.server->last_browser()->interp().eval_program(
+                  "scores.length;"),
+              jsvm::Value(static_cast<double>(
+                  h.server->model_store().instantiate("tinycnn")
+                      ->analyze().shapes.back().elements())));
+    const util::SharedBytes& payload = h.client_inbox.back().payload;
+    return util::Bytes(payload.begin(), payload.end());
+  };
+  Harness fresh;
+  const util::Bytes expected = serve(fresh);
+
+  ModelFilesPayload files;
+  files.files = nn::model_files(*net);
+  util::Bytes truncated = files.encode();
+  truncated.resize(truncated.size() / 2);
+  ModelOfferPayload offer;
+  offer.files.push_back({"tinycnn.desc", 1, 2});
+  util::Bytes bad_offer = offer.encode();
+  bad_offer.pop_back();
+  struct Case {
+    const char* what;
+    net::MessageType type;
+    util::Bytes body;
+  };
+  const Case cases[] = {
+      {"truncated body", net::MessageType::kModelFiles, truncated},
+      {"count beyond the payload", net::MessageType::kModelFiles, {5, 1, 2}},
+      {"length varint beyond the payload", net::MessageType::kModelFiles,
+       {1, 3, 'a', 'b', 'c', 100, 1, 2}},
+      {"empty body", net::MessageType::kModelFiles, {}},
+      {"truncated offer", net::MessageType::kModelOffer, bad_offer},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Harness h;
+    net::Message msg;
+    msg.type = c.type;
+    msg.name = "tinycnn";
+    msg.payload = c.body;
+    h.channel->a().send(std::move(msg));
+    h.sim.run();
+    ASSERT_EQ(h.client_inbox.size(), 1u);
+    EXPECT_EQ(h.client_inbox[0].type, net::MessageType::kControl);
+    EXPECT_EQ(h.client_inbox[0].name, "rejected:tinycnn");
+    EXPECT_EQ(h.server->stats().presends_rejected, 1);
+    EXPECT_EQ(h.server->stats().corrupt_rejected, 0);
+    EXPECT_EQ(h.server->stats().models_stored, 0);
+    EXPECT_EQ(h.server->model_store().file_count(), 0u);
+    EXPECT_EQ(h.server->model_store().blob_count(), 0u);
+
+    EXPECT_EQ(serve(h), expected);
+    EXPECT_EQ(h.server->stats().models_stored, 1);
+    EXPECT_EQ(h.server->stats().snapshots_executed, 1);
+  }
 }
 
 TEST(EdgeServerTest, DifferentialAgainstUnknownBaselineRefused) {
@@ -304,7 +381,8 @@ TEST(EdgeServerTest, OverlayInstallsAndExtractsModels) {
   vmsynth::VmImage base = vmsynth::make_base_image();
   std::vector<std::pair<std::string, util::Bytes>> model_files;
   for (auto& f : nn::model_files(*net)) {
-    model_files.emplace_back(f.name, *f.content);
+    model_files.emplace_back(f.name,
+                             util::Bytes(f.bytes().begin(), f.bytes().end()));
   }
   vmsynth::SystemBundleSizes sizes;
   sizes.browser_bytes = 200'000;

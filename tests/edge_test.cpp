@@ -3,7 +3,11 @@
 // never rides inside a snapshot).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "src/edge/browser_host.h"
+#include "src/edge/edge_server.h"
 #include "src/edge/model_store.h"
 #include "src/edge/protocol.h"
 #include "src/util/crc32.h"
@@ -76,10 +80,28 @@ TEST(ModelStoreTest, RearOnlyInstantiation) {
   EXPECT_EQ(nn::Tensor::max_abs_diff(net->forward_rear(feature, 2),
                                      rebuilt->forward_rear(feature, 2)),
             0.0f);
+  // The withheld front is exactly zero: the server learns nothing of it,
+  // and in-place instantiation never leaves a parameter unwritten.
+  std::uint64_t front_params = 0;
+  for (std::size_t i = 0; i <= 2; ++i) {
+    for (std::span<const float> span :
+         std::as_const(rebuilt->layer(i)).param_spans()) {
+      for (float v : span) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u)
+            << rebuilt->layer(i).name();
+        ++front_params;
+      }
+    }
+  }
+  EXPECT_GT(front_params, 0u);
 }
 
 std::uint64_t digest_of(const util::Bytes& content) {
   return util::fnv1a(std::span(content));
+}
+
+util::Bytes bytes_of(const nn::ModelFile& file) {
+  return {file.bytes().begin(), file.bytes().end()};
 }
 
 TEST(ModelStoreDedup, CountsAndFindsRightAfterStore) {
@@ -93,10 +115,9 @@ TEST(ModelStoreDedup, CountsAndFindsRightAfterStore) {
   EXPECT_EQ(store.blob_bytes(), 7u);
   EXPECT_NE(store.find_blob(digest_of(a)), nullptr);
   EXPECT_EQ(store.find_blob(digest_of(util::Bytes{9})), nullptr);
-  const std::shared_ptr<const util::Bytes> found =
-      store.find_blob(digest_of(b));
+  const nn::ModelFile* found = store.find_blob(digest_of(b));
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(*found, b);
+  EXPECT_EQ(bytes_of(*found), b);
 }
 
 TEST(ModelStoreDedup, IdenticalContentIsOneEntry) {
@@ -115,7 +136,7 @@ TEST(ModelStoreDedup, CorruptionBeforeTheFirstDigestIsCaught) {
   store.store_file({"a", a});
   ASSERT_TRUE(store.corrupt_blob(digest_of(a)));
   // The named file keeps the intact buffer; only the index entry rotted.
-  EXPECT_EQ(*store.find("a")->content, a);
+  EXPECT_EQ(bytes_of(*store.find("a")), a);
   bool corrupt = false;
   EXPECT_EQ(store.find_blob(digest_of(a), &corrupt), nullptr);
   EXPECT_TRUE(corrupt);
@@ -169,7 +190,7 @@ TEST(ModelStoreDedup, UploadAndIndexShareOneBuffer) {
   const ModelFilesPayload copy = sent;
   ASSERT_EQ(copy.files.size(), sent.files.size());
   for (std::size_t i = 0; i < sent.files.size(); ++i) {
-    EXPECT_EQ(copy.files[i].content, sent.files[i].content);
+    EXPECT_TRUE(copy.files[i].same_bytes(sent.files[i]));
   }
 
   // A received upload is stored and indexed as one buffer per file.
@@ -179,7 +200,9 @@ TEST(ModelStoreDedup, UploadAndIndexShareOneBuffer) {
   for (const nn::ModelFile& f : sent.files) {
     const nn::ModelFile* named = store.find(f.name);
     ASSERT_NE(named, nullptr);
-    EXPECT_EQ(store.find_blob(digest_of(*f.content)), named->content);
+    const nn::ModelFile* indexed = store.find_blob(digest_of(bytes_of(f)));
+    ASSERT_NE(indexed, nullptr);
+    EXPECT_TRUE(indexed->same_bytes(*named));
   }
 }
 
@@ -189,12 +212,11 @@ TEST(ModelStoreDedup, ReplacedFileStaysOfferable) {
   store.store_file({"m.weights", old_bytes});
   store.store_file({"m.weights", util::Bytes{7, 8}});
   EXPECT_EQ(store.file_count(), 1u);
-  EXPECT_EQ(*store.find("m.weights")->content, (util::Bytes{7, 8}));
+  EXPECT_EQ(bytes_of(*store.find("m.weights")), (util::Bytes{7, 8}));
   // The replaced content is still served by digest until a crash.
-  const std::shared_ptr<const util::Bytes> blob =
-      store.find_blob(digest_of(old_bytes));
+  const nn::ModelFile* blob = store.find_blob(digest_of(old_bytes));
   ASSERT_NE(blob, nullptr);
-  EXPECT_EQ(*blob, old_bytes);
+  EXPECT_EQ(bytes_of(*blob), old_bytes);
   store.clear();
   EXPECT_EQ(store.find_blob(digest_of(old_bytes)), nullptr);
 }
@@ -332,7 +354,7 @@ TEST(ProtocolTest, ModelFilesPayloadRoundTrip) {
   ModelFilesPayload d = ModelFilesPayload::decode(std::span(wire));
   ASSERT_EQ(d.files.size(), 2u);
   EXPECT_EQ(d.files[1].name, "m.weights");
-  EXPECT_EQ(*d.files[1].content, (util::Bytes{3, 4, 5}));
+  EXPECT_EQ(bytes_of(d.files[1]), (util::Bytes{3, 4, 5}));
 }
 
 /// A list payload that is nothing but a huge entry count. A client can
@@ -373,12 +395,14 @@ TEST(ProtocolTest, PayloadCrcDetectsCorruption) {
   net::Message m;
   m.type = net::MessageType::kSnapshot;
   m.name = "tiny";
-  m.payload = {1, 2, 3, 4, 5};
-  m.crc = util::crc32(std::span<const std::uint8_t>(m.payload));
+  util::Bytes bytes{1, 2, 3, 4, 5};
+  m.payload = bytes;
+  m.crc = util::crc32(std::span<const std::uint8_t>(bytes));
   EXPECT_TRUE(payload_intact(m));
   EXPECT_NO_THROW(verify_payload(m));
 
-  m.payload[2] ^= 0x40;  // damaged in flight; the stamped CRC is stale
+  bytes[2] ^= 0x40;  // damaged in flight; the stamped CRC is stale
+  m.payload = bytes;
   EXPECT_FALSE(payload_intact(m));
   EXPECT_THROW(verify_payload(m), PayloadCorruptError);
 
@@ -392,15 +416,146 @@ TEST(ProtocolTest, PayloadCrcDetectsCorruptionInAnyBlockOfLargeModelFiles) {
   net::Message m;
   m.type = net::MessageType::kModelFiles;
   m.name = "big";
-  m.payload = files.encode();
-  m.crc = test_util::bytewise_crc32(m.payload);  // stamped by one serial pass
+  util::Bytes bytes = files.encode();
+  m.payload = bytes;
+  m.crc = test_util::bytewise_crc32(bytes);  // stamped by one serial pass
   EXPECT_NO_THROW(verify_payload(m));
-  for (std::size_t at : damage_offsets(m.payload.size())) {
-    m.payload[at] ^= 0x40;
+  for (std::size_t at : damage_offsets(bytes.size())) {
+    bytes[at] ^= 0x40;
+    m.payload = bytes;
     EXPECT_THROW(verify_payload(m), PayloadCorruptError) << "byte " << at;
-    m.payload[at] ^= 0x40;
+    bytes[at] ^= 0x40;
   }
+  m.payload = bytes;
   EXPECT_NO_THROW(verify_payload(m));
+}
+
+/// True if every byte of `file` lies inside `body`.
+bool views_into(const nn::ModelFile& file, const util::SharedBytes& body) {
+  return file.bytes().data() >= body.begin() &&
+         file.bytes().data() + file.size() <= body.end();
+}
+
+TEST(ProtocolTest, WrittenBundleCarriesItsCrcAndEncodesLikeEncode) {
+  auto net = nn::build_tiny_cnn(17);
+  for (std::size_t cut : {SIZE_MAX, std::size_t{2}}) {
+    SCOPED_TRACE(cut);
+    const ModelFilesPayload::Written written =
+        ModelFilesPayload::write(*net, cut);
+    ASSERT_TRUE(written.body.crc().has_value());
+    EXPECT_EQ(*written.body.crc(), test_util::bytewise_crc32(written.body));
+
+    ModelFilesPayload same;
+    same.files = cut == SIZE_MAX ? nn::model_files(*net)
+                                 : nn::model_files_rear_only(*net, cut);
+    EXPECT_EQ(util::Bytes(written.body.begin(), written.body.end()),
+              same.encode());
+    ASSERT_EQ(written.files.size(), same.files.size());
+    for (std::size_t i = 0; i < same.files.size(); ++i) {
+      EXPECT_EQ(written.files[i].name, same.files[i].name);
+      EXPECT_EQ(written.files[i].crc(),
+                test_util::bytewise_crc32(written.files[i].bytes()));
+      EXPECT_TRUE(views_into(written.files[i], written.body));
+    }
+
+    // Endpoint::send stamps the CRC the body carries.
+    sim::Simulation sim;
+    auto channel = net::Channel::make(sim, net::ChannelConfig{});
+    std::optional<net::Message> received;
+    channel->b().set_handler([&](const net::Message& m) { received = m; });
+    net::Message msg;
+    msg.type = net::MessageType::kModelFiles;
+    msg.name = "tinycnn";
+    msg.payload = written.body;
+    channel->a().send(std::move(msg));
+    sim.run();
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(received->crc, test_util::bytewise_crc32(written.body));
+    EXPECT_EQ(received->payload.buffer(), written.body.buffer());
+  }
+}
+
+TEST(ProtocolTest, ModelFilesDecodeVerifiesAndViewsInOnePass) {
+  // 0, 1 and 2 files, empty ones included, and one large enough to be
+  // CRC'd block-parallel.
+  std::vector<std::vector<nn::ModelFile>> bundles(5);
+  bundles[1].push_back({"a.desc", util::Bytes{}});
+  bundles[2].push_back({"m.desc", util::Bytes{1, 2}});
+  bundles[2].push_back({"m.weights", util::Bytes{}});
+  bundles[3].push_back({"e.desc", util::Bytes{}});
+  bundles[3].push_back({"e.weights", util::Bytes{}});
+  bundles[4].push_back({"big.desc", util::Bytes{9}});
+  bundles[4].push_back({"big.weights", large_model_file()});
+  for (const auto& files : bundles) {
+    SCOPED_TRACE(files.size());
+    ModelFilesPayload sent;
+    sent.files = files;
+    const util::Bytes wire = sent.encode();
+    net::Message m;
+    m.type = net::MessageType::kModelFiles;
+    m.name = "m";
+    m.payload = wire;
+    m.crc = test_util::bytewise_crc32(wire);
+    const ModelFilesPayload got = ModelFilesPayload::decode(m);
+    ASSERT_EQ(got.files.size(), files.size());
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      EXPECT_EQ(got.files[i].name, files[i].name);
+      EXPECT_EQ(bytes_of(got.files[i]), bytes_of(files[i]));
+      EXPECT_EQ(got.files[i].crc(), files[i].crc());
+      EXPECT_TRUE(views_into(got.files[i], m.payload));
+    }
+    m.crc ^= 1;  // any other stamped CRC is a mismatch
+    EXPECT_THROW(ModelFilesPayload::decode(m), PayloadCorruptError);
+  }
+}
+
+TEST(ProtocolTest, DamagedPreSendByteEndsInCorruptPayload) {
+  // A byte damaged in flight anywhere in a kModelFiles body, the framing
+  // included, draws "corrupt_payload:" and stores nothing, whether the
+  // damaged body still parses or not.
+  ModelFilesPayload files;
+  files.files.push_back({"m.desc", util::Bytes{1, 2, 3}});
+  files.files.push_back({"m.weights", util::Bytes(300, 7)});
+  const util::Bytes wire = files.encode();
+  // Layout: count | 6 "m.desc" | 3 body | 9 "m.weights" | 300 (2 bytes) body
+  struct Damage {
+    const char* what;
+    std::size_t at;
+  };
+  const Damage damages[] = {
+      {"count", 0},         {"name length", 1},  {"name", 3},
+      {"length varint", 8}, {"body", 10},        {"second name", 14},
+      {"two-byte length varint", 23},            {"last byte", wire.size() - 1},
+  };
+  for (const Damage& d : damages) {
+    for (std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      SCOPED_TRACE(std::string(d.what) + " mask " + std::to_string(mask));
+      sim::Simulation sim;
+      auto channel = net::Channel::make(sim, net::ChannelConfig{});
+      EdgeServer server(sim, channel->b());
+      std::vector<std::string> replies;
+      channel->a().set_handler(
+          [&](const net::Message& m) { replies.push_back(m.name); });
+      channel->set_fault_hook(true, [&](const net::Message&) {
+        net::FaultDecision fault;
+        fault.corrupt_mask = mask;
+        fault.corrupt_index = d.at;
+        return fault;
+      });
+      net::Message msg;
+      msg.type = net::MessageType::kModelFiles;
+      msg.name = "m";
+      msg.payload = wire;
+      channel->a().send(std::move(msg));
+      sim.run();
+      ASSERT_EQ(replies.size(), 1u);
+      EXPECT_EQ(replies[0], "corrupt_payload:m");
+      EXPECT_EQ(server.stats().corrupt_rejected, 1);
+      EXPECT_EQ(server.stats().presends_rejected, 0);
+      EXPECT_EQ(server.model_store().file_count(), 0u);
+      EXPECT_EQ(server.model_store().blob_count(), 0u);
+    }
+  }
 }
 
 }  // namespace

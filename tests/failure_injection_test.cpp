@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/offload.h"
+#include "src/util/crc32.h"
 
 namespace offload::core {
 namespace {
@@ -26,6 +27,56 @@ TEST(FailureInjection, OffloadSurvivesLossyLink) {
   // Same answer, possibly slower (retransmissions).
   EXPECT_EQ(result.result_text, clean.result_text);
   EXPECT_GE(result.inference_seconds, clean.inference_seconds);
+}
+
+TEST(FailureInjection, CorruptedPreSendResentFromIntactFiles) {
+  // The channel damages a private copy of the first pre-send. The client's
+  // files view the body it sent, so they keep their bytes; the retransmit
+  // of that same body is stored, and the server's files view it too.
+  edge::AppBundle bundle = make_benchmark_app(tiny_model(), false);
+  RuntimeConfig config;
+  config.click_at = after_ack_click_time(*bundle.network, false, 0, 30e6) +
+                    sim::SimTime::seconds(5);  // margin for the resend
+  OffloadingRuntime runtime(config, std::move(bundle));
+  int presends = 0;
+  runtime.client_link().channels[0]->set_fault_hook(
+      true, [&](const net::Message& m) {
+        net::FaultDecision fault;
+        if (m.type == net::MessageType::kModelFiles && presends++ == 0) {
+          fault.corrupt_mask = 0x20;
+          fault.corrupt_index = m.payload.size() / 2;
+        }
+        return fault;
+      });
+  RunResult result = runtime.run();
+  EXPECT_EQ(presends, 2);
+  EXPECT_EQ(runtime.server().stats().corrupt_rejected, 1);
+  EXPECT_EQ(runtime.server().stats().models_stored, 1);
+
+  const edge::ModelStore& client_store =
+      *runtime.client().browser().model_store();
+  const edge::ModelStore& server_store = runtime.server().model_store();
+  ASSERT_EQ(client_store.file_count(), 2u);
+  for (const nn::ModelFile& f : client_store.files()) {
+    EXPECT_EQ(util::crc32(f.bytes()), f.crc()) << f.name;
+    const nn::ModelFile* stored = server_store.find(f.name);
+    ASSERT_NE(stored, nullptr) << f.name;
+    EXPECT_TRUE(stored->same_bytes(f)) << f.name;
+  }
+
+  // The retransmit is served bit-exactly.
+  const std::string app = client_store.files()[0].name.substr(
+      0, client_store.files()[0].name.find('.'));
+  auto kept = client_store.instantiate(app);
+  auto served = server_store.instantiate(app);
+  util::Pcg32 rng(3);
+  const nn::Tensor in =
+      nn::Tensor::random_uniform(kept->analyze().shapes[0], rng, 0.0f, 1.0f);
+  EXPECT_EQ(nn::Tensor::max_abs_diff(kept->forward(in), served->forward(in)),
+            0.0f);
+  EXPECT_TRUE(result.offloaded);
+  RunResult clean = run_scenario(tiny_model(), Scenario::kOffloadAfterAck);
+  EXPECT_EQ(result.result_text, clean.result_text);
 }
 
 TEST(FailureInjection, HeavyLossStillCompletesWithRetransmits) {

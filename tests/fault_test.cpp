@@ -24,7 +24,7 @@ net::Message make_message(std::string name, std::size_t payload_bytes) {
   net::Message m;
   m.type = net::MessageType::kSnapshot;
   m.name = std::move(name);
-  m.payload.assign(payload_bytes, 0x5a);
+  m.payload = util::Bytes(payload_bytes, 0x5a);
   return m;
 }
 

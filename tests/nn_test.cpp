@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/nn/activation.h"
 #include "src/nn/concat.h"
@@ -437,6 +438,43 @@ TEST(ModelIo, DescriptionRoundTrip) {
   EXPECT_EQ(parsed->size(), net->size());
   EXPECT_EQ(save_description(*parsed), desc);
   EXPECT_EQ(parsed->analyze().total_flops, net->analyze().total_flops);
+}
+
+// A client serves the network it built and never parses its own model
+// files; the server builds its network from them. The two must be
+// indistinguishable: the same layers and configs, bit-identical outputs.
+TEST(ModelIo, SavedModelsRebuildIndistinguishably) {
+  std::vector<std::unique_ptr<Network>> nets;
+  nets.push_back(build_googlenet());
+  nets.push_back(build_agenet());
+  nets.push_back(build_gendernet());
+  nets.push_back(build_tiny_cnn());
+  for (const auto& net : nets) {
+    SCOPED_TRACE(net->name());
+    const std::string desc = save_description(*net);
+    const auto parsed = parse_description(desc);
+    ASSERT_EQ(parsed->size(), net->size());
+    for (std::size_t i = 0; i < net->size(); ++i) {
+      EXPECT_EQ(parsed->layer(i).name(), net->layer(i).name());
+      EXPECT_EQ(parsed->layer(i).kind(), net->layer(i).kind());
+      EXPECT_EQ(parsed->layer(i).config_str(), net->layer(i).config_str())
+          << net->layer(i).name();
+      EXPECT_EQ(parsed->inputs_of(i), net->inputs_of(i));
+    }
+
+    const util::Bytes weights = save_weights(*net);
+    const std::span<const std::uint8_t> files[] = {weights};
+    const auto rebuilt = load_model(desc, files);
+    util::Pcg32 rng(29);
+    const Tensor in =
+        Tensor::random_uniform(net->analyze().shapes[0], rng, 0.0f, 1.0f);
+    const Tensor a = net->forward(in);
+    const Tensor b = rebuilt->forward(in);
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                          a.data().size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(ModelIo, WeightsRoundTripBitExact) {

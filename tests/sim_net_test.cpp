@@ -142,7 +142,7 @@ TEST(Channel, DeliversAtSimulatedArrivalTime) {
   net::Message m;
   m.type = net::MessageType::kControl;
   m.name = "hello";
-  m.payload.assign(1'000'000, 0);  // 1 MB → 1 s + 5 ms
+  m.payload = util::Bytes(1'000'000, 0);  // 1 MB → 1 s + 5 ms
   channel->a().send(std::move(m));
   sim.run();
   EXPECT_NEAR(arrival.to_seconds(), 1.005, 0.001);

@@ -2,6 +2,7 @@
 // strings, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <vector>
@@ -119,6 +120,46 @@ TEST(Crc32, BlockParallelMatchesSerial) {
     }
   }
   set_default_pool_threads(0);
+}
+
+TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation) {
+  // crc32_combine(crc32(A), crc32(B), |B|) == crc32(A || B), with the
+  // bytewise CRC as the reference, around the 1 MiB parallel block size.
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  Pcg32 rng(53);
+  Bytes data(2 * kBlock + 64);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::span<const std::uint8_t> all(data);
+  auto check = [&](std::size_t a_len, std::size_t b_len) {
+    const auto a = all.subspan(0, a_len);
+    const auto b = all.subspan(a_len, b_len);
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b_len),
+              bytewise_crc32(all.subspan(0, a_len + b_len)))
+        << "|A| " << a_len << " |B| " << b_len;
+  };
+  for (std::size_t b_len : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                            kBlock - 1, kBlock, kBlock + 1}) {
+    for (std::size_t a_len : {std::size_t{0}, std::size_t{5}, kBlock - 1}) {
+      check(a_len, b_len);
+    }
+  }
+  for (int i = 0; i < 16; ++i) {
+    const std::size_t total =
+        rng.next_below(static_cast<std::uint32_t>(data.size() + 1));
+    const std::size_t a_len =
+        rng.next_below(static_cast<std::uint32_t>(total + 1));
+    check(a_len, total - a_len);
+  }
+  // Folding any number of segments left to right from 0, the CRC of
+  // nothing, gives the CRC of all of them.
+  std::uint32_t folded = 0;
+  for (std::size_t pos = 0; pos < data.size();) {
+    const std::size_t len =
+        std::min<std::size_t>(data.size() - pos, rng.next_below(300'000));
+    folded = crc32_combine(folded, crc32(all.subspan(pos, len)), len);
+    pos += len;
+  }
+  EXPECT_EQ(folded, bytewise_crc32(all));
 }
 
 /// Floats whose bit patterns a lossy path would disturb: signed zero,
