@@ -122,12 +122,7 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   net::Message msg;
   msg.type = net::MessageType::kModelFiles;
   msg.name = bundle_.name;
-  // Every file missed: the body already written says exactly that.
-  if (payload.files.size() == local_store_->file_count()) {
-    msg.payload = presend_body_;
-  } else {
-    msg.payload = payload.encode();
-  }
+  msg.payload = payload.encode();
   timeline_.model_upload_bytes += msg.payload.size();
   if (obs_) {
     msg.ctx = {0, presend_span_, 0};

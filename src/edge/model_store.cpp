@@ -72,17 +72,20 @@ std::shared_ptr<nn::Network> ModelStore::instantiate(
     throw std::runtime_error("ModelStore: no description for app '" + app +
                              "' (model not pre-sent?)");
   }
-  std::vector<std::span<const std::uint8_t>> weights;
-  for (const char* suffix : {".weights", ".rear.weights"}) {
-    if (const nn::ModelFile* w = find(app + suffix)) {
-      weights.push_back(w->bytes());
-    }
+  auto net = std::shared_ptr<nn::Network>(
+      nn::parse_description(util::to_string(desc->bytes())));
+  bool any_weights = false;
+  if (const nn::ModelFile* w = find(app + ".weights")) {
+    nn::load_weights(*net, w->bytes());
+    any_weights = true;
   }
-  if (weights.empty()) {
+  if (const nn::ModelFile* w = find(app + ".rear.weights")) {
+    nn::load_weights(*net, w->bytes());
+    any_weights = true;
+  }
+  if (!any_weights) {
     throw std::runtime_error("ModelStore: no weights for app '" + app + "'");
   }
-  std::shared_ptr<nn::Network> net =
-      nn::load_model(util::to_string(desc->bytes()), weights);
   networks_.emplace(app, CachedNetwork{net, /*kept=*/false});
   return net;
 }

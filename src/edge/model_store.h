@@ -6,7 +6,8 @@
 // (keep_network), so the client never parses its own files.
 // It is also the host's dedup cache: named files and the dedup index below
 // view the same bytes, and the index takes each file's CRC from the file,
-// where it was taken once (at save on the client, at receipt on a server).
+// where it was taken once (when the client writes its send set, when a
+// server receives it).
 #pragma once
 
 #include <memory>
@@ -49,11 +50,11 @@ class ModelStore {
   bool can_instantiate(const std::string& app) const;
 
   /// The kept network of `app`, or one built from "<app>.desc" plus
-  /// "<app>.weights" and/or "<app>.rear.weights" (nn::load_model: each
-  /// parameter written once). Layers with no stored weights are zero —
-  /// which is exactly the information the privacy scheme denies the
-  /// server. Cached; throws std::runtime_error if required files are
-  /// missing, util::DecodeError if they are malformed.
+  /// "<app>.weights" and/or "<app>.rear.weights". Layers with no stored
+  /// weights keep their default (zero) parameters — which is exactly the
+  /// information the privacy scheme denies the server. Cached; throws
+  /// std::runtime_error if required files are missing, util::DecodeError
+  /// if they are malformed.
   std::shared_ptr<nn::Network> instantiate(const std::string& app) const;
 
   // --- Dedup index. One entry per distinct content stored since the last

@@ -62,9 +62,10 @@ struct ModelFilesPayload {
   };
   /// The pre-send bundle of `net`, written straight into one framed body:
   /// "<net>.desc" plus "<net>.weights", or "<net>.rear.weights" (the nodes
-  /// after `rear_cut`) unless `rear_cut` is SIZE_MAX. Each file is CRC'd
-  /// once as it is written; the body's CRC is folded from those and the
-  /// framing's. Encodes the same bytes as encode() of the same files.
+  /// after `rear_cut`) unless `rear_cut` is SIZE_MAX. Once the whole body
+  /// is written, one pass over it CRCs each file and each framing segment;
+  /// the body's CRC is folded from those. Encodes the same bytes as
+  /// encode() of the same files.
   static Written write(const nn::Network& net,
                        std::size_t rear_cut = SIZE_MAX);
 };

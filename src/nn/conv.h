@@ -28,8 +28,7 @@ struct ConvConfig {
 
 class ConvLayer final : public Layer {
  public:
-  ConvLayer(std::string name, const ConvConfig& config,
-            ParamFill fill = ParamFill::kZero);
+  ConvLayer(std::string name, const ConvConfig& config);
 
   LayerKind kind() const override { return LayerKind::kConv; }
   Shape output_shape(std::span<const Shape> inputs) const override;

@@ -12,8 +12,7 @@ namespace offload::nn {
 class FullyConnectedLayer final : public Layer {
  public:
   FullyConnectedLayer(std::string name, std::int64_t in_features,
-                      std::int64_t out_features,
-                      ParamFill fill = ParamFill::kZero);
+                      std::int64_t out_features);
 
   LayerKind kind() const override { return LayerKind::kFullyConnected; }
   Shape output_shape(std::span<const Shape> inputs) const override;

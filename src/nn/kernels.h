@@ -94,8 +94,7 @@ class ScopedKernelBackend {
 
 /// Pack grouped conv weights {G*Mg rows x Kd} into mr-row panels:
 /// dst[(g*tiles + t)*Kd*mr + k*mr + m] = w[(g*Mg + t*mr + m)*Kd + k],
-/// padding rows written as zeros, so dst need not be cleared first. dst
-/// must hold G * ceil(Mg/mr) * Kd * mr entries.
+/// padding rows zero. dst must hold G * ceil(Mg/mr) * Kd * mr entries.
 /// Implemented by the scalar backend TU.
 void pack_gemm_panels(const float* w, std::int64_t G, std::int64_t Mg,
                       std::int64_t Kd, std::int64_t mr, float* dst);

@@ -184,10 +184,7 @@ void pack_gemm_panels(const float* w, std::int64_t G, std::int64_t Mg,
       float* panel = dst + (g * tiles + t) * Kd * mr;
       for (std::int64_t m = 0; m < mr; ++m) {
         const std::int64_t row = t * mr + m;
-        if (row >= Mg) {  // padding row of the last tile: zeros
-          for (std::int64_t k = 0; k < Kd; ++k) panel[k * mr + m] = 0.0f;
-          continue;
-        }
+        if (row >= Mg) continue;  // padding rows stay zero
         const float* src = w + (g * Mg + row) * Kd;
         for (std::int64_t k = 0; k < Kd; ++k) panel[k * mr + m] = src[k];
       }

@@ -32,12 +32,6 @@ enum class LayerKind : std::uint8_t {
 
 const char* layer_kind_name(LayerKind kind);
 
-/// How a parameterized layer's constructor fills its parameters.
-enum class ParamFill : std::uint8_t {
-  kZero,  ///< all zeros
-  kNone,  ///< unwritten: the caller writes every value next (a model load)
-};
-
 /// A run of a layer's parameters and the range [lo, hi) their synthetic
 /// values are drawn from.
 struct ParamSpan {

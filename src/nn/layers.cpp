@@ -40,11 +40,6 @@ std::int64_t pool_out_dim(std::int64_t in, std::int64_t k, std::int64_t s,
   return out;
 }
 
-Tensor param_tensor(Shape shape, ParamFill fill) {
-  return fill == ParamFill::kZero ? Tensor(std::move(shape))
-                                  : Tensor::uninitialized(std::move(shape));
-}
-
 }  // namespace
 
 const char* layer_kind_name(LayerKind kind) {
@@ -265,16 +260,13 @@ void conv_forward(const KernelOps& ops, const float* panels, const float* src,
 
 }  // namespace
 
-ConvLayer::ConvLayer(std::string name, const ConvConfig& config,
-                     ParamFill fill)
+ConvLayer::ConvLayer(std::string name, const ConvConfig& config)
     : Layer(std::move(name)),
       config_(config),
-      weights_(param_tensor(
-          Shape{config.out_channels,
-                config.in_channels / std::max<std::int64_t>(1, config.groups),
-                config.kernel, config.kernel},
-          fill)),
-      bias_(param_tensor(Shape{config.out_channels}, fill)) {
+      weights_(Shape{config.out_channels,
+                     config.in_channels / std::max<std::int64_t>(1, config.groups),
+                     config.kernel, config.kernel}),
+      bias_(Shape{config.out_channels}) {
   if (config.in_channels <= 0 || config.out_channels <= 0 ||
       config.kernel <= 0 || config.stride <= 0 || config.pad < 0 ||
       config.groups <= 0 || config.in_channels % config.groups != 0 ||
@@ -332,8 +324,7 @@ const float* ConvLayer::ensure_packed(std::int64_t mr) const {
       const std::int64_t Kd =
           (config_.in_channels / G) * config_.kernel * config_.kernel;
       const std::int64_t tiles = (Mg + mr - 1) / mr;
-      // The pack writes every element, padding rows included.
-      cache.panels.resize(static_cast<std::size_t>(G * tiles * Kd * mr));
+      cache.panels.assign(static_cast<std::size_t>(G * tiles * Kd * mr), 0.0f);
       pack_gemm_panels(weights_.data().data(), G, Mg, Kd, mr,
                        cache.panels.data());
       cache.valid.store(true, std::memory_order_release);
@@ -464,13 +455,12 @@ std::string PoolLayer::config_str() const {
 
 FullyConnectedLayer::FullyConnectedLayer(std::string name,
                                          std::int64_t in_features,
-                                         std::int64_t out_features,
-                                         ParamFill fill)
+                                         std::int64_t out_features)
     : Layer(std::move(name)),
       in_(in_features),
       out_(out_features),
-      weights_(param_tensor(Shape{out_features, in_features}, fill)),
-      bias_(param_tensor(Shape{out_features}, fill)) {
+      weights_(Shape{out_features, in_features}),
+      bias_(Shape{out_features}) {
   if (in_ <= 0 || out_ <= 0) {
     throw std::invalid_argument("fc " + this->name() + ": bad dimensions");
   }

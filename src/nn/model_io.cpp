@@ -1,6 +1,5 @@
 #include "src/nn/model_io.h"
 
-#include <algorithm>
 #include <charconv>
 #include <map>
 #include <sstream>
@@ -83,7 +82,7 @@ Shape parse_shape(const std::string& text) {
 }
 
 LayerPtr make_layer(const std::string& kind, const std::string& name,
-                    const KvMap& kv, ParamFill fill) {
+                    const KvMap& kv) {
   if (kind == "input") {
     auto it = kv.find("shape");
     if (it == kv.end()) throw util::DecodeError("input layer: missing shape");
@@ -100,8 +99,7 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
                          .kernel = kv_int(kv, "k"),
                          .stride = kv_int(kv, "s"),
                          .pad = kv_int(kv, "p"),
-                         .groups = groups},
-        fill);
+                         .groups = groups});
   }
   if (kind == "maxpool" || kind == "avgpool") {
     return std::make_unique<PoolLayer>(
@@ -113,7 +111,7 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
   }
   if (kind == "fc") {
     return std::make_unique<FullyConnectedLayer>(name, kv_int(kv, "in"),
-                                                 kv_int(kv, "out"), fill);
+                                                 kv_int(kv, "out"));
   }
   if (kind == "relu") return std::make_unique<ReluLayer>(name);
   if (kind == "softmax") return std::make_unique<SoftmaxLayer>(name);
@@ -130,95 +128,6 @@ LayerPtr make_layer(const std::string& kind, const std::string& name,
   }
   throw util::DecodeError("model description: unknown layer kind '" + kind +
                           "'");
-}
-
-std::unique_ptr<Network> parse(const std::string& text, ParamFill fill) {
-  std::unique_ptr<Network> net;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    auto trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto tokens = util::split_ws(trimmed);
-    if (tokens[0] == "model") {
-      if (tokens.size() != 2) {
-        throw util::DecodeError("line " + std::to_string(line_no) +
-                                ": bad model header");
-      }
-      if (net) throw util::DecodeError("duplicate model header");
-      net = std::make_unique<Network>(tokens[1]);
-      continue;
-    }
-    if (tokens[0] != "layer" || tokens.size() < 3) {
-      throw util::DecodeError("line " + std::to_string(line_no) +
-                              ": expected 'layer <name> <kind> ...'");
-    }
-    if (!net) throw util::DecodeError("layer before model header");
-    const std::string& name = tokens[1];
-    const std::string& kind = tokens[2];
-    KvMap kv = parse_kv(tokens, 3);
-    std::vector<std::string> inputs;
-    if (auto it = kv.find("inputs"); it != kv.end()) {
-      inputs = util::split(it->second, ',');
-      kv.erase(it);
-    }
-    // Layer constructors and Network::add reject bad configs and graphs
-    // with std::logic_error subclasses; from the wire those are decode
-    // errors like any other.
-    try {
-      net->add(make_layer(kind, name, kv, fill), inputs);
-    } catch (const std::logic_error& e) {
-      throw util::DecodeError("line " + std::to_string(line_no) + ": " +
-                              e.what());
-    }
-  }
-  if (!net) throw util::DecodeError("empty model description");
-  return net;
-}
-
-/// Read a weights file into nodes [begin, end) of `net`, setting
-/// loaded[i] for every node it lists.
-void read_weights(Network& net, std::span<const std::uint8_t> blob,
-                  std::size_t begin, std::size_t end,
-                  std::vector<bool>& loaded) {
-  end = std::min(end, net.size());
-  util::BinaryReader r(blob);
-  auto magic = r.raw(4);
-  if (util::to_string(magic) != kWeightsMagic) {
-    throw util::DecodeError("weights: bad magic");
-  }
-  if (r.u32() != kWeightsVersion) {
-    throw util::DecodeError("weights: unsupported version");
-  }
-  std::uint32_t count = r.u32();
-  std::vector<bool> listed(net.size(), false);
-  for (std::uint32_t n = 0; n < count; ++n) {
-    std::string name = r.str();
-    std::uint64_t params = r.u64();
-    if (!net.has_layer(name)) {
-      throw util::DecodeError("weights: unknown layer " + name);
-    }
-    std::size_t idx = net.index_of(name);
-    if (idx < begin || idx >= end) {
-      throw util::DecodeError("weights: layer " + name + " out of range");
-    }
-    if (listed[idx]) {
-      throw util::DecodeError("weights: layer " + name + " listed twice");
-    }
-    listed[idx] = true;
-    Layer& layer = net.layer(idx);
-    if (layer.param_count() != params) {
-      throw util::DecodeError("weights: parameter count mismatch for " + name);
-    }
-    for (const ParamSpan& span : layer.param_spans()) r.f32s(span.values);
-    layer.params_changed();
-    loaded[idx] = true;
-  }
-  if (!r.done()) {
-    throw util::DecodeError("weights: trailing bytes after the last layer");
-  }
 }
 
 }  // namespace
@@ -254,7 +163,49 @@ std::string save_description(const Network& net) {
 }
 
 std::unique_ptr<Network> parse_description(const std::string& text) {
-  return parse(text, ParamFill::kZero);
+  std::unique_ptr<Network> net;
+  std::istringstream in(text);
+  std::string line;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    auto trimmed = util::trim(line);
+    if (trimmed.empty() || trimmed.front() == '#') continue;
+    auto tokens = util::split_ws(trimmed);
+    if (tokens[0] == "model") {
+      if (tokens.size() != 2) {
+        throw util::DecodeError("line " + std::to_string(line_no) +
+                                ": bad model header");
+      }
+      if (net) throw util::DecodeError("duplicate model header");
+      net = std::make_unique<Network>(tokens[1]);
+      continue;
+    }
+    if (tokens[0] != "layer" || tokens.size() < 3) {
+      throw util::DecodeError("line " + std::to_string(line_no) +
+                              ": expected 'layer <name> <kind> ...'");
+    }
+    if (!net) throw util::DecodeError("layer before model header");
+    const std::string& name = tokens[1];
+    const std::string& kind = tokens[2];
+    KvMap kv = parse_kv(tokens, 3);
+    std::vector<std::string> inputs;
+    if (auto it = kv.find("inputs"); it != kv.end()) {
+      inputs = util::split(it->second, ',');
+      kv.erase(it);
+    }
+    // Layer constructors and Network::add reject bad configs and graphs
+    // with std::logic_error subclasses; from the wire those are decode
+    // errors like any other.
+    try {
+      net->add(make_layer(kind, name, kv), inputs);
+    } catch (const std::logic_error& e) {
+      throw util::DecodeError("line " + std::to_string(line_no) + ": " +
+                              e.what());
+    }
+  }
+  if (!net) throw util::DecodeError("empty model description");
+  return net;
 }
 
 std::uint64_t weights_size(const Network& net, std::size_t begin,
@@ -304,25 +255,41 @@ void save_weights(const Network& net, util::BinaryWriter& w,
 
 void load_weights(Network& net, std::span<const std::uint8_t> blob,
                   std::size_t begin, std::size_t end) {
+  end = std::min(end, net.size());
+  util::BinaryReader r(blob);
+  auto magic = r.raw(4);
+  if (util::to_string(magic) != kWeightsMagic) {
+    throw util::DecodeError("weights: bad magic");
+  }
+  if (r.u32() != kWeightsVersion) {
+    throw util::DecodeError("weights: unsupported version");
+  }
+  std::uint32_t count = r.u32();
   std::vector<bool> loaded(net.size(), false);
-  read_weights(net, blob, begin, end, loaded);
-}
-
-std::unique_ptr<Network> load_model(
-    const std::string& description,
-    std::span<const std::span<const std::uint8_t>> weight_files) {
-  std::unique_ptr<Network> net = parse(description, ParamFill::kNone);
-  std::vector<bool> loaded(net->size(), false);
-  for (std::span<const std::uint8_t> blob : weight_files) {
-    read_weights(*net, blob, 0, SIZE_MAX, loaded);
-  }
-  for (std::size_t i = 0; i < net->size(); ++i) {
-    if (loaded[i]) continue;
-    for (const ParamSpan& span : net->layer(i).param_spans()) {
-      std::fill(span.values.begin(), span.values.end(), 0.0f);
+  for (std::uint32_t n = 0; n < count; ++n) {
+    std::string name = r.str();
+    std::uint64_t params = r.u64();
+    if (!net.has_layer(name)) {
+      throw util::DecodeError("weights: unknown layer " + name);
     }
+    std::size_t idx = net.index_of(name);
+    if (idx < begin || idx >= end) {
+      throw util::DecodeError("weights: layer " + name + " out of range");
+    }
+    if (loaded[idx]) {
+      throw util::DecodeError("weights: layer " + name + " listed twice");
+    }
+    loaded[idx] = true;
+    Layer& layer = net.layer(idx);
+    if (layer.param_count() != params) {
+      throw util::DecodeError("weights: parameter count mismatch for " + name);
+    }
+    for (const ParamSpan& span : layer.param_spans()) r.f32s(span.values);
+    layer.params_changed();
   }
-  return net;
+  if (!r.done()) {
+    throw util::DecodeError("weights: trailing bytes after the last layer");
+  }
 }
 
 std::vector<ModelFile> model_files(const Network& net) {

@@ -77,15 +77,6 @@ std::uint64_t weights_size(const Network& net, std::size_t begin = 0,
 void load_weights(Network& net, std::span<const std::uint8_t> blob,
                   std::size_t begin = 0, std::size_t end = SIZE_MAX);
 
-/// Build the network a description and its weight files describe, writing
-/// each parameter once: the tensors are allocated unfilled, each file's
-/// blocks are read straight into their layers, and the layers no file lists
-/// (the withheld front of a rear-only bundle) are zeroed. Throws
-/// util::DecodeError on malformed input.
-std::unique_ptr<Network> load_model(
-    const std::string& description,
-    std::span<const std::span<const std::uint8_t>> weight_files);
-
 /// The full pre-send bundle: description + all weights.
 std::vector<ModelFile> model_files(const Network& net);
 

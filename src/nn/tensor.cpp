@@ -42,11 +42,6 @@ Tensor::Tensor(Shape shape, const std::vector<float>& data)
 Tensor::Tensor(Shape shape, std::initializer_list<float> data)
     : Tensor(std::move(shape), AlignedFloats(data.begin(), data.end())) {}
 
-Tensor Tensor::uninitialized(Shape shape) {
-  const auto n = static_cast<std::size_t>(shape.elements());
-  return Tensor(std::move(shape), AlignedFloats(n));
-}
-
 Tensor Tensor::full(Shape shape, float value) {
   Tensor t(std::move(shape));
   std::fill(t.data_.begin(), t.data_.end(), value);

@@ -54,9 +54,6 @@ class Tensor {
   Tensor(Shape shape, std::initializer_list<float> data);
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
-  /// Storage of the right size with no value written: for a caller that
-  /// writes every element next.
-  static Tensor uninitialized(Shape shape);
   static Tensor full(Shape shape, float value);
   /// I.i.d. uniform values in [lo, hi) from a caller-owned RNG.
   static Tensor random_uniform(Shape shape, util::Pcg32& rng, float lo = -1.0f,

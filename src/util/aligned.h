@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <new>
-#include <utility>
 
 namespace offload::util {
 
@@ -32,18 +31,6 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t(Alignment));
-  }
-
-  /// Default-initializes, so `vector(n)` and `resize(n)` leave float storage
-  /// unwritten for a caller that fills every element next. Pass the value
-  /// to fill with (`vector(n, 0.0f)`) to get zeros.
-  template <typename U>
-  void construct(U* p) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   bool operator==(const AlignedAllocator&) const noexcept { return true; }

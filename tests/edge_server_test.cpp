@@ -307,14 +307,15 @@ TEST(EdgeServerTest, MalformedPreSendRejectedThenServedBitExact) {
   struct Case {
     const char* what;
     net::MessageType type;
-    util::Bytes body;
+    util::SharedBytes body;
   };
   const Case cases[] = {
       {"truncated body", net::MessageType::kModelFiles, truncated},
-      {"count beyond the payload", net::MessageType::kModelFiles, {5, 1, 2}},
+      {"count beyond the payload", net::MessageType::kModelFiles,
+       util::Bytes{5, 1, 2}},
       {"length varint beyond the payload", net::MessageType::kModelFiles,
-       {1, 3, 'a', 'b', 'c', 100, 1, 2}},
-      {"empty body", net::MessageType::kModelFiles, {}},
+       util::Bytes{1, 3, 'a', 'b', 'c', 100, 1, 2}},
+      {"empty body", net::MessageType::kModelFiles, util::Bytes{}},
       {"truncated offer", net::MessageType::kModelOffer, bad_offer},
   };
   for (const Case& c : cases) {

@@ -462,9 +462,8 @@ TEST(ModelIo, SavedModelsRebuildIndistinguishably) {
       EXPECT_EQ(parsed->inputs_of(i), net->inputs_of(i));
     }
 
-    const util::Bytes weights = save_weights(*net);
-    const std::span<const std::uint8_t> files[] = {weights};
-    const auto rebuilt = load_model(desc, files);
+    const auto rebuilt = parse_description(desc);
+    load_weights(*rebuilt, save_weights(*net));
     util::Pcg32 rng(29);
     const Tensor in =
         Tensor::random_uniform(net->analyze().shapes[0], rng, 0.0f, 1.0f);
